@@ -244,44 +244,39 @@ def relation_matrix(pres: GroupPresentation) -> IntMatrix:
 
 
 def abelianization(pres: GroupPresentation) -> AbelianInvariants:
-    """First homology of the presented group, in invariant-factor form."""
-    m = relation_matrix(pres)
-    if m.rows == 0:
-        return AbelianInvariants(m.cols, ())
-    inv, _ = smith_normal_form(m)
+    """First homology of the presented group, in invariant-factor form,
+    from the SNF of the Tietze-simplified (isomorphic) presentation."""
+    inv, _ = smith_normal_form(relation_matrix(simplify(pres).presentation))
     return inv
 
 
 class _AbelianImage:
-    """Invariant-factor coordinates for word images in the abelianization.
+    """Invariant-factor coordinates for images in the abelianization of a
+    simplified presentation (words rewritten through its eliminations).
 
     The column operations recorded by the SNF form a unimodular matrix V
-    with (relation matrix) @ V diagonal; transporting an exponent vector x
-    to x @ V puts each coordinate in Z or Z/d_j, where the order of the
-    image is read off directly.
+    with (relation matrix) @ V = diag(units, torsion chain, zeros);
+    transporting an exponent vector x to x @ V puts each coordinate in Z
+    or Z/d_j, where the order of the image is read off directly.
     """
 
-    def __init__(self, pres: GroupPresentation):
-        self.names = pres.generator_names()
-        m = relation_matrix(pres)
-        n = m.cols
-        if m.rows == 0:
-            self.diag = [0] * n
-            self.v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        else:
-            _, ops = smith_normal_form(m)
-            diag_m = apply_transforms(m, ops)
-            self.diag = [diag_m[i, i] if i < diag_m.rows else 0 for i in range(n)]
-            self.v = _column_matrix(ops, n)
+    def __init__(self, sr: SimplifyResult):
+        m = relation_matrix(sr.presentation)
+        inv, ops = smith_normal_form(m)
+        units = m.cols - inv.free_rank - len(inv.torsion)
+        self.diag = [1] * units + list(inv.torsion) + [0] * inv.free_rank
+        # generator name -> its row of V
+        self.rows = dict(zip(sr.presentation.generator_names(),
+                             _column_matrix(ops, m.cols)))
 
-    def order(self, word: Word):
+    def order(self, image: Word):
         """(order, witness), order None when infinite."""
-        n = len(self.names)
-        x = [word.exponent_sum(name) for name in self.names]
-        y = [sum(x[i] * self.v[i][j] for i in range(n)) for j in range(n)]
+        y = [0] * len(self.diag)
+        for name, e in image.syllables:
+            for j, v in enumerate(self.rows[name]):
+                y[j] += e * v
         order = 1
-        for j in range(n):
-            d, c = self.diag[j], y[j]
+        for j, (d, c) in enumerate(zip(self.diag, y)):
             if d == 0:
                 if c:
                     return None, f"free coordinate {j} of the abelianized image is {c}"
@@ -490,34 +485,36 @@ def todd_coxeter(pres: GroupPresentation, subgroup: tuple[Word, ...] = (),
 
 # -- element order ----------------------------------------------------------
 
-def _power_relator_bound(sr: SimplifyResult, word: Word) -> int | None:
-    """Sound upper bound on the word's order from the simplified relators.
+def _power_relator_bound(relators: tuple[Word, ...], image: Word) -> int | None:
+    """Sound upper bound on the order of ``image`` from the relators.
 
-    The tracked image w of the word is compared against the relators of
-    the simplified (isomorphic) presentation.  A relator equal to w^k as a
-    cyclic word certifies order(w) | k; for a single-syllable image x^e,
-    every power relator x^m certifies order(x^e) | m/gcd(m,e).  All such
-    bounds are combined by gcd.  Returns None when no bound is found, 0
-    when the word itself simplifies to the identity.
+    ``image`` is a word rewritten into the simplified (isomorphic)
+    presentation.  A relator equal to w^k as a cyclic word certifies
+    order(w) | k; for a single-syllable image x^e, every power relator x^m
+    certifies order(x^e) | m/gcd(m,e).  All such bounds are combined by
+    gcd.  Returns None when no bound is found, 0 when the image is trivial.
     """
-    w = rewrite_through(word, sr.eliminations).cyclically_reduced()
+    w = image.cyclically_reduced()
     if w.is_empty:
         return 0
     g = 0
     if len(w.syllables) == 1:
         name, exp = w.syllables[0]
         m = 0
-        for r in sr.presentation.relators:
+        for r in relators:
             if len(r.syllables) == 1 and r.syllables[0][0] == name:
                 m = gcd(m, abs(r.syllables[0][1]))
         if m:
             g = m // gcd(m, abs(exp))
     wlen = w.length()
-    for r in sr.presentation.relators:
+    for r in relators:
         rc = r.cyclically_reduced()
         if rc.is_empty or rc.length() % wlen:
             continue
         k = rc.length() // wlen
+        # w is cyclically reduced, so w^k has k times its syllables (s >= 2)
+        if len(w.syllables) > 1 and len(rc.syllables) != k * len(w.syllables):
+            continue
         if rc == w.power(k) or rc == w.power(-k):
             g = gcd(g, k)
     return g or None
@@ -526,9 +523,10 @@ def _power_relator_bound(sr: SimplifyResult, word: Word) -> int | None:
 class OrderOracle:
     """Shared certificate state for element orders in one presentation.
 
-    Building the abelianization transform, the simplified presentation,
+    Building the simplified presentation, its abelianization transform,
     and (lazily) the regular coset table once lets a census of many words
-    reuse them.  Every verdict is certified:
+    reuse them; each word is rewritten once and both bounds read that
+    image.  Every verdict is certified:
 
     1. Infinite when the abelianized image has infinite order;
     2. Finite when a Tietze-derived power bound meets the abelianized
@@ -543,8 +541,8 @@ class OrderOracle:
                  protect: frozenset[str] = frozenset()):
         self.pres = pres
         self.budget = budget
-        self._abelian = _AbelianImage(pres)
         self._simplified = simplify(pres, protect=protect)
+        self._abelian = _AbelianImage(self._simplified)
         self._table: CosetTable | Exhausted | None = None
 
     def _enumerate(self) -> CosetTable | Exhausted:
@@ -558,10 +556,11 @@ class OrderOracle:
             raise ValueError(f"word uses undeclared generators {sorted(bad)}")
         if word.is_empty:
             return FiniteOrder(1, "empty word")
-        lower, witness = self._abelian.order(word)
+        image = rewrite_through(word, self._simplified.eliminations)
+        lower, witness = self._abelian.order(image)
         if lower is None:
             return InfiniteOrder(witness)
-        upper = _power_relator_bound(self._simplified, word)
+        upper = _power_relator_bound(self._simplified.presentation.relators, image)
         if upper == 0 or upper == 1:
             return FiniteOrder(1, "word reduces to the identity under Tietze moves")
         if upper is not None and upper == lower:

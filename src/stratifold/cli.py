@@ -14,6 +14,7 @@ artifact in text mode, so they compose in a pipeline:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -502,7 +503,9 @@ _HELP = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = _Parser(prog="stratifold",
                      description="2-stratifold graph calculus")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

@@ -12,6 +12,7 @@ sound certificate engine.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import GraphError
@@ -72,13 +73,11 @@ class Word:
         return Word(tuple((n, -e) for n, e in reversed(self.syllables)))
 
     def power(self, k: int) -> "Word":
-        if k == 0:
-            return Word()
+        if len(self.syllables) == 1:
+            name, exp = self.syllables[0]
+            return Word(((name, exp * k),))
         base = self if k > 0 else self.inverse()
-        out = Word()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        return Word(base.syllables * abs(k))
 
     def length(self) -> int:
         return sum(abs(e) for _, e in self.syllables)
@@ -92,10 +91,10 @@ class Word:
     def substitute(self, name: str, replacement: "Word") -> "Word":
         if name not in self.names():
             return self
-        out = Word()
+        out: list[tuple[str, int]] = []
         for n, e in self.syllables:
-            out = out * (replacement.power(e) if n == name else Word(((n, e),)))
-        return out
+            out.extend(replacement.power(e).syllables if n == name else ((n, e),))
+        return Word(out)
 
     def cyclically_reduced(self) -> "Word":
         s = list(self.syllables)
@@ -141,26 +140,18 @@ class FSignature:
             if m < 2:
                 raise ValueError(f"period {m} < 2")
 
-    @property
-    def spherical(self) -> bool:
-        return self.genus == 0
 
-    @property
-    def surface_rank(self) -> int:
-        """Number of surface generators: 2g orientable, |g| nonorientable."""
-        return 2 * self.genus if self.genus >= 0 else -self.genus
-
-
-def _surface_word(white_id: str, genus: int) -> tuple[Word, list[str]]:
-    """The boundary-of-polygon word q and the surface generator names."""
+def _surface_word(prefix: str, genus: int) -> tuple[Word, list[str]]:
+    """The boundary-of-polygon word q and the surface generator names,
+    ``<prefix>1``, ``<prefix>2``, ..."""
     if genus >= 0:
-        names = [f"y.{white_id}.{j}" for j in range(1, 2 * genus + 1)]
+        names = [f"{prefix}{j}" for j in range(1, 2 * genus + 1)]
         sylls = []
         for i in range(genus):
             a, b = names[2 * i], names[2 * i + 1]
             sylls += [(a, 1), (b, 1), (a, -1), (b, -1)]
         return Word(tuple(sylls)), names
-    names = [f"y.{white_id}.{j}" for j in range(1, -genus + 1)]
+    names = [f"{prefix}{j}" for j in range(1, -genus + 1)]
     return Word(tuple((n, 2) for n in names)), names
 
 
@@ -188,23 +179,20 @@ def natural_presentation(graph: StratifoldGraph) -> GroupPresentation:
     gens: list[Generator] = []
     for b in graph.blacks:
         gens.append(Generator(f"b.{b.id}", "black"))
-    surface_names: dict[str, list[str]] = {}
+    genus_words: dict[str, Word] = {}
     for w in graph.whites:
         for eid in graph.edges_at_white(w.id):
             gens.append(Generator(f"s.{eid}", "boundary"))
-        _, names = _surface_word(w.id, w.genus)
-        surface_names[w.id] = names
-        for n in names:
-            gens.append(Generator(n, "surface"))
+        genus_words[w.id], names = _surface_word(f"y.{w.id}.", w.genus)
+        gens += [Generator(n, "surface") for n in names]
     nontree = [e.id for e in graph.edges if e.id not in tree]
     for eid in nontree:
         gens.append(Generator(f"t.{eid}", "stable"))
 
     relators: list[Word] = []
     for w in graph.whites:
-        q, _ = _surface_word(w.id, w.genus)
         boundary = Word(tuple((f"s.{eid}", 1) for eid in graph.edges_at_white(w.id)))
-        relators.append(boundary * q)
+        relators.append(boundary * genus_words[w.id])
     for eid in sorted(tree):
         e = graph.edge(eid)
         relators.append(Word(((f"s.{eid}", -1), (f"b.{e.black}", e.label))))
@@ -222,16 +210,7 @@ def fgroup_presentation(sig: FSignature) -> GroupPresentation:
     """
     p = len(sig.periods)
     gens = [Generator(f"c{i}", "period") for i in range(1, p + 1)]
-    if sig.genus >= 0:
-        names = [f"y{j}" for j in range(1, 2 * sig.genus + 1)]
-        sylls = []
-        for i in range(sig.genus):
-            a, b = names[2 * i], names[2 * i + 1]
-            sylls += [(a, 1), (b, 1), (a, -1), (b, -1)]
-        q = Word(tuple(sylls))
-    else:
-        names = [f"y{j}" for j in range(1, -sig.genus + 1)]
-        q = Word(tuple((n, 2) for n in names))
+    q, names = _surface_word("y", sig.genus)
     gens += [Generator(n, "surface") for n in names]
     relators = [Word(((f"c{i}", sig.periods[i - 1]),)) for i in range(1, p + 1)]
     relators.append(Word(tuple((f"c{i}", 1) for i in range(1, p + 1))) * q)
@@ -270,27 +249,23 @@ class SimplifyResult:
 ELIMINABLE_ROLES = frozenset({"boundary", "stable"})
 
 
-def _find_elimination(relators: tuple[Word, ...], keep: frozenset[str]):
-    """First (relator index, syllable index) eliminating a generator.
+def _first_eliminable(r: Word, keep: frozenset[str]) -> int | None:
+    """Index of the first syllable of ``r`` that eliminates a generator.
 
     A generator can be eliminated from a relator in which it occurs in
     exactly one syllable, with exponent +-1; the relator then defines it
     in terms of the others.  Generators in ``keep`` are exempt unless the
     relator is that single syllable (the generator is provably trivial).
-    Scanning order makes the choice deterministic and, on graph
-    presentations, consumes the boundary generators defined by their tree
-    relations first.
     """
-    for ri, r in enumerate(relators):
-        counts: dict[str, int] = {}
-        for n, _ in r.syllables:
-            counts[n] = counts.get(n, 0) + 1
-        for si, (n, e) in enumerate(r.syllables):
-            if abs(e) != 1 or counts[n] != 1:
-                continue
-            if n in keep and len(r.syllables) > 1:
-                continue
-            return ri, si
+    counts: dict[str, int] = {}
+    for n, _ in r.syllables:
+        counts[n] = counts.get(n, 0) + 1
+    for si, (n, e) in enumerate(r.syllables):
+        if abs(e) != 1 or counts[n] != 1:
+            continue
+        if n in keep and len(r.syllables) > 1:
+            continue
+        return si
     return None
 
 
@@ -301,12 +276,16 @@ def simplify(pres: GroupPresentation,
     """Bounded Tietze simplification: generator eliminations only.
 
     Repeatedly eliminates a generator defined by a relator (see
-    :func:`_find_elimination`), substituting its definition everywhere and
+    :func:`_first_eliminable`), substituting its definition everywhere and
     dropping empty relators.  No relator search or insertion is performed,
     so every step is a Tietze transformation and the result presents an
     isomorphic group with at most as many generators.  ``tracked`` words
     are rewritten through the same substitutions, and the substitution
     list itself is returned so further words can be rewritten later.
+
+    Each step uses the first relator in list order that defines a
+    generator (on graph presentations, the tree relations first) and
+    rewrites only the relators that contain the eliminated generator.
 
     Only boundary and stable-letter generators are eliminated freely; the
     structural generators (black, surface, period) and any name listed in
@@ -316,21 +295,26 @@ def simplify(pres: GroupPresentation,
     """
     keep = frozenset(g.name for g in pres.generators
                      if g.role not in ELIMINABLE_ROLES) | frozenset(protect)
-    gens = list(pres.generators)
     relators = [r for r in pres.relators if not r.is_empty]
+    picks = [_first_eliminable(r, keep) for r in relators]
+    # name -> indices of the relators that may contain it (a superset)
+    occurs: dict[str, set[int]] = {}
+    for i, r in enumerate(relators):
+        for n in r.names():
+            occurs.setdefault(n, set()).add(i)
+    # indices whose relator may have an eligible syllable; sorted, so a heap
+    ready = [i for i, si in enumerate(picks) if si is not None]
     tracked = list(tracked)
     eliminations: list[tuple[str, Word]] = []
-    steps = 0
     exhausted = False
-    while True:
-        pick = _find_elimination(tuple(relators), keep)
-        if pick is None:
-            break
-        if steps >= budget:
+    while ready:
+        ri = heapq.heappop(ready)
+        if picks[ri] is None:  # stale: that relator was rewritten or used
+            continue
+        if len(eliminations) >= budget:
             exhausted = True
             break
-        ri, si = pick
-        r = relators[ri]
+        r, si = relators[ri], picks[ri]
         name, exp = r.syllables[si]
         before = Word(r.syllables[:si])
         after = Word(r.syllables[si + 1:])
@@ -339,21 +323,33 @@ def simplify(pres: GroupPresentation,
             definition = before.inverse() * after.inverse()
         else:
             definition = after * before
-        del relators[ri]
-        relators = [s.substitute(name, definition) for s in relators]
-        relators = [s for s in relators if not s.is_empty]
+        relators[ri], picks[ri] = Word(), None
+        for n in r.names():
+            occurs[n].discard(ri)
+        added = definition.names()
+        for i in occurs.pop(name):
+            relators[i] = relators[i].substitute(name, definition)
+            for n in added:
+                occurs[n].add(i)
+            picks[i] = _first_eliminable(relators[i], keep)
+            if picks[i] is not None:
+                heapq.heappush(ready, i)
         tracked = [t.substitute(name, definition) for t in tracked]
-        gens = [g for g in gens if g.name != name]
         eliminations.append((name, definition))
-        steps += 1
-    return SimplifyResult(GroupPresentation(tuple(gens), tuple(relators)),
-                          tuple(eliminations), tuple(tracked), exhausted, steps)
+    gone = {name for name, _ in eliminations}
+    return SimplifyResult(
+        GroupPresentation(tuple(g for g in pres.generators if g.name not in gone),
+                          tuple(r for r in relators if not r.is_empty)),
+        tuple(eliminations), tuple(tracked), exhausted, len(eliminations))
 
 
 def rewrite_through(word: Word, eliminations: tuple[tuple[str, Word], ...]) -> Word:
     """Rewrite a word through a simplifier's substitution list, in order."""
+    names = word.names()
     for name, definition in eliminations:
-        word = word.substitute(name, definition)
+        if name in names:
+            word = word.substitute(name, definition)
+            names = word.names()
     return word
 
 
@@ -380,7 +376,7 @@ def q_presentation(graph: StratifoldGraph, orders, holes) -> GroupPresentation |
             extra.append(Word(((f"b.{b.id}", 1),)))
     for wid in sorted(holes):
         w = graph.white(wid)  # raises GraphError on a non-white id
-        _, names = _surface_word(wid, w.genus)
+        _, names = _surface_word(f"y.{wid}.", w.genus)
         for n in names:
             extra.append(Word(((n, 1),)))
     return GroupPresentation(base.generators, base.relators + tuple(extra))

@@ -13,6 +13,7 @@ from stratifold import (AbelianInvariants, CosetTable, Exhausted, FiniteOrder,
                         fgroup_presentation, lens_spine, natural_presentation,
                         normalize, relation_matrix, s2xs1_spine,
                         smith_normal_form, todd_coxeter)
+from stratifold.algebra import _power_relator_bound
 
 
 def pres(gens, rels):
@@ -251,6 +252,15 @@ class TestElementOrder:
             v = element_order(p, Word((("c1", 1),)))
             assert v == FiniteOrder(2, v.certificate)
             assert isinstance(v, FiniteOrder)
+
+    def test_power_bound_builds_no_power_of_the_wrong_shape(self, monkeypatch):
+        # a^n b^n has the length of (ab)^n but not its syllable count
+        def refuse(word, k):
+            raise AssertionError(f"built the power {k}")
+        monkeypatch.setattr(Word, "power", refuse)
+        n = 10**7
+        relators = (Word((("a", n), ("b", n))),)
+        assert _power_relator_bound(relators, Word((("a", 1), ("b", 1)))) is None
 
     def test_empty_word(self):
         v = element_order(KLEIN, Word())

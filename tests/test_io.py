@@ -6,6 +6,7 @@ import importlib.resources
 import io
 import json
 import random
+import time
 
 import jsonschema
 import pytest
@@ -17,7 +18,7 @@ from stratifold import (FSignature, GroupPresentation, ParseError, Summand,
                         normalize, parse_expr, parse_graph, parse_presentation,
                         parse_word, serialize_graph, serialize_presentation,
                         synth, validate)
-from stratifold.cli import exit_code, main
+from stratifold.cli import _build_parser, exit_code, main
 
 LENS5 = "white w genus 0\nblack b\nedge e w b 5\n"
 
@@ -473,3 +474,41 @@ class TestCliReports:
             code, report = run_json(argv, text)
             assert code == 1
             assert report["violations"]
+
+    def test_large_lens_label_order_is_closed_form(self):
+        # the power relator b^(10^7) is compared in closed form, so the
+        # order census costs nothing like the label
+        _, spine = run(["synth", "--expr", "L(10000000)"])
+        start = time.perf_counter()
+        code, report = run_json(["order", "--budget", "10"], spine)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        verdict = report["payload"]["orders"]["b"]
+        assert (verdict["kind"], verdict["order"]) == ("finite", 10**7)
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        (["h1"], LENS5),
+        (["order", "--budget", "50"], LENS5),
+        (["pi1", "--simplify"], LENS5),
+        (["frobnicate"], ""),
+        (["synth", "--expr", "L(3) # S2xS1"], ""),
+        (["order", "--budget", "-5"], LENS5),
+        (["validate"], "white w genus 0\nblack b\nedge e w b 0\n"),
+        (["tc", "--budget", "20"], "gen a black\nrel a^3\n"),
+        (["h1"], LENS5),
+        (["pi1"], LENS5),
+    ]
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_alternating_commands_match_fresh_calls(self):
+        shared = [run(argv + ["--json"], text) for argv, text in self.SEQUENCE]
+        fresh = []
+        for argv, text in self.SEQUENCE:
+            _build_parser.cache_clear()
+            fresh.append(run(argv + ["--json"], text))
+        assert shared == fresh
+        assert [code for code, _ in shared] == [0, 0, 0, 1, 0, 1, 1, 0, 0, 0]

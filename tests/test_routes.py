@@ -1,0 +1,251 @@
+"""Independent routes to the same answer must agree.
+
+The abelian invariants and the order certificates are taken on the
+Tietze-simplified presentation; here they are checked against the full,
+unsimplified relation matrix.  The occurrence-aware simplifier is checked
+against a reference copy of the rescanning loop it replaced, and the
+closed-form word operations against their syllable-by-syllable
+definitions.
+"""
+
+import random
+from math import gcd
+
+from helpers import random_valid_graph
+from stratifold import (GENERATOR_ROLES, CosetTable, FiniteOrder, Generator,
+                        GroupPresentation, InfiniteOrder, OrderOracle,
+                        SimplifyResult, UnknownOrder, Word, abelianization,
+                        apply_transforms, natural_presentation, normalize,
+                        relation_matrix, rewrite_through, simplify,
+                        smith_normal_form, todd_coxeter)
+from stratifold.algebra import (_AbelianImage, _column_matrix,
+                                _power_relator_bound)
+from stratifold.presentation import DEFAULT_SIMPLIFY_BUDGET, ELIMINABLE_ROLES
+
+NAMES = ("a", "b", "c", "d", "e")
+
+
+def random_word(rng, names, max_syllables=6, max_exp=3):
+    return Word(tuple((rng.choice(names), rng.choice(
+        [e for e in range(-max_exp, max_exp + 1) if e]))
+        for _ in range(rng.randint(0, max_syllables))))
+
+
+def random_presentation(rng):
+    names = NAMES[:rng.randint(1, len(NAMES))]
+    gens = tuple(Generator(n, rng.choice(GENERATOR_ROLES)) for n in names)
+    rels = []
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.3:
+            rels.append(Word(((rng.choice(names), rng.randint(-6, 6)),)))
+        else:
+            rels.append(random_word(rng, names))
+    return GroupPresentation(gens, tuple(rels))
+
+
+def graph_presentations(rng, count):
+    for _ in range(count):
+        g = normalize(random_valid_graph(rng, max_whites=5, max_blacks=4,
+                                         max_extra=4))
+        yield g, natural_presentation(g)
+
+
+def black_words(graph):
+    return [Word(((f"b.{b.id}", 1),)) for b in graph.blacks]
+
+
+# -- the unsimplified route ---------------------------------------------------
+
+
+def full_matrix_order(pres, word):
+    """Order of the word's image in H1 from the full relation matrix, with
+    the diagonal replayed from the recorded operations; None if infinite."""
+    names = pres.generator_names()
+    m = relation_matrix(pres)
+    n = m.cols
+    if m.rows == 0:
+        diag, v = [0] * n, _column_matrix((), n)
+    else:
+        _, ops = smith_normal_form(m)
+        d = apply_transforms(m, ops)
+        diag = [d[i, i] if i < d.rows else 0 for i in range(n)]
+        v = _column_matrix(ops, n)
+    x = [word.exponent_sum(name) for name in names]
+    y = [sum(x[i] * v[i][j] for i in range(n)) for j in range(n)]
+    order = 1
+    for d, c in zip(diag, y):
+        if d == 0 and c:
+            return None
+        if d >= 2 and c % d:
+            k = d // gcd(d, c % d)
+            order = order * k // gcd(order, k)
+    return order
+
+
+def full_matrix_verdict(pres, word, budget):
+    """(kind, order) of the order certificate with the abelian step taken
+    on the full matrix instead of the simplified one."""
+    if word.is_empty:
+        return "finite", 1
+    lower = full_matrix_order(pres, word)
+    if lower is None:
+        return "infinite", None
+    sr = simplify(pres)
+    upper = _power_relator_bound(sr.presentation.relators,
+                                 rewrite_through(word, sr.eliminations))
+    if upper in (0, 1):
+        return "finite", 1
+    if upper == lower:
+        return "finite", upper
+    table = todd_coxeter(pres, (), budget)
+    if isinstance(table, CosetTable):
+        return "finite", table.permutation_order(word)
+    return "unknown", None
+
+
+def verdict_key(v):
+    if isinstance(v, FiniteOrder):
+        return "finite", v.order
+    if isinstance(v, InfiniteOrder):
+        return "infinite", None
+    assert isinstance(v, UnknownOrder)
+    return "unknown", None
+
+
+# -- the rescanning simplifier ---------------------------------------------
+
+
+def reference_find_elimination(relators, keep):
+    for ri, r in enumerate(relators):
+        counts = {}
+        for n, _ in r.syllables:
+            counts[n] = counts.get(n, 0) + 1
+        for si, (n, e) in enumerate(r.syllables):
+            if abs(e) != 1 or counts[n] != 1:
+                continue
+            if n in keep and len(r.syllables) > 1:
+                continue
+            return ri, si
+    return None
+
+
+def reference_simplify(pres, budget=DEFAULT_SIMPLIFY_BUDGET, tracked=(),
+                       protect=frozenset()):
+    keep = frozenset(g.name for g in pres.generators
+                     if g.role not in ELIMINABLE_ROLES) | frozenset(protect)
+    gens = list(pres.generators)
+    relators = [r for r in pres.relators if not r.is_empty]
+    tracked = list(tracked)
+    eliminations = []
+    steps = 0
+    exhausted = False
+    while True:
+        pick = reference_find_elimination(tuple(relators), keep)
+        if pick is None:
+            break
+        if steps >= budget:
+            exhausted = True
+            break
+        ri, si = pick
+        r = relators[ri]
+        name, exp = r.syllables[si]
+        before = Word(r.syllables[:si])
+        after = Word(r.syllables[si + 1:])
+        if exp == 1:
+            definition = before.inverse() * after.inverse()
+        else:
+            definition = after * before
+        del relators[ri]
+        relators = [naive_substitute(s, name, definition) for s in relators]
+        relators = [s for s in relators if not s.is_empty]
+        tracked = [naive_substitute(t, name, definition) for t in tracked]
+        gens = [g for g in gens if g.name != name]
+        eliminations.append((name, definition))
+        steps += 1
+    return SimplifyResult(GroupPresentation(tuple(gens), tuple(relators)),
+                          tuple(eliminations), tuple(tracked), exhausted, steps)
+
+
+def naive_power(word, k):
+    base = word if k > 0 else word.inverse()
+    out = Word()
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
+def naive_substitute(word, name, replacement):
+    out = Word()
+    for n, e in word.syllables:
+        out = out * (naive_power(replacement, e) if n == name else Word(((n, e),)))
+    return out
+
+
+# -- tests -------------------------------------------------------------------
+
+
+def test_abelianization_matches_full_matrix_snf():
+    rng = random.Random(1707)
+    cases = [p for _, p in graph_presentations(rng, 60)]
+    cases += [random_presentation(rng) for _ in range(200)]
+    for p in cases:
+        full, _ = smith_normal_form(relation_matrix(p))
+        assert abelianization(p) == full
+
+
+def test_diagonal_from_invariants_matches_replay():
+    rng = random.Random(1708)
+    for _ in range(200):
+        p = random_presentation(rng)
+        m = relation_matrix(p)
+        if m.rows == 0:
+            continue
+        _, ops = smith_normal_form(m)
+        d = apply_transforms(m, ops)
+        replayed = [d[i, i] if i < d.rows else 0 for i in range(m.cols)]
+        # no eliminations: the image is built on the full matrix itself
+        assert _AbelianImage(simplify(p, budget=0)).diag == replayed
+
+
+def test_oracle_matches_full_matrix_oracle_on_graphs():
+    rng = random.Random(1709)
+    for g, p in graph_presentations(rng, 60):
+        oracle = OrderOracle(p, budget=300)
+        for w in black_words(g):
+            assert verdict_key(oracle.order(w)) == full_matrix_verdict(p, w, 300)
+
+
+def test_oracle_matches_full_matrix_oracle_on_random_words():
+    rng = random.Random(1710)
+    for _ in range(150):
+        p = random_presentation(rng)
+        oracle = OrderOracle(p, budget=200)
+        names = p.generator_names()
+        for _ in range(4):
+            w = random_word(rng, names, max_syllables=3)
+            assert verdict_key(oracle.order(w)) == full_matrix_verdict(p, w, 200)
+
+
+def test_simplify_matches_rescanning_loop():
+    rng = random.Random(1711)
+    cases = [p for _, p in graph_presentations(rng, 80)]
+    cases += [random_presentation(rng) for _ in range(300)]
+    for p in cases:
+        names = p.generator_names()
+        tracked = tuple(random_word(rng, names) for _ in range(rng.randint(0, 3))
+                        if names)
+        protect = frozenset(n for n in names if rng.random() < 0.2)
+        budget = rng.choice((0, 1, 2, 5, DEFAULT_SIMPLIFY_BUDGET))
+        got = simplify(p, budget, tracked, protect)
+        assert got == reference_simplify(p, budget, tracked, protect)
+
+
+def test_power_and_substitute_match_syllable_definitions():
+    rng = random.Random(1712)
+    for _ in range(500):
+        w = random_word(rng, NAMES[:3])
+        k = rng.randint(-5, 5)
+        assert w.power(k) == naive_power(w, k)
+        r = random_word(rng, NAMES[:3], max_syllables=3)
+        name = rng.choice(NAMES[:3])
+        assert w.substitute(name, r) == naive_substitute(w, name, r)
