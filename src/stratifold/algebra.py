@@ -307,7 +307,6 @@ class CosetTable:
         self.gens = gens
         self.action = action
         self.cosets = len(next(iter(action.values()))) if action else 1
-        self.complete = True
         self._inverse = {g: _invert_perm(p) for g, p in action.items()}
 
     def act(self, coset: int, name: str, exp: int) -> int:
@@ -507,6 +506,7 @@ def _power_relator_bound(relators: tuple[Word, ...], image: Word) -> int | None:
         if m:
             g = m // gcd(m, abs(exp))
     wlen = w.length()
+    inverse = w.inverse()
     for r in relators:
         rc = r.cyclically_reduced()
         if rc.is_empty or rc.length() % wlen:
@@ -515,8 +515,14 @@ def _power_relator_bound(relators: tuple[Word, ...], image: Word) -> int | None:
         # w is cyclically reduced, so w^k has k times its syllables (s >= 2)
         if len(w.syllables) > 1 and len(rc.syllables) != k * len(w.syllables):
             continue
-        if rc == w.power(k) or rc == w.power(-k):
-            g = gcd(g, k)
+        # both words are cyclically reduced, so a rotation taking one to the
+        # other cuts at a syllable boundary; shifting w^k by a whole w is no
+        # rotation at all
+        for v in (w, inverse):
+            p = v.power(k).syllables
+            if any(rc.syllables == p[i:] + p[:i] for i in range(len(v.syllables))):
+                g = gcd(g, k)
+                break
     return g or None
 
 

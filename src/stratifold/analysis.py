@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .algebra import DEFAULT_COSET_BUDGET, OrderOracle, abelianization
-from .graph import StratifoldGraph, normalize
+from .graph import StratifoldGraph, components, normalize
 from .presentation import (FSignature, GroupPresentation, Word,
                            natural_presentation, q_presentation)
 from .verdicts import (INDETERMINATE, FiniteOrder, Indeterminate,
@@ -180,49 +180,19 @@ def q_graph(graph: StratifoldGraph, budget: int = DEFAULT_COSET_BUDGET,
     dead_whites = frozenset(holes)
     dead_blacks = frozenset(deleted)
 
-    live_whites = [w for w in graph.whites if w.id not in dead_whites]
-    live_blacks = [b for b in graph.blacks if b.id not in dead_blacks]
-    live_edges = [e for e in graph.edges
-                  if e.black not in dead_blacks and e.white not in dead_whites]
-
-    # union-find over surviving vertices; edges are the only adjacency
-    parent = {("w", w.id): ("w", w.id) for w in live_whites}
-    parent.update({("b", b.id): ("b", b.id) for b in live_blacks})
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for e in live_edges:
-        a, b = find(("w", e.white)), find(("b", e.black))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    groups: dict[tuple[str, str], list] = {}
-    for w in live_whites:
-        groups.setdefault(find(("w", w.id)), []).append(("w", w))
-    for b in live_blacks:
-        groups.setdefault(find(("b", b.id)), []).append(("b", b))
-
-    components = []
-    for root in sorted(groups, key=lambda k: k[1]):
-        whites = [v for kind, v in groups[root] if kind == "w"]
-        blacks = [v for kind, v in groups[root] if kind == "b"]
-        wids = {w.id for w in whites}
-        edges = [e for e in live_edges if e.white in wids]
-        sub = StratifoldGraph(whites, blacks, edges)
+    pieces = []
+    for sub in components(graph, dead_whites, dead_blacks):
+        wids = {w.id for w in sub.whites}
         capped = tuple(sorted(e.id for e in graph.edges
                               if e.white in wids and e.black in dead_blacks))
-        closed = whites[0].genus if (len(whites) == 1 and not blacks
-                                     and not edges) else None
-        components.append(QComponent(sub, capped, closed))
+        closed = sub.whites[0].genus if (len(sub.whites) == 1
+                                         and not sub.blacks) else None
+        pieces.append(QComponent(sub, capped, closed))
 
     pres = q_presentation(normalize(graph), orders, sorted(dead_whites))
     assert not isinstance(pres, Indeterminate)
     return QResult(dict(orders), deleted, tuple(sorted(dead_whites)),
-                   tuple(components), pres)
+                   tuple(pieces), pres)
 
 
 def fgroup_signature_of(graph: StratifoldGraph) -> FSignature | None:

@@ -18,6 +18,8 @@ import functools
 import hashlib
 import json
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .algebra import DEFAULT_COSET_BUDGET, Exhausted, abelianization, todd_coxeter
 from .analysis import (black_orders, classify_fgroup, fgroup_signature_of,
@@ -31,9 +33,6 @@ from .spine import NOT_CANONICAL, delta_sum, recognize, synth
 from .verdicts import FiniteOrder, Indeterminate, InfiniteOrder, UnknownOrder
 
 SCHEMA_VERSION = "1"
-
-COMMANDS = ("validate", "pi1", "h1", "euler", "order", "fclass", "holes",
-            "q", "obstruct", "synth", "recognize", "delta", "tc")
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -128,6 +127,9 @@ def _ab_json(ab) -> dict:
 
 
 # -- command handlers --------------------------------------------------------
+#
+# A handler fills in the report.  Handlers of the commands that take one
+# graph receive it parsed and validated; the others receive the input texts.
 
 
 def _cmd_validate(args, inputs, report):
@@ -139,10 +141,7 @@ def _cmd_validate(args, inputs, report):
             {"rule": v.rule, "subject": v.subject, "detail": v.detail})
 
 
-def _cmd_pi1(args, inputs, report):
-    graph = _checked_graph(inputs[0], report)
-    if graph is None:
-        return
+def _cmd_pi1(args, graph, report):
     pres = natural_presentation(normalize(graph))
     payload = {"simplified": bool(args.simplify)}
     if args.simplify:
@@ -154,38 +153,32 @@ def _cmd_pi1(args, inputs, report):
     report["payload"] = payload
 
 
-def _cmd_h1(args, inputs, report):
-    graph = _checked_graph(inputs[0], report)
-    if graph is None:
-        return
+def _cmd_h1(args, graph, report):
     ab = abelianization(natural_presentation(normalize(graph)))
     report["payload"] = _ab_json(ab)
 
 
-def _cmd_euler(args, inputs, report):
-    graph = _checked_graph(inputs[0], report)
-    if graph is None:
-        return
+def _cmd_euler(args, graph, report):
     report["payload"] = {"euler_characteristic": euler_characteristic(graph)}
 
 
-def _cmd_order(args, inputs, report):
-    graph = _checked_graph(inputs[0], report)
-    if graph is None:
-        return
+def _census(args, graph, report):
+    """Run the order census and report it as the payload; returns the orders."""
     orders = black_orders(graph, args.budget)
     report["payload"] = {
         "budget": args.budget,
         "orders": {bid: _verdict_json(v) for bid, v in sorted(orders.items())},
     }
+    return orders
+
+
+def _cmd_order(args, graph, report):
+    orders = _census(args, graph, report)
     report["indeterminate"] = any(isinstance(v, UnknownOrder)
                                   for v in orders.values())
 
 
-def _cmd_fclass(args, inputs, report):
-    graph = _checked_graph(inputs[0], report)
-    if graph is None:
-        return
+def _cmd_fclass(args, graph, report):
     sig = fgroup_signature_of(graph)
     if sig is None:
         _violate(report, "NotFGroupFamily",
@@ -203,37 +196,20 @@ def _cmd_fclass(args, inputs, report):
     }
 
 
-def _cmd_holes(args, inputs, report):
-    graph = _checked_graph(inputs[0], report)
-    if graph is None:
-        return
-    orders = black_orders(graph, args.budget)
-    payload = {
-        "budget": args.budget,
-        "orders": {bid: _verdict_json(v) for bid, v in sorted(orders.items())},
-    }
-    holes = white_holes(graph, orders)
+def _cmd_holes(args, graph, report):
+    holes = white_holes(graph, _census(args, graph, report))
     if isinstance(holes, Indeterminate):
         report["indeterminate"] = True
     else:
-        payload["white_holes"] = sorted(holes)
-    report["payload"] = payload
+        report["payload"]["white_holes"] = sorted(holes)
 
 
-def _cmd_q(args, inputs, report):
-    graph = _checked_graph(inputs[0], report)
-    if graph is None:
-        return
-    orders = black_orders(graph, args.budget)
-    payload = {
-        "budget": args.budget,
-        "orders": {bid: _verdict_json(v) for bid, v in sorted(orders.items())},
-    }
-    result = q_graph(graph, args.budget, orders)
+def _cmd_q(args, graph, report):
+    result = q_graph(graph, args.budget, _census(args, graph, report))
     if isinstance(result, Indeterminate):
         report["indeterminate"] = True
-        report["payload"] = payload
         return
+    payload = report["payload"]
     payload["deleted_blacks"] = list(result.deleted_blacks)
     payload["white_holes"] = list(result.white_holes)
     payload["components"] = [
@@ -249,13 +225,9 @@ def _cmd_q(args, inputs, report):
     ]
     payload["presentation"] = _pres_json(result.presentation)
     payload["abelianization"] = _ab_json(abelianization(result.presentation))
-    report["payload"] = payload
 
 
-def _cmd_obstruct(args, inputs, report):
-    graph = _checked_graph(inputs[0], report)
-    if graph is None:
-        return
+def _cmd_obstruct(args, graph, report):
     report["payload"] = {"budget": args.budget}
     found = obstructions(graph, args.budget)
     if isinstance(found, Indeterminate):
@@ -270,10 +242,7 @@ def _cmd_synth(args, inputs, report):
     report["payload"] = {"expr": str(expr), "graph": serialize_graph(graph)}
 
 
-def _cmd_recognize(args, inputs, report):
-    graph = _checked_graph(inputs[0], report)
-    if graph is None:
-        return
+def _cmd_recognize(args, graph, report):
     result = recognize(graph)
     if result is NOT_CANONICAL:
         report["payload"] = {"canonical": False, "expr": None}
@@ -302,23 +271,6 @@ def _cmd_tc(args, inputs, report):
                              "defined": None, "budget": args.budget}
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "pi1": _cmd_pi1,
-    "h1": _cmd_h1,
-    "euler": _cmd_euler,
-    "order": _cmd_order,
-    "fclass": _cmd_fclass,
-    "holes": _cmd_holes,
-    "q": _cmd_q,
-    "obstruct": _cmd_obstruct,
-    "synth": _cmd_synth,
-    "recognize": _cmd_recognize,
-    "delta": _cmd_delta,
-    "tc": _cmd_tc,
-}
-
-
 # -- human-readable rendering -------------------------------------------------
 
 
@@ -331,19 +283,6 @@ def _format_ab(ab: dict) -> str:
         parts.append(f"Z^{r}")
     parts.extend(f"Z/{d}" for d in ab["torsion"])
     return " + ".join(parts) if parts else "0"
-
-
-def _order_lines(orders: dict) -> list[str]:
-    lines = []
-    for bid in sorted(orders):
-        v = orders[bid]
-        if v["kind"] == "finite":
-            lines.append(f"{bid}: finite order {v['order']} ({v['certificate']})")
-        elif v["kind"] == "infinite":
-            lines.append(f"{bid}: infinite ({v['certificate']})")
-        else:
-            lines.append(f"{bid}: unknown (budget {v['budget']})")
-    return lines
 
 
 def _pres_lines(pres: dict) -> list[str]:
@@ -370,7 +309,17 @@ def _render_euler(report):
 
 
 def _render_order(report):
-    return _order_lines(report["payload"]["orders"])
+    orders = report["payload"]["orders"]
+    lines = []
+    for bid in sorted(orders):
+        v = orders[bid]
+        if v["kind"] == "finite":
+            lines.append(f"{bid}: finite order {v['order']} ({v['certificate']})")
+        elif v["kind"] == "infinite":
+            lines.append(f"{bid}: infinite ({v['certificate']})")
+        else:
+            lines.append(f"{bid}: unknown (budget {v['budget']})")
+    return lines
 
 
 def _render_fclass(report):
@@ -414,17 +363,13 @@ def _render_obstruct(report):
     return ["no obstruction found"]
 
 
-def _render_synth(report):
+def _render_graph(report):
     return report["payload"]["graph"].rstrip("\n").split("\n")
 
 
 def _render_recognize(report):
     p = report["payload"]
     return [p["expr"]] if p["canonical"] else ["not canonical"]
-
-
-def _render_delta(report):
-    return report["payload"]["graph"].rstrip("\n").split("\n")
 
 
 def _render_tc(report):
@@ -435,27 +380,10 @@ def _render_tc(report):
             f" (budget {p['budget']})"]
 
 
-_RENDERERS = {
-    "validate": _render_validate,
-    "pi1": _render_pi1,
-    "h1": _render_h1,
-    "euler": _render_euler,
-    "order": _render_order,
-    "fclass": _render_fclass,
-    "holes": _render_holes,
-    "q": _render_q,
-    "obstruct": _render_obstruct,
-    "synth": _render_synth,
-    "recognize": _render_recognize,
-    "delta": _render_delta,
-    "tc": _render_tc,
-}
-
-
 def _human(report: dict) -> str:
     lines: list[str] = []
     if not report["violations"]:
-        lines.extend(_RENDERERS[report["command"]](report))
+        lines.extend(_COMMANDS[report["command"]].renderer(report))
     for v in report["violations"]:
         subject = f" {v['subject']}" if v["subject"] else ""
         lines.append(f"violation {v['rule']}{subject}: {v['detail']}")
@@ -466,7 +394,7 @@ def _human(report: dict) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-# -- argument parsing ---------------------------------------------------------
+# -- the command table and argument parsing -----------------------------------
 
 
 class _Parser(argparse.ArgumentParser):
@@ -486,21 +414,78 @@ def _positive_int(text: str) -> int:
     return value
 
 
-_HELP = {
-    "validate": "check the graph invariants",
-    "pi1": "fundamental-group presentation of the graph",
-    "h1": "first homology (abelianization invariants)",
-    "euler": "Euler characteristic of the 2-complex",
-    "order": "certified order of every branch-circle generator",
-    "fclass": "classify the F-group of a one-center family graph",
-    "holes": "white holes, given the order census",
-    "q": "quotient-by-torsion surgery and its presentation",
-    "obstruct": "run the closed-3-manifold-group obstruction suite",
-    "synth": "build the canonical spine graph of a manifold expression",
-    "recognize": "recover the manifold expression of a canonical spine",
-    "delta": "delta-sum of two graphs at chosen white vertices",
-    "tc": "coset enumeration over the trivial subgroup of a presentation",
+def _in(help_text: str):
+    return ("--in", {"dest": "infile", "metavar": "FILE", "help": help_text})
+
+
+_IN = _in("input file (default: stdin; '-' for stdin)")
+_BUDGET = ("--budget", {"type": _positive_int, "default": DEFAULT_COSET_BUDGET,
+                        "metavar": "N", "help": "coset limit for enumeration "
+                                                f"(default {DEFAULT_COSET_BUDGET})"})
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand.
+
+    ``handler(args, subject, report)`` fills in the report, where the
+    subject is the parsed and validated graph when ``checked``, and the
+    list of input texts otherwise.  ``renderer(report)`` returns the text
+    lines of a report without violations.  ``options`` are (flag, argparse
+    keywords) pairs, added after --json in this order.
+    """
+
+    help: str
+    handler: Callable
+    renderer: Callable
+    checked: bool = True
+    options: tuple = (_IN,)
+
+
+_COMMANDS = {
+    "validate": _Command("check the graph invariants",
+                         _cmd_validate, _render_validate, checked=False),
+    "pi1": _Command("fundamental-group presentation of the graph",
+                    _cmd_pi1, _render_pi1,
+                    options=(_IN, ("--simplify", {
+                        "action": "store_true",
+                        "help": "eliminate redundant generators first"}))),
+    "h1": _Command("first homology (abelianization invariants)",
+                   _cmd_h1, _render_h1),
+    "euler": _Command("Euler characteristic of the 2-complex",
+                      _cmd_euler, _render_euler),
+    "order": _Command("certified order of every branch-circle generator",
+                      _cmd_order, _render_order, options=(_IN, _BUDGET)),
+    "fclass": _Command("classify the F-group of a one-center family graph",
+                       _cmd_fclass, _render_fclass),
+    "holes": _Command("white holes, given the order census",
+                      _cmd_holes, _render_holes, options=(_IN, _BUDGET)),
+    "q": _Command("quotient-by-torsion surgery and its presentation",
+                  _cmd_q, _render_q, options=(_IN, _BUDGET)),
+    "obstruct": _Command("run the closed-3-manifold-group obstruction suite",
+                         _cmd_obstruct, _render_obstruct, options=(_IN, _BUDGET)),
+    "synth": _Command("build the canonical spine graph of a manifold expression",
+                      _cmd_synth, _render_graph, checked=False,
+                      options=(("--expr", {
+                          "metavar": "STRING",
+                          "help": "manifold expression, e.g. \"L(5) # S2xS1\""}),
+                          _in("file holding the expression when --expr is absent"))),
+    "recognize": _Command("recover the manifold expression of a canonical spine",
+                          _cmd_recognize, _render_recognize),
+    "delta": _Command("delta-sum of two graphs at chosen white vertices",
+                      _cmd_delta, _render_graph, checked=False,
+                      options=(_in("first graph file (default: stdin; '-' for stdin)"),
+                               ("--in2", {"required": True, "metavar": "FILE",
+                                          "help": "second graph file"}),
+                               ("--w1", {"required": True, "metavar": "ID",
+                                         "help": "white vertex of the first graph"}),
+                               ("--w2", {"required": True, "metavar": "ID",
+                                         "help": "white vertex of the second graph"}))),
+    "tc": _Command("coset enumeration over the trivial subgroup of a presentation",
+                   _cmd_tc, _render_tc, checked=False, options=(_IN, _BUDGET)),
 }
+
+COMMANDS = tuple(_COMMANDS)
 
 
 @functools.cache
@@ -509,34 +494,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stratifold",
                      description="2-stratifold graph calculus")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=_HELP[name], description=_HELP[name])
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help)
         p.add_argument("--json", action="store_true",
                        help="emit the JSON report instead of text")
-        if name != "delta":
-            in_help = "input file (default: stdin; '-' for stdin)"
-        else:
-            in_help = "first graph file (default: stdin; '-' for stdin)"
-        if name == "synth":
-            p.add_argument("--expr", metavar="STRING",
-                           help="manifold expression, e.g. \"L(5) # S2xS1\"")
-            in_help = "file holding the expression when --expr is absent"
-        p.add_argument("--in", dest="infile", metavar="FILE", help=in_help)
-        if name in ("order", "holes", "q", "obstruct", "tc"):
-            p.add_argument("--budget", type=_positive_int,
-                           default=DEFAULT_COSET_BUDGET, metavar="N",
-                           help="coset limit for enumeration "
-                                f"(default {DEFAULT_COSET_BUDGET})")
-        if name == "pi1":
-            p.add_argument("--simplify", action="store_true",
-                           help="eliminate redundant generators first")
-        if name == "delta":
-            p.add_argument("--in2", required=True, metavar="FILE",
-                           help="second graph file")
-            p.add_argument("--w1", required=True, metavar="ID",
-                           help="white vertex of the first graph")
-            p.add_argument("--w2", required=True, metavar="ID",
-                           help="white vertex of the second graph")
+        for flag, keywords in command.options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -547,11 +510,14 @@ def main(argv=None, stdin=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     stdin = stdin if stdin is not None else sys.stdin
+    command = _COMMANDS[args.command]
     report = _new_report(args.command)
     try:
         inputs = _gather_inputs(args, stdin)
         report["input_digest"] = _digest(inputs)
-        _HANDLERS[args.command](args, inputs, report)
+        subject = _checked_graph(inputs[0], report) if command.checked else inputs
+        if subject is not None:
+            command.handler(args, subject, report)
     except ParseError as exc:
         _violate(report, "ParseError", str(exc))
     except DomainError as exc:

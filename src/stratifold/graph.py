@@ -21,6 +21,7 @@ re-orientation moves implemented in :func:`normalize` and
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -137,12 +138,6 @@ class StratifoldGraph:
         except KeyError:
             raise GraphError(f"no edge {eid!r}") from None
 
-    def has_white(self, wid: str) -> bool:
-        return wid in self._white_by_id
-
-    def has_black(self, bid: str) -> bool:
-        return bid in self._black_by_id
-
     def edges_at_white(self, wid: str) -> tuple[str, ...]:
         """Ids of edges incident to a white vertex, in id order."""
         self.white(wid)
@@ -152,14 +147,11 @@ class StratifoldGraph:
         self.black(bid)
         return tuple(self._star[(_BLACK, bid)])
 
-    def _edges_at(self, vertex: tuple[str, str]) -> tuple[str, ...]:
-        return tuple(self._star[vertex])
-
-    def _vertices(self) -> list[tuple[str, str]]:
-        """All vertices as (kind, id) pairs, sorted by (id, kind)."""
-        vs = [(_BLACK, b.id) for b in self.blacks] + [(_WHITE, w.id) for w in self.whites]
-        vs.sort(key=lambda v: (v[1], v[0]))
-        return vs
+    def _root(self) -> tuple[str, str]:
+        """The vertex with the smallest id, black before white on a tie."""
+        if self.blacks and (not self.whites or self.blacks[0].id <= self.whites[0].id):
+            return (_BLACK, self.blacks[0].id)
+        return (_WHITE, self.whites[0].id)
 
     # -- equality --------------------------------------------------------
 
@@ -214,23 +206,70 @@ def validate(graph: StratifoldGraph) -> list[Violation]:
                                      f"white vertex {w.id} has no incident edge"))
     if nverts == 0:
         out.append(Violation("Disconnected", "", "empty graph"))
-    elif len(_component_of(graph, graph._vertices()[0])) != nverts:
+    elif len(_bfs(graph, graph._root(), set())) + 1 != nverts:
         out.append(Violation("Disconnected", "", "graph is not connected"))
     return out
 
 
-def _component_of(graph: StratifoldGraph, start: tuple[str, str]) -> set[tuple[str, str]]:
-    seen = {start}
-    queue = [start]
+def _bfs(graph: StratifoldGraph, start: tuple[str, str],
+         seen: set[tuple[str, str]]) -> list[tuple[tuple[str, str], str]]:
+    """(vertex, discovering edge id) pairs in breadth-first order, root omitted.
+
+    Each vertex's incident edges are scanned in edge-id order, so the
+    order is deterministic.  Vertices already in ``seen`` are not entered;
+    ``seen`` is updated with the root and every vertex reached.
+    """
+    seen.add(start)
+    order: list[tuple[tuple[str, str], str]] = []
+    queue = deque([start])
     while queue:
-        v = queue.pop()
-        for eid in graph._edges_at(v):
-            e = graph.edge(eid)
+        v = queue.popleft()
+        for eid in graph._star[v]:
+            e = graph._edge_by_id[eid]
             other = (_BLACK, e.black) if v[0] == _WHITE else (_WHITE, e.white)
             if other not in seen:
                 seen.add(other)
+                order.append((other, eid))
                 queue.append(other)
-    return seen
+    return order
+
+
+def _tree_discovery(graph: StratifoldGraph) -> list[tuple[tuple[str, str], str]]:
+    """The breadth-first discovery order from the root of a connected graph."""
+    nverts = len(graph.whites) + len(graph.blacks)
+    if nverts == 0:
+        raise GraphError("empty graph has no spanning tree")
+    order = _bfs(graph, graph._root(), set())
+    if len(order) + 1 != nverts:
+        raise GraphError("graph is not connected")
+    return order
+
+
+def components(graph: StratifoldGraph, dead_whites,
+               dead_blacks) -> list[StratifoldGraph]:
+    """Connected pieces left after deleting some vertices and their edges.
+
+    A piece is named by its smallest (color, id) vertex key, black before
+    white: its smallest black id, or its smallest white id when it has no
+    black.  Pieces are sorted by that id; on a tie the piece whose
+    smallest white id is smaller comes first, and pieces without a white
+    come last.
+    """
+    dead = {(_WHITE, w) for w in dead_whites} | {(_BLACK, b) for b in dead_blacks}
+    seen = set(dead)
+    pieces = []
+    for start in ([(_WHITE, w.id) for w in graph.whites]
+                  + [(_BLACK, b.id) for b in graph.blacks]):
+        if start in seen:
+            continue
+        keys = [start] + [v for v, _ in _bfs(graph, start, seen)]
+        whites = [graph.white(vid) for kind, vid in keys if kind == _WHITE]
+        blacks = [graph.black(vid) for kind, vid in keys if kind == _BLACK]
+        edges = [e for w in whites for e in map(graph.edge, graph._star[(_WHITE, w.id)])
+                 if (_BLACK, e.black) not in dead]
+        pieces.append((min(keys)[1], StratifoldGraph(whites, blacks, edges)))
+    pieces.sort(key=lambda piece: piece[0])
+    return [piece for _, piece in pieces]
 
 
 def partition_at(graph: StratifoldGraph, black_id: str) -> tuple[int, ...]:
@@ -329,44 +368,7 @@ def spanning_tree(graph: StratifoldGraph) -> frozenset[str]:
     before white on an id tie) and scans each vertex's incident edges in
     edge-id order, so the result is deterministic.
     """
-    verts = graph._vertices()
-    if not verts:
-        raise GraphError("empty graph has no spanning tree")
-    start = verts[0]
-    seen = {start}
-    tree: list[str] = []
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        for eid in graph._edges_at(v):
-            e = graph.edge(eid)
-            other = (_BLACK, e.black) if v[0] == _WHITE else (_WHITE, e.white)
-            if other not in seen:
-                seen.add(other)
-                tree.append(eid)
-                queue.append(other)
-    if len(seen) != len(verts):
-        raise GraphError("graph is not connected")
-    return frozenset(tree)
-
-
-def _bfs_discovery(graph: StratifoldGraph) -> list[tuple[tuple[str, str], str]]:
-    """(vertex, discovering edge id) pairs in BFS order, root omitted."""
-    verts = graph._vertices()
-    start = verts[0]
-    seen = {start}
-    order: list[tuple[tuple[str, str], str]] = []
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        for eid in graph._edges_at(v):
-            e = graph.edge(eid)
-            other = (_BLACK, e.black) if v[0] == _WHITE else (_WHITE, e.white)
-            if other not in seen:
-                seen.add(other)
-                order.append((other, eid))
-                queue.append(other)
-    return order
+    return frozenset(eid for _, eid in _tree_discovery(graph))
 
 
 def normalize(graph: StratifoldGraph) -> StratifoldGraph:
@@ -384,11 +386,8 @@ def normalize(graph: StratifoldGraph) -> StratifoldGraph:
     already fixed.  Idempotent, and the result is move-isomorphic to the
     input by construction.
     """
-    tree = spanning_tree(graph)
     labels = {e.id: e.label for e in graph.edges}
-    for (vertex, eid) in _bfs_discovery(graph):
-        if eid not in tree:  # pragma: no cover - discovery edges are tree edges
-            continue
+    for (vertex, eid) in _tree_discovery(graph):
         if labels[eid] > 0:
             continue
         kind, vid = vertex
@@ -429,7 +428,7 @@ def _cells(graph):
     return cells
 
 
-def _signs_compatible(g1, g2, wmap, bmap):
+def _signs_compatible(g1, c1, c2, wmap, bmap):
     """Decide whether edge signs agree up to the moves M1-M3.
 
     Every move negates either all edges at one vertex or one edge at a
@@ -437,9 +436,9 @@ def _signs_compatible(g1, g2, wmap, bmap):
     class.  A class at an orientable white vertex can only be flipped as a
     block, giving a parity constraint y_black xor y_white = c; classes at
     nonorientable whites are unconstrained (single-edge moves).  The
-    constraints form a union-find-with-parity problem.
+    constraints form a union-find-with-parity problem.  ``c1`` and ``c2``
+    are the parallel classes of the two graphs, from :func:`_cells`.
     """
-    c1, c2 = _cells(g1), _cells(g2)
     if len(c1) != len(c2):
         return False
 
@@ -516,7 +515,7 @@ def are_isomorphic(g1: StratifoldGraph, g2: StratifoldGraph) -> bool:
     if sorted(sig1b.values()) != sorted(sig2b.values()):
         return False
 
-    cells1 = _cells(g1)
+    cells1, cells2 = _cells(g1), _cells(g2)
 
     def extend(i, wmap, used):
         if i == len(w1):
@@ -549,11 +548,10 @@ def are_isomorphic(g1: StratifoldGraph, g2: StratifoldGraph) -> bool:
         return False
 
     def check(wmap, bmap):
-        cells2 = _cells(g2)
         for (w, b, m), (k, _) in cells1.items():
             t = cells2.get((wmap[w], bmap[b], m))
             if t is None or t[0] != k:
                 return False
-        return _signs_compatible(g1, g2, wmap, bmap)
+        return _signs_compatible(g1, cells1, cells2, wmap, bmap)
 
     return extend(0, {}, set())

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, NoSpineError
-from .graph import BlackVertex, Edge, StratifoldGraph, WhiteVertex, are_isomorphic
+from .graph import (BlackVertex, Edge, StratifoldGraph, WhiteVertex,
+                    are_isomorphic, components)
 
 SUMMAND_KINDS = ("lens", "p2xs1", "s2xs1", "s2~xs1", "s3")
 
@@ -260,43 +261,11 @@ def recognize(graph: StratifoldGraph) -> ManifoldExpr | NotCanonical:
     homeomorphism claim.
     """
     junctions = _junction_blacks(graph)
-    dead_blacks = {b for b, _ in junctions}
-    dead_whites = {d for _, d in junctions}
-    whites = [w for w in graph.whites if w.id not in dead_whites]
-    blacks = [b for b in graph.blacks if b.id not in dead_blacks]
-    edges = [e for e in graph.edges
-             if e.black not in dead_blacks and e.white not in dead_whites]
-    if not whites:
+    pieces = components(graph, {d for _, d in junctions}, {b for b, _ in junctions})
+    if not pieces or not all(piece.whites for piece in pieces):
         return NOT_CANONICAL
-
-    parent = {("w", w.id): ("w", w.id) for w in whites}
-    parent.update({("b", b.id): ("b", b.id) for b in blacks})
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for e in edges:
-        a, b = find(("w", e.white)), find(("b", e.black))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    groups: dict[tuple[str, str], dict[str, list]] = {}
-    for w in whites:
-        groups.setdefault(find(("w", w.id)), {"w": [], "b": [], "e": []})["w"].append(w)
-    for b in blacks:
-        groups.setdefault(find(("b", b.id)), {"w": [], "b": [], "e": []})["b"].append(b)
-    for e in edges:
-        groups[find(("w", e.white))]["e"].append(e)
-
     summands = []
-    for root in sorted(groups, key=lambda k: k[1]):
-        g = groups[root]
-        if not g["w"]:
-            return NOT_CANONICAL
-        piece = StratifoldGraph(g["w"], g["b"], g["e"])
+    for piece in pieces:
         matched = _match_piece(piece)
         if matched is None:
             return NOT_CANONICAL

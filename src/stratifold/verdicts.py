@@ -43,10 +43,6 @@ class FiniteOrder:
     def is_finite(self):
         return True
 
-    @property
-    def is_unknown(self):
-        return False
-
 
 @dataclass(frozen=True)
 class InfiniteOrder:
@@ -56,10 +52,6 @@ class InfiniteOrder:
 
     @property
     def is_finite(self):
-        return False
-
-    @property
-    def is_unknown(self):
         return False
 
 
@@ -72,10 +64,6 @@ class UnknownOrder:
     @property
     def is_finite(self):
         return False
-
-    @property
-    def is_unknown(self):
-        return True
 
 
 OrderVerdict = FiniteOrder | InfiniteOrder | UnknownOrder

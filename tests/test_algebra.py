@@ -262,6 +262,17 @@ class TestElementOrder:
         relators = (Word((("a", n), ("b", n))),)
         assert _power_relator_bound(relators, Word((("a", 1), ("b", 1)))) is None
 
+    def test_power_relator_bound_compares_cyclic_words(self):
+        # the group is infinite, so only the power bound can certify: (ba)^3
+        # is a rotation of (ab)^3, and of the cube of the inverse of b^-1 a^-1
+        p = pres([("a", "black"), ("b", "black")], [[("b", 1), ("a", 1)] * 3])
+        for syllables in ([("a", 1), ("b", 1)], [("b", 1), ("a", 1)],
+                          [("b", -1), ("a", -1)]):
+            v = element_order(p, Word(tuple(syllables)), budget=2000)
+            assert isinstance(v, FiniteOrder)
+            assert v.order == 3
+            assert v.certificate.startswith("power relator bound 3")
+
     def test_empty_word(self):
         v = element_order(KLEIN, Word())
         assert v == FiniteOrder(1, "empty word")

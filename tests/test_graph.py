@@ -11,6 +11,7 @@ from stratifold import (BlackVertex, Edge, GraphError, StratifoldGraph,
                         euler_characteristic, lens_spine, normalize,
                         partition_at, s2xs1_spine, s2xs1_twisted_spine,
                         spanning_tree, validate)
+from stratifold.graph import components
 
 
 def one_edge(label, genus=0):
@@ -195,6 +196,61 @@ class TestSpanningTree:
         rng = random.Random(33)
         g = random_valid_graph(rng, max_extra=3)
         assert spanning_tree(g) == spanning_tree(g)
+
+
+def union_find_components(graph, dead_whites, dead_blacks):
+    """Reference split: union-find, pieces sorted by the id of their root."""
+    whites = [w for w in graph.whites if w.id not in dead_whites]
+    blacks = [b for b in graph.blacks if b.id not in dead_blacks]
+    edges = [e for e in graph.edges
+             if e.black not in dead_blacks and e.white not in dead_whites]
+    parent = {("w", w.id): ("w", w.id) for w in whites}
+    parent.update({("b", b.id): ("b", b.id) for b in blacks})
+
+    def find(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for e in edges:
+        a, b = find(("w", e.white)), find(("b", e.black))
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    groups = {}
+    for kind, v in [("w", w) for w in whites] + [("b", b) for b in blacks]:
+        groups.setdefault(find((kind, v.id)), []).append((kind, v))
+    out = []
+    for root in sorted(groups, key=lambda k: k[1]):
+        ws = [v for kind, v in groups[root] if kind == "w"]
+        wids = {w.id for w in ws}
+        out.append(StratifoldGraph(ws, [v for kind, v in groups[root] if kind == "b"],
+                                   [e for e in edges if e.white in wids]))
+    return out
+
+
+class TestComponents:
+    def test_matches_union_find_reference(self):
+        # ids drawn from one small pool, so white and black ids collide
+        # and pieces tie on the id that orders them
+        rng = random.Random(34)
+        pool = "abcde"
+        for _ in range(300):
+            whites = [WhiteVertex(i, rng.randint(-1, 1))
+                      for i in rng.sample(pool, rng.randint(1, 5))]
+            blacks = [BlackVertex(i) for i in rng.sample(pool, rng.randint(0, 5))]
+            edges = [Edge(f"e{k}", rng.choice(whites).id, rng.choice(blacks).id, 1)
+                     for k in range(rng.randint(0, 6) if blacks else 0)]
+            g = StratifoldGraph(whites, blacks, edges)
+            dead_w = {w.id for w in whites if rng.random() < 0.3}
+            dead_b = {b.id for b in blacks if rng.random() < 0.3}
+            assert components(g, dead_w, dead_b) == union_find_components(g, dead_w, dead_b)
+
+    def test_pieces_of_a_sum_spine(self):
+        g = delta_sum(lens_spine(3), "w", s2xs1_spine(), "wa")
+        pieces = components(g, {"jd"}, {"j"})
+        assert [sorted(w.id for w in p.whites) for p in pieces] == [
+            ["l.w"], ["r.wa", "r.wd"]]
+        assert components(g, (), ()) == [g]
 
 
 class TestNormalize:

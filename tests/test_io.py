@@ -5,7 +5,9 @@ import hashlib
 import importlib.resources
 import io
 import json
+import pathlib
 import random
+import re
 import time
 
 import jsonschema
@@ -18,7 +20,7 @@ from stratifold import (FSignature, GroupPresentation, ParseError, Summand,
                         normalize, parse_expr, parse_graph, parse_presentation,
                         parse_word, serialize_graph, serialize_presentation,
                         synth, validate)
-from stratifold.cli import _build_parser, exit_code, main
+from stratifold.cli import _COMMANDS, COMMANDS, _build_parser, exit_code, main
 
 LENS5 = "white w genus 0\nblack b\nedge e w b 5\n"
 
@@ -331,6 +333,10 @@ class TestCliHappyPaths:
         assert {w.id for w in d.whites} == {"l.w", "r.w", "jd"}
         code, out2 = run(["recognize"], out)
         assert (code, out2) == (0, "L(3) # L(4)\n")
+        code, report = run_json(["delta", "--in", str(a), "--in2", str(b),
+                                 "--w1", "w", "--w2", "w"])
+        assert (code, report["command"]) == (0, "delta")
+        assert report["payload"] == {"graph": out}
 
     def test_tc_subgroup_free_enumeration(self):
         text = serialize_presentation(fgroup_presentation(FSignature(0, (2, 3, 5))))
@@ -512,3 +518,33 @@ class TestParserReuse:
             fresh.append(run(argv + ["--json"], text))
         assert shared == fresh
         assert [code for code, _ in shared] == [0, 0, 0, 1, 0, 1, 1, 0, 0, 0]
+
+
+class TestCommandTable:
+    README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+    def readme_rows(self):
+        rows = re.findall(r"^\| `([a-z0-9]+)` *\| *(.*?) *\|$",
+                          self.README.read_text(encoding="utf-8"), re.MULTILINE)
+        return [name for name, _ in rows], {name: text for name, text in rows}
+
+    def test_registry_schema_and_readme_agree(self):
+        names, helps = self.readme_rows()
+        assert len(COMMANDS) == 13
+        assert list(COMMANDS) == SCHEMA["properties"]["command"]["enum"] == names
+        assert {name: c.help for name, c in _COMMANDS.items()} == helps
+
+    def test_every_command_has_help(self):
+        # compared without whitespace: argparse wraps to the terminal width,
+        # and its layout differs between Python versions
+        def squash(text):
+            return "".join(text.split())
+        code, top = run(["--help"])
+        assert code == 0
+        for name, command in _COMMANDS.items():
+            assert squash(f"{name} {command.help}") in squash(top)
+            code, out = run([name, "--help"])
+            assert code == 0
+            assert squash(out).startswith(squash(f"usage: stratifold {name} ["))
+            assert squash(command.help) in squash(out)
+            assert "--json" in out
