@@ -264,7 +264,7 @@ class TestElementOrder:
 
     def test_power_relator_bound_compares_cyclic_words(self):
         # the group is infinite, so only the power bound can certify: (ba)^3
-        # is a rotation of (ab)^3, and of the cube of the inverse of b^-1 a^-1
+        # is a rotation of (ab)^3, and (b^-1 a^-1)^-3 = (ab)^3
         p = pres([("a", "black"), ("b", "black")], [[("b", 1), ("a", 1)] * 3])
         for syllables in ([("a", 1), ("b", 1)], [("b", 1), ("a", 1)],
                           [("b", -1), ("a", -1)]):
