@@ -11,9 +11,9 @@ from .algebra import (DEFAULT_COSET_BUDGET, AbelianInvariants, CosetTable,
                       Exhausted, IntMatrix, OrderOracle, abelianization,
                       apply_transforms, element_order, relation_matrix,
                       smith_normal_form, todd_coxeter)
-from .analysis import (FCLASS_KINDS, FClass, Obstruction, QComponent, QResult,
-                       black_orders, classify_fgroup, fgroup_signature_of,
-                       obstructions, q_graph, white_holes)
+from .analysis import (FCLASS_KINDS, FClass, Obstruction, OrderCensus,
+                       QComponent, QResult, black_orders, classify_fgroup,
+                       fgroup_signature_of, obstructions, q_graph, white_holes)
 from .errors import (DomainError, GraphError, NoSpineError, ParseError,
                      StratifoldError)
 from .formats import (format_expr, format_word, parse_expr, parse_graph,
@@ -27,12 +27,11 @@ from .presentation import (GENERATOR_ROLES, FSignature, Generator,
                            fgroup_graph, fgroup_presentation,
                            natural_presentation, q_presentation,
                            rewrite_through, simplify)
-from .spine import (NOT_CANONICAL, SUMMAND_KINDS, ManifoldExpr, NotCanonical,
-                    Summand, attachment_white, delta_sum, lens_spine,
-                    p2xs1_spine, recognize, s2xs1_spine, s2xs1_twisted_spine,
-                    synth)
-from .verdicts import (INDETERMINATE, FiniteOrder, Indeterminate,
-                       InfiniteOrder, OrderVerdict, UnknownOrder)
+from .spine import (NOT_CANONICAL, SUMMAND_KINDS, ManifoldExpr, Summand,
+                    attachment_white, delta_sum, lens_spine, p2xs1_spine,
+                    recognize, s2xs1_spine, s2xs1_twisted_spine, synth)
+from .verdicts import (INDETERMINATE, FiniteOrder, InfiniteOrder,
+                       OrderVerdict, Sentinel, UnknownOrder)
 
 __version__ = "0.1.0"
 
@@ -40,10 +39,10 @@ __all__ = [
     "AbelianInvariants", "BlackVertex", "CosetTable", "DEFAULT_COSET_BUDGET",
     "DomainError", "Edge", "Exhausted", "FCLASS_KINDS", "FClass",
     "FSignature", "FiniteOrder", "GENERATOR_ROLES", "Generator", "GraphError",
-    "GroupPresentation", "INDETERMINATE", "Indeterminate", "InfiniteOrder",
-    "IntMatrix", "ManifoldExpr", "NOT_CANONICAL", "NoSpineError",
-    "NotCanonical", "Obstruction", "OrderOracle", "OrderVerdict",
-    "ParseError", "QComponent", "QResult", "SUMMAND_KINDS", "SimplifyResult",
+    "GroupPresentation", "INDETERMINATE", "InfiniteOrder", "IntMatrix",
+    "ManifoldExpr", "NOT_CANONICAL", "NoSpineError", "Obstruction",
+    "OrderCensus", "OrderOracle", "OrderVerdict", "ParseError", "QComponent",
+    "QResult", "SUMMAND_KINDS", "Sentinel", "SimplifyResult",
     "StratifoldError", "StratifoldGraph", "Summand", "UnknownOrder",
     "Violation", "WhiteVertex", "Word", "abelianization", "apply_transforms",
     "are_isomorphic", "attachment_white", "black_orders", "classify_fgroup",

@@ -539,7 +539,8 @@ class OrderOracle:
        lower bound (pinning the order exactly), or when the word's image
        simplifies to the identity;
     3. Finite via the permutation order on a coset table that closed
-       within budget;
+       within budget; a table is tried only when the abelianization is
+       finite, since an infinite group has no finite table;
     4. otherwise Unknown(budget): abstention, never a guess.
     """
 
@@ -571,11 +572,35 @@ class OrderOracle:
             return FiniteOrder(1, "word reduces to the identity under Tietze moves")
         if upper is not None and upper == lower:
             return FiniteOrder(upper, f"power relator bound {upper} meets {witness}")
+        if 0 in self._abelian.diag:
+            # H1 has a free summand: the group is infinite, so no coset
+            # table over the trivial subgroup can close
+            return UnknownOrder(self.budget)
         result = self._enumerate()
         if isinstance(result, CosetTable):
             k = result.permutation_order(word)
             return FiniteOrder(k, f"coset enumeration closed with {result.cosets} cosets")
         return UnknownOrder(self.budget)
+
+    def quotient_invariants(self, words: tuple[Word, ...]) -> AbelianInvariants:
+        """H1 of the group modulo the normal closure of ``words``.
+
+        H1(G/<<S>>) = H1(G)/<images of S>: the SNF of the simplified
+        presentation's relation rows plus one row per word, each rewritten
+        through the same eliminations, so nothing is simplified again.  An
+        image that is a single generator to the power +-1 is a unit row,
+        so that generator's column is dropped instead.
+        """
+        sp = self._simplified
+        images = [rewrite_through(w, sp.eliminations) for w in words]
+        dead = {im.syllables[0][0] for im in images
+                if len(im.syllables) == 1 and abs(im.syllables[0][1]) == 1}
+        gens = tuple(g for g in sp.presentation.generators if g.name not in dead)
+        rows = (Word(tuple(s for s in r.syllables if s[0] not in dead))
+                for r in sp.presentation.relators + tuple(images))
+        pres = GroupPresentation(gens, tuple(r for r in rows if not r.is_empty))
+        inv, _ = smith_normal_form(relation_matrix(pres))
+        return inv
 
 
 def element_order(pres: GroupPresentation, word: Word,

@@ -12,14 +12,15 @@ INDETERMINATE rather than a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
-from .algebra import DEFAULT_COSET_BUDGET, OrderOracle, abelianization
+from .algebra import DEFAULT_COSET_BUDGET, AbelianInvariants, OrderOracle
 from .graph import StratifoldGraph, components, normalize
-from .presentation import (FSignature, GroupPresentation, Word,
+from .presentation import (FSignature, GroupPresentation, Word, killed_words,
                            natural_presentation, q_presentation)
-from .verdicts import (INDETERMINATE, FiniteOrder, Indeterminate,
-                       InfiniteOrder, OrderVerdict, UnknownOrder)
+from .verdicts import (INDETERMINATE, FiniteOrder, InfiniteOrder,
+                       OrderVerdict, Sentinel, UnknownOrder)
 
 FCLASS_KINDS = ("finite-cyclic", "finite-noncyclic", "infinite")
 
@@ -86,8 +87,23 @@ def classify_fgroup(sig: FSignature) -> FClass:
     return FClass("infinite", surface=(p == 0))
 
 
+class OrderCensus(dict):
+    """Order verdict of every branch-circle generator, keyed by black id.
+
+    Its readers see a plain mapping.  It also keeps the normalized graph
+    and the oracle that certified the verdicts, so the Q-surgery reads H1
+    of the quotient from the oracle's simplified presentation instead of
+    simplifying the graph again.
+    """
+
+    def __init__(self, graph: StratifoldGraph, oracle: OrderOracle, verdicts):
+        super().__init__(verdicts)
+        self.graph = graph
+        self.oracle = oracle
+
+
 def black_orders(graph: StratifoldGraph,
-                 budget: int = DEFAULT_COSET_BUDGET) -> dict[str, OrderVerdict]:
+                 budget: int = DEFAULT_COSET_BUDGET) -> OrderCensus:
     """Certified order of every branch-circle generator b.<id>.
 
     Orders are taken in the fundamental group of the (normalized) graph;
@@ -97,11 +113,12 @@ def black_orders(graph: StratifoldGraph,
     """
     g = normalize(graph)
     oracle = OrderOracle(natural_presentation(g), budget)
-    return {b.id: oracle.order(Word(((f"b.{b.id}", 1),))) for b in g.blacks}
+    return OrderCensus(g, oracle, {b.id: oracle.order(Word(((f"b.{b.id}", 1),)))
+                                   for b in g.blacks})
 
 
 def white_holes(graph: StratifoldGraph,
-                orders: dict[str, OrderVerdict]) -> frozenset[str] | Indeterminate:
+                orders: dict[str, OrderVerdict]) -> frozenset[str] | Sentinel:
     """White vertices of genus -1 all of whose black neighbors have finite
     order, at most one of order > 1 (order 1 counts as finite).
 
@@ -152,29 +169,47 @@ class QComponent:
 
 @dataclass(frozen=True)
 class QResult:
-    """Outcome of the Q-surgery on a graph with fully certified orders."""
+    """Outcome of the Q-surgery on a graph with fully certified orders.
 
-    orders: dict[str, OrderVerdict]
+    The quotient's presentation and its H1 are computed on first use.
+    """
+
+    orders: OrderCensus
     deleted_blacks: tuple[str, ...]
     white_holes: tuple[str, ...]
     components: tuple[QComponent, ...]
-    presentation: GroupPresentation
+
+    @cached_property
+    def presentation(self) -> GroupPresentation:
+        """The graph presentation plus one relator per killed generator."""
+        return q_presentation(self.orders.graph, self.orders, self.white_holes)
+
+    @cached_property
+    def abelianization(self) -> AbelianInvariants:
+        """H1 of the quotient: H1 of the graph group modulo the images of
+        the killed generators, from the census's simplified presentation."""
+        return self.orders.oracle.quotient_invariants(
+            killed_words(self.orders.graph, self.orders, self.white_holes))
 
 
 def q_graph(graph: StratifoldGraph, budget: int = DEFAULT_COSET_BUDGET,
-            orders: dict[str, OrderVerdict] | None = None) -> QResult | Indeterminate:
+            orders: OrderCensus | None = None) -> QResult | Sentinel:
     """Delete the open stars of finite-order black vertices and the white
     holes; split what survives into components.
 
-    Returns INDETERMINATE when any order verdict is Unknown.  Surviving
-    singleton white vertices are closed surfaces (all their boundaries
-    are capped); the returned presentation presents the quotient of the
-    fundamental group by the subgroup generated by all torsion.
+    ``orders`` is the census :func:`black_orders` returns for this graph,
+    taken when None.  Returns INDETERMINATE when any order verdict is
+    Unknown.  Surviving singleton white vertices are closed surfaces (all
+    their boundaries are capped); the result's presentation presents the
+    quotient of the fundamental group by the subgroup generated by all
+    torsion.
     """
     if orders is None:
         orders = black_orders(graph, budget)
     if any(isinstance(v, UnknownOrder) for v in orders.values()):
         return INDETERMINATE
+    if not isinstance(orders, OrderCensus):
+        raise TypeError("orders must be the census black_orders returns")
     holes = white_holes(graph, orders)
     deleted = tuple(sorted(b for b, v in orders.items() if v.is_finite))
     dead_whites = frozenset(holes)
@@ -188,11 +223,7 @@ def q_graph(graph: StratifoldGraph, budget: int = DEFAULT_COSET_BUDGET,
         closed = sub.whites[0].genus if (len(sub.whites) == 1
                                          and not sub.blacks) else None
         pieces.append(QComponent(sub, capped, closed))
-
-    pres = q_presentation(normalize(graph), orders, sorted(dead_whites))
-    assert not isinstance(pres, Indeterminate)
-    return QResult(dict(orders), deleted, tuple(sorted(dead_whites)),
-                   tuple(pieces), pres)
+    return QResult(orders, deleted, tuple(sorted(dead_whites)), tuple(pieces))
 
 
 def fgroup_signature_of(graph: StratifoldGraph) -> FSignature | None:
@@ -249,7 +280,7 @@ class Obstruction:
 
 
 def obstructions(graph: StratifoldGraph,
-                 budget: int = DEFAULT_COSET_BUDGET) -> tuple[Obstruction, ...] | Indeterminate:
+                 budget: int = DEFAULT_COSET_BUDGET) -> tuple[Obstruction, ...] | Sentinel:
     """Sound, one-sided rejection suite for closed-3-manifold groups.
 
     QTorsion: the quotient by all torsion must be torsion free (it is in
@@ -276,11 +307,11 @@ def obstructions(graph: StratifoldGraph,
                 " is infinite and not a surface group"))
 
     q = q_graph(graph, budget)
-    if isinstance(q, Indeterminate):
+    if q is INDETERMINATE:
         return tuple(structural) if structural else INDETERMINATE
 
     found = []
-    ab = abelianization(q.presentation)
+    ab = q.abelianization
     if ab.torsion:
         found.append(Obstruction(
             "QTorsion",

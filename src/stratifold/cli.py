@@ -30,7 +30,7 @@ from .formats import serialize_graph
 from .graph import euler_characteristic, normalize, validate
 from .presentation import natural_presentation, simplify
 from .spine import NOT_CANONICAL, delta_sum, recognize, synth
-from .verdicts import FiniteOrder, Indeterminate, InfiniteOrder, UnknownOrder
+from .verdicts import INDETERMINATE, FiniteOrder, InfiniteOrder, UnknownOrder
 
 SCHEMA_VERSION = "1"
 
@@ -198,7 +198,7 @@ def _cmd_fclass(args, graph, report):
 
 def _cmd_holes(args, graph, report):
     holes = white_holes(graph, _census(args, graph, report))
-    if isinstance(holes, Indeterminate):
+    if holes is INDETERMINATE:
         report["indeterminate"] = True
     else:
         report["payload"]["white_holes"] = sorted(holes)
@@ -206,7 +206,7 @@ def _cmd_holes(args, graph, report):
 
 def _cmd_q(args, graph, report):
     result = q_graph(graph, args.budget, _census(args, graph, report))
-    if isinstance(result, Indeterminate):
+    if result is INDETERMINATE:
         report["indeterminate"] = True
         return
     payload = report["payload"]
@@ -224,13 +224,13 @@ def _cmd_q(args, graph, report):
         for c in result.components
     ]
     payload["presentation"] = _pres_json(result.presentation)
-    payload["abelianization"] = _ab_json(abelianization(result.presentation))
+    payload["abelianization"] = _ab_json(result.abelianization)
 
 
 def _cmd_obstruct(args, graph, report):
     report["payload"] = {"budget": args.budget}
     found = obstructions(graph, args.budget)
-    if isinstance(found, Indeterminate):
+    if found is INDETERMINATE:
         report["indeterminate"] = True
         return
     report["obstructions"] = [{"kind": o.kind, "witness": o.witness} for o in found]
@@ -496,6 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help, description=command.help)
+        p.set_defaults(subparser=p)
         p.add_argument("--json", action="store_true",
                        help="emit the JSON report instead of text")
         for flag, keywords in command.options:
@@ -507,6 +508,10 @@ def main(argv=None, stdin=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "delta" and args.in2 == "-" and args.infile in (None, "-"):
+            # stdin holds one text; the second read would see it empty
+            args.subparser.error("--in and --in2 both read stdin;"
+                                 " give at least one of them as a file")
     except SystemExit as exc:
         return int(exc.code or 0)
     stdin = stdin if stdin is not None else sys.stdin

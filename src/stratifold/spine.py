@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .errors import DomainError, NoSpineError
 from .graph import (BlackVertex, Edge, StratifoldGraph, WhiteVertex,
                     are_isomorphic, components)
+from .verdicts import Sentinel
 
 SUMMAND_KINDS = ("lens", "p2xs1", "s2xs1", "s2~xs1", "s3")
 
@@ -62,25 +63,8 @@ class ManifoldExpr:
         return " # ".join(str(s) for s in self.summands)
 
 
-class NotCanonical:
-    """Sentinel: the graph is not in the synth image as far as the
-    recognizer can tell.  Falsy, like INDETERMINATE."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NOT_CANONICAL"
-
-    def __bool__(self):
-        return False
-
-
-NOT_CANONICAL = NotCanonical()
+# the graph is not in the synth image as far as the recognizer can tell
+NOT_CANONICAL = Sentinel("NOT_CANONICAL")
 
 
 def lens_spine(q: int) -> StratifoldGraph:
@@ -250,7 +234,7 @@ def _match_piece(piece: StratifoldGraph) -> Summand | None:
     return None
 
 
-def recognize(graph: StratifoldGraph) -> ManifoldExpr | NotCanonical:
+def recognize(graph: StratifoldGraph) -> ManifoldExpr | Sentinel:
     """Invert synth on its image.
 
     Removes every delta-sum junction (black vertex, its three edges, and

@@ -12,24 +12,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class Indeterminate:
-    """Singleton result for analyses that could not be certified in budget."""
+class Sentinel:
+    """A falsy result that prints as its name; each is one module-level
+    constant, compared with ``is``."""
 
-    _instance = None
+    __slots__ = ("name",)
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self):
-        return "INDETERMINATE"
+        return self.name
 
     def __bool__(self):
         return False
 
 
-INDETERMINATE = Indeterminate()
+# an analysis that could not be certified in budget
+INDETERMINATE = Sentinel("INDETERMINATE")
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,18 @@ class TestQGraph:
         assert q_graph(lens_spine(5),
                        orders={"b": UnknownOrder(1)}) is INDETERMINATE
 
+    def test_supplied_orders_must_be_a_census(self):
+        census = black_orders(lens_spine(5))
+        assert census == {"b": FiniteOrder(5, census["b"].certificate)}
+        assert q_graph(lens_spine(5), orders=census).orders is census
+        with pytest.raises(TypeError):
+            q_graph(lens_spine(5), orders=dict(census))
+
+    def test_abelianization_is_computed_once(self):
+        q = q_graph(s2xs1_spine())
+        assert q.abelianization is q.abelianization
+        assert q.presentation is q.presentation
+
     def test_deletion_matches_verdicts_on_random_graphs(self):
         rng = random.Random(606)
         for _ in range(25):

@@ -428,6 +428,32 @@ class TestCliExitCodes:
         code, _ = run(["--help"])
         assert code == 0
 
+    def test_delta_rejects_two_stdin_inputs(self, capsys):
+        class Unread(io.StringIO):
+            def read(self, *args):
+                raise AssertionError("stdin was read")
+
+        flags = ["--w1", "w", "--w2", "w"]
+        for argv in (["delta", "--in", "-", "--in2", "-"], ["delta", "--in2", "-"]):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(argv + flags, stdin=Unread())
+            assert (code, out.getvalue()) == (1, "")
+            err = capsys.readouterr().err
+            assert err.startswith("usage: stratifold delta")
+            assert "--in and --in2 both read stdin" in err
+
+    def test_delta_reads_one_input_from_stdin(self, tmp_path):
+        b = tmp_path / "b.graph"
+        b.write_text(serialize_graph(lens_spine(4)))
+        stdin_first = ["delta", "--in2", str(b), "--w1", "w", "--w2", "w"]
+        stdin_second = ["delta", "--in", str(b), "--in2", "-", "--w1", "w", "--w2", "w"]
+        code, out = run(stdin_first, serialize_graph(lens_spine(3)))
+        assert code == 0
+        assert run(["recognize"], out) == (0, "L(3) # L(4)\n")
+        code, out = run(stdin_second, serialize_graph(lens_spine(3)))
+        assert code == 0
+        assert run(["recognize"], out) == (0, "L(3) # L(4)\n")
+
 
 class TestCliReports:
     ALL = [

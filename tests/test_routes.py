@@ -2,22 +2,28 @@
 
 The abelian invariants and the order certificates are taken on the
 Tietze-simplified presentation; here they are checked against the full,
-unsimplified relation matrix.  The occurrence-aware simplifier is checked
-against a reference copy of the rescanning loop it replaced, and the
-closed-form word operations against their syllable-by-syllable
+unsimplified relation matrix.  H1 of the torsion quotient, read from the
+order census, is checked against the simplified quotient presentation.
+The order oracle skips coset enumeration when H1 is infinite; the premise
+of that skip is checked directly.  The occurrence-aware simplifier is
+checked against a reference copy of the rescanning loop it replaced, and
+the closed-form word operations against their syllable-by-syllable
 definitions.
 """
 
 import random
 from math import gcd
 
+import stratifold.algebra
 from helpers import random_valid_graph
-from stratifold import (GENERATOR_ROLES, CosetTable, FiniteOrder, Generator,
-                        GroupPresentation, InfiniteOrder, OrderOracle,
-                        SimplifyResult, UnknownOrder, Word, abelianization,
-                        apply_transforms, natural_presentation, normalize,
-                        relation_matrix, rewrite_through, simplify,
-                        smith_normal_form, todd_coxeter)
+from stratifold import (GENERATOR_ROLES, INDETERMINATE, CosetTable, Exhausted,
+                        FiniteOrder, FSignature, Generator, GroupPresentation,
+                        InfiniteOrder, OrderOracle, SimplifyResult,
+                        UnknownOrder, Word, abelianization, apply_transforms,
+                        black_orders, fgroup_graph, natural_presentation,
+                        normalize, q_graph, q_presentation, relation_matrix,
+                        rewrite_through, simplify, smith_normal_form,
+                        todd_coxeter)
 from stratifold.algebra import (_AbelianImage, _column_matrix,
                                 _power_relator_bound)
 from stratifold.presentation import DEFAULT_SIMPLIFY_BUDGET, ELIMINABLE_ROLES
@@ -84,7 +90,9 @@ def full_matrix_order(pres, word):
 
 def full_matrix_verdict(pres, word, budget):
     """(kind, order) of the order certificate with the abelian step taken
-    on the full matrix instead of the simplified one."""
+    on the full matrix instead of the simplified one.  It tries a coset
+    table whether or not H1 is finite, so it also checks the oracle's skip
+    of tables that cannot close."""
     if word.is_empty:
         return "finite", 1
     lower = full_matrix_order(pres, word)
@@ -249,3 +257,71 @@ def test_power_and_substitute_match_syllable_definitions():
         r = random_word(rng, NAMES[:3], max_syllables=3)
         name = rng.choice(NAMES[:3])
         assert w.substitute(name, r) == naive_substitute(w, name, r)
+
+
+def test_free_abelianization_never_closes():
+    # the premise of the oracle's skip: an infinite group has no finite
+    # coset table over the trivial subgroup, whatever the budget
+    rng = random.Random(1713)
+    cases = [p for _, p in graph_presentations(rng, 40)]
+    cases += [random_presentation(rng) for _ in range(120)]
+    free = [p for p in cases if abelianization(p).free_rank]
+    assert len(free) >= 80
+    for p in free:
+        assert isinstance(todd_coxeter(p, (), 2000), Exhausted)
+
+
+def test_census_skips_enumeration_when_abelianization_is_free(monkeypatch):
+    calls = []
+    enumerate_ = stratifold.algebra.todd_coxeter
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(stratifold.algebra, "todd_coxeter", counting)
+    rng = random.Random(1714)
+    free = 0
+    for g, p in graph_presentations(rng, 150):
+        if abelianization(p).free_rank:
+            free += 1
+            black_orders(g, budget=300)
+    assert free >= 100
+    assert calls == []
+    # the counter sees the one enumeration a finite H1 still needs: the
+    # (2,3,7) triangle group has trivial H1, and b^7 = 1 does not pin the
+    # order, so the census tries (and shares) one table
+    orders = black_orders(fgroup_graph(FSignature(0, (2, 3, 7))), budget=300)
+    assert len(calls) == 1
+    assert all(isinstance(v, UnknownOrder) for v in orders.values())
+
+
+def test_q_abelianization_matches_quotient_presentation():
+    rng = random.Random(1715)
+    decided = 0
+    while decided < 200:
+        g = random_valid_graph(rng, max_whites=5, max_blacks=4, max_extra=4)
+        q = q_graph(g, budget=300)
+        if q is INDETERMINATE:
+            continue
+        decided += 1
+        pres = q_presentation(normalize(g), q.orders, q.white_holes)
+        assert pres == q.presentation
+        assert q.abelianization == abelianization(pres)
+        assert q.abelianization == smith_normal_form(relation_matrix(pres))[0]
+
+
+def test_quotient_invariants_match_added_relators():
+    rng = random.Random(1716)
+    for _ in range(300):
+        p = random_presentation(rng)
+        names = p.generator_names()
+        words = [random_word(rng, names, max_syllables=3)
+                 for _ in range(rng.randint(0, 3))]
+        words += [Word(((n, rng.choice((1, -1, 2))),)) for n in names
+                  if rng.random() < 0.4]
+        rng.shuffle(words)
+        oracle = OrderOracle(p, budget=10)
+        added = GroupPresentation(p.generators, p.relators + tuple(words))
+        want, _ = smith_normal_form(relation_matrix(added))
+        assert oracle.quotient_invariants(tuple(words)) == want

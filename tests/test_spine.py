@@ -5,8 +5,9 @@ import random
 import pytest
 
 from helpers import PRIMITIVE_SUMMANDS, random_expr_summands, relabeled
-from stratifold import (NOT_CANONICAL, DomainError, FiniteOrder, GraphError,
-                        ManifoldExpr, NoSpineError, StratifoldGraph, Summand,
+from stratifold import (INDETERMINATE, NOT_CANONICAL, DomainError, FiniteOrder,
+                        GraphError, ManifoldExpr, NoSpineError, Sentinel,
+                        StratifoldGraph, Summand,
                         WhiteVertex, Word, abelianization, attachment_white,
                         black_orders, delta_sum, element_order,
                         euler_characteristic, lens_spine,
@@ -206,6 +207,13 @@ class TestRecognize:
     def test_not_canonical_is_falsy(self):
         assert not NOT_CANONICAL
         assert bool(recognize(lens_spine(3)))
+
+    def test_sentinels_share_one_class(self):
+        assert type(NOT_CANONICAL) is type(INDETERMINATE) is Sentinel
+        assert NOT_CANONICAL is not INDETERMINATE
+        assert (repr(NOT_CANONICAL), repr(INDETERMINATE)) == \
+            ("NOT_CANONICAL", "INDETERMINATE")
+        assert not INDETERMINATE
 
     def test_recognized_sums_pass_obstructions(self):
         rng = random.Random(206)
