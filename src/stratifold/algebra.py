@@ -9,6 +9,7 @@ HLT-style procedure with a hard coset budget.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
@@ -243,10 +244,16 @@ def relation_matrix(pres: GroupPresentation) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def abelianization(pres: GroupPresentation) -> AbelianInvariants:
+def abelianization(group: GroupPresentation | OrderOracle) -> AbelianInvariants:
     """First homology of the presented group, in invariant-factor form,
-    from the SNF of the Tietze-simplified (isomorphic) presentation."""
-    inv, _ = smith_normal_form(relation_matrix(simplify(pres).presentation))
+    from the SNF of the Tietze-simplified (isomorphic) presentation.
+
+    An :class:`OrderOracle` already holds that SNF for its presentation,
+    so its H1 is read off without simplifying or reducing again.
+    """
+    if isinstance(group, OrderOracle):
+        return group._abelian.invariants
+    inv, _ = smith_normal_form(relation_matrix(simplify(group).presentation))
     return inv
 
 
@@ -263,6 +270,7 @@ class _AbelianImage:
     def __init__(self, sr: SimplifyResult):
         m = relation_matrix(sr.presentation)
         inv, ops = smith_normal_form(m)
+        self.invariants = inv
         units = m.cols - inv.free_rank - len(inv.torsion)
         self.diag = [1] * units + list(inv.torsion) + [0] * inv.free_rank
         # generator name -> its row of V
@@ -484,18 +492,33 @@ def todd_coxeter(pres: GroupPresentation, subgroup: tuple[Word, ...] = (),
 
 # -- element order ----------------------------------------------------------
 
-def _power_relator_bound(relators: tuple[Word, ...], image: Word) -> int | None:
+def _cyclic_relators(relators: tuple[Word, ...]) -> tuple[tuple[Word, int], ...]:
+    """Each nontrivial relator cyclically reduced, with its length."""
+    out = []
+    for r in relators:
+        rc = r.cyclically_reduced()
+        if not rc.is_empty:
+            out.append((rc, rc.length()))
+    return tuple(out)
+
+
+def _power_relator_bound(relators: tuple[Word, ...], image: Word,
+                         cyclic: tuple[tuple[Word, int], ...] | None = None) -> int | None:
     """Sound upper bound on the order of ``image`` from the relators.
 
     ``image`` is a word rewritten into the simplified (isomorphic)
     presentation.  A relator equal to w^k as a cyclic word certifies
     order(w) | k; for a single-syllable image x^e, every power relator x^m
     certifies order(x^e) | m/gcd(m,e).  All such bounds are combined by
-    gcd.  Returns None when no bound is found, 0 when the image is trivial.
+    gcd.  ``cyclic`` is :func:`_cyclic_relators` of ``relators``, passed
+    by a caller that bounds many words.  Returns None when no bound is
+    found, 0 when the image is trivial.
     """
     w = image.cyclically_reduced()
     if w.is_empty:
         return 0
+    if cyclic is None:
+        cyclic = _cyclic_relators(relators)
     g = 0
     if len(w.syllables) == 1:
         name, exp = w.syllables[0]
@@ -507,11 +530,10 @@ def _power_relator_bound(relators: tuple[Word, ...], image: Word) -> int | None:
             g = m // gcd(m, abs(exp))
     wlen = w.length()
     inverse = w.inverse()
-    for r in relators:
-        rc = r.cyclically_reduced()
-        if rc.is_empty or rc.length() % wlen:
+    for rc, rlen in cyclic:
+        if rlen % wlen:
             continue
-        k = rc.length() // wlen
+        k = rlen // wlen
         # w is cyclically reduced, so w^k has k times its syllables (s >= 2)
         if len(w.syllables) > 1 and len(rc.syllables) != k * len(w.syllables):
             continue
@@ -545,12 +567,28 @@ class OrderOracle:
     """
 
     def __init__(self, pres: GroupPresentation, budget: int = DEFAULT_COSET_BUDGET,
-                 protect: frozenset[str] = frozenset()):
+                 protect: frozenset[str] = frozenset(),
+                 simplified: SimplifyResult | None = None):
+        """``simplified``, when given, is ``simplify(pres, protect=protect)``
+        already taken, and is used instead of simplifying again."""
         self.pres = pres
         self.budget = budget
-        self._simplified = simplify(pres, protect=protect)
-        self._abelian = _AbelianImage(self._simplified)
+        self._names = frozenset(pres.generator_names())
+        if simplified is None:
+            simplified = simplify(pres, protect=protect)
+        self._simplified = simplified
+        self._relators = simplified.presentation.relators
+        self._cyclic = _cyclic_relators(self._relators)
+        self._abelian = _AbelianImage(simplified)
         self._table: CosetTable | Exhausted | None = None
+
+    def with_budget(self, budget: int) -> "OrderOracle":
+        """An oracle sharing this one's simplification and abelian image,
+        with another coset budget and no coset table yet."""
+        other = copy.copy(self)
+        other.budget = budget
+        other._table = None
+        return other
 
     def _enumerate(self) -> CosetTable | Exhausted:
         if self._table is None:
@@ -558,7 +596,7 @@ class OrderOracle:
         return self._table
 
     def order(self, word: Word) -> OrderVerdict:
-        bad = word.names() - set(self.pres.generator_names())
+        bad = word.names() - self._names
         if bad:
             raise ValueError(f"word uses undeclared generators {sorted(bad)}")
         if word.is_empty:
@@ -567,7 +605,7 @@ class OrderOracle:
         lower, witness = self._abelian.order(image)
         if lower is None:
             return InfiniteOrder(witness)
-        upper = _power_relator_bound(self._simplified.presentation.relators, image)
+        upper = _power_relator_bound(self._relators, image, self._cyclic)
         if upper == 0 or upper == 1:
             return FiniteOrder(1, "word reduces to the identity under Tietze moves")
         if upper is not None and upper == lower:

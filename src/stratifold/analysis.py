@@ -17,8 +17,8 @@ from math import gcd
 
 from .algebra import DEFAULT_COSET_BUDGET, AbelianInvariants, OrderOracle
 from .graph import StratifoldGraph, components, normalize
-from .presentation import (FSignature, GroupPresentation, Word, killed_words,
-                           natural_presentation, q_presentation)
+from .presentation import (FSignature, GroupPresentation, SimplifyResult, Word,
+                           killed_words, natural_presentation, simplify)
 from .verdicts import (INDETERMINATE, FiniteOrder, InfiniteOrder,
                        OrderVerdict, Sentinel, UnknownOrder)
 
@@ -90,16 +90,88 @@ def classify_fgroup(sig: FSignature) -> FClass:
 class OrderCensus(dict):
     """Order verdict of every branch-circle generator, keyed by black id.
 
-    Its readers see a plain mapping.  It also keeps the normalized graph
-    and the oracle that certified the verdicts, so the Q-surgery reads H1
-    of the quotient from the oracle's simplified presentation instead of
-    simplifying the graph again.
+    Its readers see a plain mapping, which cannot be changed: one census
+    is handed to every caller that asks about the same graph and budget.
+    It also keeps the normalized graph and the oracle that certified the
+    verdicts, so the Q-surgery reads H1 of the quotient from the oracle's
+    simplified presentation instead of simplifying the graph again.
     """
 
     def __init__(self, graph: StratifoldGraph, oracle: OrderOracle, verdicts):
         super().__init__(verdicts)
         self.graph = graph
         self.oracle = oracle
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("an OrderCensus cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not item by item
+        return OrderCensus, (self.graph, self.oracle, dict(self))
+
+
+class GraphAnalysis:
+    """Everything the pipeline derives from one valid graph, each piece
+    computed once.
+
+    The normalized graph and its natural presentation are built up front.
+    The Tietze simplification (default budget, nothing protected), the
+    order oracle, whose Smith form also gives H1, the order census under
+    one coset budget and the Q-surgery on that census are built on first
+    use.  Asking for a census under another budget replaces the census,
+    its oracle's coset table and the surgery, so at most one of each is
+    kept.
+    """
+
+    def __init__(self, graph: StratifoldGraph):
+        self.graph = graph
+        self.normal = normalize(graph)
+        self.presentation = natural_presentation(self.normal)
+        self._census: OrderCensus | None = None
+        self._q: QResult | None = None
+
+    @cached_property
+    def simplified(self) -> SimplifyResult:
+        return simplify(self.presentation)
+
+    @cached_property
+    def oracle(self) -> OrderOracle:
+        """The oracle of the latest census; ``abelianization(oracle)`` is H1."""
+        return OrderOracle(self.presentation, simplified=self.simplified)
+
+    def census(self, budget: int) -> OrderCensus:
+        if self.oracle.budget != budget:
+            self.oracle = self.oracle.with_budget(budget)
+            self._census = self._q = None
+        if self._census is None:
+            oracle = self.oracle
+            self._census = OrderCensus(
+                self.normal, oracle, {b.id: oracle.order(Word(((f"b.{b.id}", 1),)))
+                                      for b in self.normal.blacks})
+        return self._census
+
+
+_last: GraphAnalysis | None = None
+
+
+def analyze(graph: StratifoldGraph) -> GraphAnalysis:
+    """The analysis of ``graph``, reused while successive calls ask about
+    graphs equal to it (same vertices, genera, edges and labels, however
+    the input text was ordered).  Only the latest graph's analysis is
+    kept; a different graph replaces it."""
+    global _last
+    if _last is None or _last.graph != graph:
+        _last = GraphAnalysis(graph)
+    return _last
+
+
+def clear_analysis() -> None:
+    """Forget the kept analysis, so the next call starts from scratch."""
+    global _last
+    _last = None
 
 
 def black_orders(graph: StratifoldGraph,
@@ -109,12 +181,10 @@ def black_orders(graph: StratifoldGraph,
     Orders are taken in the fundamental group of the (normalized) graph;
     one oracle is shared across the census so the simplification and any
     coset table are computed once.  Unknown verdicts are honest
-    abstentions carried by the budget.
+    abstentions carried by the budget.  Calling again on an equal graph
+    with the same budget returns the same census.
     """
-    g = normalize(graph)
-    oracle = OrderOracle(natural_presentation(g), budget)
-    return OrderCensus(g, oracle, {b.id: oracle.order(Word(((f"b.{b.id}", 1),)))
-                                   for b in g.blacks})
+    return analyze(graph).census(budget)
 
 
 def white_holes(graph: StratifoldGraph,
@@ -171,7 +241,8 @@ class QComponent:
 class QResult:
     """Outcome of the Q-surgery on a graph with fully certified orders.
 
-    The quotient's presentation and its H1 are computed on first use.
+    The quotient's presentation and its H1 are computed on first use,
+    from the census's presentation and simplification.
     """
 
     orders: OrderCensus
@@ -180,16 +251,21 @@ class QResult:
     components: tuple[QComponent, ...]
 
     @cached_property
+    def killed(self) -> tuple[Word, ...]:
+        """The killed generators, as :func:`killed_words` lists them."""
+        return killed_words(self.orders.graph, self.orders, self.white_holes)
+
+    @cached_property
     def presentation(self) -> GroupPresentation:
         """The graph presentation plus one relator per killed generator."""
-        return q_presentation(self.orders.graph, self.orders, self.white_holes)
+        base = self.orders.oracle.pres
+        return GroupPresentation(base.generators, base.relators + self.killed)
 
     @cached_property
     def abelianization(self) -> AbelianInvariants:
         """H1 of the quotient: H1 of the graph group modulo the images of
         the killed generators, from the census's simplified presentation."""
-        return self.orders.oracle.quotient_invariants(
-            killed_words(self.orders.graph, self.orders, self.white_holes))
+        return self.orders.oracle.quotient_invariants(self.killed)
 
 
 def q_graph(graph: StratifoldGraph, budget: int = DEFAULT_COSET_BUDGET,
@@ -202,7 +278,8 @@ def q_graph(graph: StratifoldGraph, budget: int = DEFAULT_COSET_BUDGET,
     Unknown.  Surviving singleton white vertices are closed surfaces (all
     their boundaries are capped); the result's presentation presents the
     quotient of the fundamental group by the subgroup generated by all
-    torsion.
+    torsion.  The surgery on the census black_orders keeps is kept with
+    it, so asking again returns the same result.
     """
     if orders is None:
         orders = black_orders(graph, budget)
@@ -210,6 +287,15 @@ def q_graph(graph: StratifoldGraph, budget: int = DEFAULT_COSET_BUDGET,
         return INDETERMINATE
     if not isinstance(orders, OrderCensus):
         raise TypeError("orders must be the census black_orders returns")
+    analysis = analyze(graph)
+    if orders is not analysis._census:
+        return _surgery(graph, orders)
+    if analysis._q is None:
+        analysis._q = _surgery(graph, orders)
+    return analysis._q
+
+
+def _surgery(graph: StratifoldGraph, orders: OrderCensus) -> QResult:
     holes = white_holes(graph, orders)
     deleted = tuple(sorted(b for b, v in orders.items() if v.is_finite))
     dead_whites = frozenset(holes)

