@@ -502,30 +502,26 @@ def _cyclic_relators(relators: tuple[Word, ...]) -> tuple[tuple[Word, int], ...]
     return tuple(out)
 
 
-def _power_relator_bound(relators: tuple[Word, ...], image: Word,
-                         cyclic: tuple[tuple[Word, int], ...] | None = None) -> int | None:
+def _power_relator_bound(cyclic: tuple[tuple[Word, int], ...], image: Word) -> int | None:
     """Sound upper bound on the order of ``image`` from the relators.
 
-    ``image`` is a word rewritten into the simplified (isomorphic)
-    presentation.  A relator equal to w^k as a cyclic word certifies
-    order(w) | k; for a single-syllable image x^e, every power relator x^m
-    certifies order(x^e) | m/gcd(m,e).  All such bounds are combined by
-    gcd.  ``cyclic`` is :func:`_cyclic_relators` of ``relators``, passed
-    by a caller that bounds many words.  Returns None when no bound is
+    ``cyclic`` is :func:`_cyclic_relators` of the simplified (isomorphic)
+    presentation, and ``image`` a word rewritten into it.  A relator equal
+    to w^k as a cyclic word certifies order(w) | k; for a single-syllable
+    image x^e, every power relator x^m certifies order(x^e) | m/gcd(m,e).
+    All such bounds are combined by gcd.  Returns None when no bound is
     found, 0 when the image is trivial.
     """
     w = image.cyclically_reduced()
     if w.is_empty:
         return 0
-    if cyclic is None:
-        cyclic = _cyclic_relators(relators)
     g = 0
     if len(w.syllables) == 1:
         name, exp = w.syllables[0]
         m = 0
-        for r in relators:
-            if len(r.syllables) == 1 and r.syllables[0][0] == name:
-                m = gcd(m, abs(r.syllables[0][1]))
+        for rc, _ in cyclic:
+            if len(rc.syllables) == 1 and rc.syllables[0][0] == name:
+                m = gcd(m, abs(rc.syllables[0][1]))
         if m:
             g = m // gcd(m, abs(exp))
     wlen = w.length()
@@ -577,8 +573,7 @@ class OrderOracle:
         if simplified is None:
             simplified = simplify(pres, protect=protect)
         self._simplified = simplified
-        self._relators = simplified.presentation.relators
-        self._cyclic = _cyclic_relators(self._relators)
+        self._cyclic = _cyclic_relators(simplified.presentation.relators)
         self._abelian = _AbelianImage(simplified)
         self._table: CosetTable | Exhausted | None = None
 
@@ -605,7 +600,7 @@ class OrderOracle:
         lower, witness = self._abelian.order(image)
         if lower is None:
             return InfiniteOrder(witness)
-        upper = _power_relator_bound(self._relators, image, self._cyclic)
+        upper = _power_relator_bound(self._cyclic, image)
         if upper == 0 or upper == 1:
             return FiniteOrder(1, "word reduces to the identity under Tietze moves")
         if upper is not None and upper == lower:

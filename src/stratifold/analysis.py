@@ -119,11 +119,11 @@ class GraphAnalysis:
 
     The normalized graph and its natural presentation are built up front.
     The Tietze simplification (default budget, nothing protected), the
-    order oracle, whose Smith form also gives H1, the order census under
-    one coset budget and the Q-surgery on that census are built on first
-    use.  Asking for a census under another budget replaces the census,
-    its oracle's coset table and the surgery, so at most one of each is
-    kept.
+    order oracle, whose Smith form also gives H1, and the order census
+    under one coset budget are built on first use.  Asking for a census
+    under another budget rebudgets the oracle, keeping its simplification
+    and Smith form, and replaces the census, so at most one census and
+    one coset table are kept.
     """
 
     def __init__(self, graph: StratifoldGraph):
@@ -131,7 +131,6 @@ class GraphAnalysis:
         self.normal = normalize(graph)
         self.presentation = natural_presentation(self.normal)
         self._census: OrderCensus | None = None
-        self._q: QResult | None = None
 
     @cached_property
     def simplified(self) -> SimplifyResult:
@@ -145,7 +144,7 @@ class GraphAnalysis:
     def census(self, budget: int) -> OrderCensus:
         if self.oracle.budget != budget:
             self.oracle = self.oracle.with_budget(budget)
-            self._census = self._q = None
+            self._census = None
         if self._census is None:
             oracle = self.oracle
             self._census = OrderCensus(
@@ -278,8 +277,7 @@ def q_graph(graph: StratifoldGraph, budget: int = DEFAULT_COSET_BUDGET,
     Unknown.  Surviving singleton white vertices are closed surfaces (all
     their boundaries are capped); the result's presentation presents the
     quotient of the fundamental group by the subgroup generated by all
-    torsion.  The surgery on the census black_orders keeps is kept with
-    it, so asking again returns the same result.
+    torsion.
     """
     if orders is None:
         orders = black_orders(graph, budget)
@@ -287,15 +285,6 @@ def q_graph(graph: StratifoldGraph, budget: int = DEFAULT_COSET_BUDGET,
         return INDETERMINATE
     if not isinstance(orders, OrderCensus):
         raise TypeError("orders must be the census black_orders returns")
-    analysis = analyze(graph)
-    if orders is not analysis._census:
-        return _surgery(graph, orders)
-    if analysis._q is None:
-        analysis._q = _surgery(graph, orders)
-    return analysis._q
-
-
-def _surgery(graph: StratifoldGraph, orders: OrderCensus) -> QResult:
     holes = white_holes(graph, orders)
     deleted = tuple(sorted(b for b, v in orders.items() if v.is_finite))
     dead_whites = frozenset(holes)

@@ -125,7 +125,6 @@ class TestSharing:
         census = black_orders(g1, 500)
         assert analyze(g2) is analyze(g1)
         assert black_orders(g2, 500) is census
-        assert q_graph(g2, 500) is q_graph(g1, 500)
 
     def test_another_budget_builds_another_census(self):
         g = fgroup_graph(FSignature(0, (2, 3, 7)))
@@ -190,7 +189,7 @@ class TestImmutable:
         q = q_graph(lens_spine(5))
         with pytest.raises(dataclasses.FrozenInstanceError):
             q.white_holes = ("w",)
-        assert q_graph(lens_spine(5)) is q
+        assert q.orders is black_orders(lens_spine(5))
         assert q.presentation.relators[-1].syllables == (("b.b", 1),)
 
     def test_simplification_matches_a_fresh_one(self):

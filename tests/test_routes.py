@@ -25,7 +25,7 @@ from stratifold import (GENERATOR_ROLES, INDETERMINATE, CosetTable, Exhausted,
                         rewrite_through, simplify, smith_normal_form,
                         todd_coxeter)
 from stratifold.algebra import (_AbelianImage, _column_matrix,
-                                _power_relator_bound)
+                                _cyclic_relators, _power_relator_bound)
 from stratifold.presentation import DEFAULT_SIMPLIFY_BUDGET, ELIMINABLE_ROLES
 
 NAMES = ("a", "b", "c", "d", "e")
@@ -99,7 +99,7 @@ def full_matrix_verdict(pres, word, budget):
     if lower is None:
         return "infinite", None
     sr = simplify(pres)
-    upper = _power_relator_bound(sr.presentation.relators,
+    upper = _power_relator_bound(_cyclic_relators(sr.presentation.relators),
                                  rewrite_through(word, sr.eliminations))
     if upper in (0, 1):
         return "finite", 1
