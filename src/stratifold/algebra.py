@@ -9,9 +9,9 @@ HLT-style procedure with a hard coset budget.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .presentation import (GroupPresentation, SimplifyResult, Word, simplify,
@@ -547,10 +547,12 @@ def _power_relator_bound(cyclic: tuple[tuple[Word, int], ...], image: Word) -> i
 class OrderOracle:
     """Shared certificate state for element orders in one presentation.
 
-    Building the simplified presentation, its abelianization transform,
-    and (lazily) the regular coset table once lets a census of many words
-    reuse them; each word is rewritten once and both bounds read that
-    image.  Every verdict is certified:
+    The simplified presentation is built once, its abelianization
+    transform on first use, and a coset table only when a question needs
+    one, so a census of many words reuses them; each word is rewritten
+    once and both bounds read that image.  The coset budget belongs to
+    each question: the last table is kept with the budget that built it.
+    Every verdict is certified:
 
     1. Infinite when the abelianized image has infinite order;
     2. Finite when a Tietze-derived power bound meets the abelianized
@@ -562,41 +564,29 @@ class OrderOracle:
     4. otherwise Unknown(budget): abstention, never a guess.
     """
 
-    def __init__(self, pres: GroupPresentation, budget: int = DEFAULT_COSET_BUDGET,
-                 protect: frozenset[str] = frozenset(),
-                 simplified: SimplifyResult | None = None):
-        """``simplified``, when given, is ``simplify(pres, protect=protect)``
-        already taken, and is used instead of simplifying again."""
+    def __init__(self, pres: GroupPresentation, protect: frozenset[str] = frozenset()):
         self.pres = pres
-        self.budget = budget
         self._names = frozenset(pres.generator_names())
-        if simplified is None:
-            simplified = simplify(pres, protect=protect)
-        self._simplified = simplified
-        self._cyclic = _cyclic_relators(simplified.presentation.relators)
-        self._abelian = _AbelianImage(simplified)
-        self._table: CosetTable | Exhausted | None = None
+        self.simplified = simplify(pres, protect=protect)
+        self._cyclic = _cyclic_relators(self.simplified.presentation.relators)
+        self._table: tuple[int, CosetTable | Exhausted] | None = None
 
-    def with_budget(self, budget: int) -> "OrderOracle":
-        """An oracle sharing this one's simplification and abelian image,
-        with another coset budget and no coset table yet."""
-        other = copy.copy(self)
-        other.budget = budget
-        other._table = None
-        return other
+    @cached_property
+    def _abelian(self) -> _AbelianImage:
+        return _AbelianImage(self.simplified)
 
-    def _enumerate(self) -> CosetTable | Exhausted:
-        if self._table is None:
-            self._table = todd_coxeter(self.pres, (), self.budget)
-        return self._table
+    def _enumerate(self, budget: int) -> CosetTable | Exhausted:
+        if self._table is None or self._table[0] != budget:
+            self._table = budget, todd_coxeter(self.pres, (), budget)
+        return self._table[1]
 
-    def order(self, word: Word) -> OrderVerdict:
+    def order(self, word: Word, budget: int = DEFAULT_COSET_BUDGET) -> OrderVerdict:
         bad = word.names() - self._names
         if bad:
             raise ValueError(f"word uses undeclared generators {sorted(bad)}")
         if word.is_empty:
             return FiniteOrder(1, "empty word")
-        image = rewrite_through(word, self._simplified.eliminations)
+        image = rewrite_through(word, self.simplified.eliminations)
         lower, witness = self._abelian.order(image)
         if lower is None:
             return InfiniteOrder(witness)
@@ -608,12 +598,12 @@ class OrderOracle:
         if 0 in self._abelian.diag:
             # H1 has a free summand: the group is infinite, so no coset
             # table over the trivial subgroup can close
-            return UnknownOrder(self.budget)
-        result = self._enumerate()
+            return UnknownOrder(budget)
+        result = self._enumerate(budget)
         if isinstance(result, CosetTable):
             k = result.permutation_order(word)
             return FiniteOrder(k, f"coset enumeration closed with {result.cosets} cosets")
-        return UnknownOrder(self.budget)
+        return UnknownOrder(budget)
 
     def quotient_invariants(self, words: tuple[Word, ...]) -> AbelianInvariants:
         """H1 of the group modulo the normal closure of ``words``.
@@ -624,7 +614,7 @@ class OrderOracle:
         image that is a single generator to the power +-1 is a unit row,
         so that generator's column is dropped instead.
         """
-        sp = self._simplified
+        sp = self.simplified
         images = [rewrite_through(w, sp.eliminations) for w in words]
         dead = {im.syllables[0][0] for im in images
                 if len(im.syllables) == 1 and abs(im.syllables[0][1]) == 1}
@@ -644,4 +634,4 @@ def element_order(pres: GroupPresentation, word: Word,
     own generators are protected during simplification so that power
     relators over them stay visible.
     """
-    return OrderOracle(pres, budget, protect=frozenset(word.names())).order(word)
+    return OrderOracle(pres, frozenset(word.names())).order(word, budget)

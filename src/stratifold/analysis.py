@@ -17,8 +17,8 @@ from math import gcd
 
 from .algebra import DEFAULT_COSET_BUDGET, AbelianInvariants, OrderOracle
 from .graph import StratifoldGraph, components, normalize
-from .presentation import (FSignature, GroupPresentation, SimplifyResult, Word,
-                           killed_words, natural_presentation, simplify)
+from .presentation import (FSignature, GroupPresentation, Word, killed_words,
+                           natural_presentation)
 from .verdicts import (INDETERMINATE, FiniteOrder, InfiniteOrder,
                        OrderVerdict, Sentinel, UnknownOrder)
 
@@ -118,39 +118,31 @@ class GraphAnalysis:
     computed once.
 
     The normalized graph and its natural presentation are built up front.
-    The Tietze simplification (default budget, nothing protected), the
-    order oracle, whose Smith form also gives H1, and the order census
-    under one coset budget are built on first use.  Asking for a census
-    under another budget rebudgets the oracle, keeping its simplification
-    and Smith form, and replaces the census, so at most one census and
-    one coset table are kept.
+    The order oracle (its Tietze simplification is also what ``pi1
+    --simplify`` prints, and its Smith form gives H1) and the order census
+    under one coset budget are built on first use.  The oracle serves
+    every budget; asking for a census under another budget replaces the
+    census, so at most one census and one coset table are kept.
     """
 
     def __init__(self, graph: StratifoldGraph):
         self.graph = graph
         self.normal = normalize(graph)
         self.presentation = natural_presentation(self.normal)
-        self._census: OrderCensus | None = None
-
-    @cached_property
-    def simplified(self) -> SimplifyResult:
-        return simplify(self.presentation)
+        self._census: tuple[int, OrderCensus] | None = None
 
     @cached_property
     def oracle(self) -> OrderOracle:
-        """The oracle of the latest census; ``abelianization(oracle)`` is H1."""
-        return OrderOracle(self.presentation, simplified=self.simplified)
+        """The oracle of every census; ``abelianization(oracle)`` is H1."""
+        return OrderOracle(self.presentation)
 
     def census(self, budget: int) -> OrderCensus:
-        if self.oracle.budget != budget:
-            self.oracle = self.oracle.with_budget(budget)
-            self._census = None
-        if self._census is None:
+        if self._census is None or self._census[0] != budget:
             oracle = self.oracle
-            self._census = OrderCensus(
-                self.normal, oracle, {b.id: oracle.order(Word(((f"b.{b.id}", 1),)))
-                                      for b in self.normal.blacks})
-        return self._census
+            verdicts = {b.id: oracle.order(Word(((f"b.{b.id}", 1),)), budget)
+                        for b in self.normal.blacks}
+            self._census = budget, OrderCensus(self.normal, oracle, verdicts)
+        return self._census[1]
 
 
 _last: GraphAnalysis | None = None
@@ -267,24 +259,21 @@ class QResult:
         return self.orders.oracle.quotient_invariants(self.killed)
 
 
-def q_graph(graph: StratifoldGraph, budget: int = DEFAULT_COSET_BUDGET,
-            orders: OrderCensus | None = None) -> QResult | Sentinel:
+def q_graph(graph: StratifoldGraph,
+            budget: int = DEFAULT_COSET_BUDGET) -> QResult | Sentinel:
     """Delete the open stars of finite-order black vertices and the white
     holes; split what survives into components.
 
-    ``orders`` is the census :func:`black_orders` returns for this graph,
-    taken when None.  Returns INDETERMINATE when any order verdict is
-    Unknown.  Surviving singleton white vertices are closed surfaces (all
-    their boundaries are capped); the result's presentation presents the
+    The orders are the census :func:`black_orders` returns for this graph
+    and budget.  Returns INDETERMINATE when any order verdict is Unknown.
+    Surviving singleton white vertices are closed surfaces (all their
+    boundaries are capped); the result's presentation presents the
     quotient of the fundamental group by the subgroup generated by all
     torsion.
     """
-    if orders is None:
-        orders = black_orders(graph, budget)
+    orders = black_orders(graph, budget)
     if any(isinstance(v, UnknownOrder) for v in orders.values()):
         return INDETERMINATE
-    if not isinstance(orders, OrderCensus):
-        raise TypeError("orders must be the census black_orders returns")
     holes = white_holes(graph, orders)
     deleted = tuple(sorted(b for b, v in orders.items() if v.is_finite))
     dead_whites = frozenset(holes)

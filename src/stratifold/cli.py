@@ -98,9 +98,7 @@ def _checked_graph(text: str, report: dict, note: str = ""):
     graph = parse_graph(text)
     problems = validate(graph)
     for v in problems:
-        detail = f"{v.detail}{note}"
-        report["violations"].append(
-            {"rule": v.rule, "subject": v.subject, "detail": detail})
+        _violate(report, v.rule, f"{v.detail}{note}", v.subject)
     return None if problems else graph
 
 
@@ -140,8 +138,7 @@ def _cmd_validate(args, inputs, report):
     report["payload"] = {"whites": len(graph.whites), "blacks": len(graph.blacks),
                          "edges": len(graph.edges)}
     for v in validate(graph):
-        report["violations"].append(
-            {"rule": v.rule, "subject": v.subject, "detail": v.detail})
+        _violate(report, v.rule, v.detail, v.subject)
 
 
 def _cmd_pi1(args, graph, report):
@@ -149,7 +146,7 @@ def _cmd_pi1(args, graph, report):
     pres = analysis.presentation
     payload = {"simplified": bool(args.simplify)}
     if args.simplify:
-        result = analysis.simplified
+        result = analysis.oracle.simplified
         pres = result.presentation
         payload["eliminations"] = len(result.eliminations)
         payload["exhausted"] = result.exhausted
@@ -209,7 +206,8 @@ def _cmd_holes(args, graph, report):
 
 
 def _cmd_q(args, graph, report):
-    result = q_graph(graph, args.budget, _census(args, graph, report))
+    _census(args, graph, report)
+    result = q_graph(graph, args.budget)
     if result is INDETERMINATE:
         report["indeterminate"] = True
         return

@@ -12,14 +12,14 @@ import re
 from .errors import ParseError
 from .graph import BlackVertex, Edge, StratifoldGraph, WhiteVertex
 from .presentation import GENERATOR_ROLES, Generator, GroupPresentation, Word
-from .spine import ManifoldExpr, Summand
+from .spine import SUMMAND_KINDS, ManifoldExpr, Summand
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 # a word syllable: a name (no whitespace, '^' or '#') with an optional exponent
 _SYLLABLE_RE = re.compile(r"^(?P<name>[^\s^#]+)(?:\^(?P<exp>[+-]?\d+))?$")
 _LENS_RE = re.compile(r"^L\(\s*(?P<q>[+-]?\d+)\s*\)$")
 
-_EXPR_NAMES = {"S2xS1": "s2xs1", "S2~xS1": "s2~xs1", "P2xS1": "p2xs1", "S3": "s3"}
+_EXPR_NAMES = {str(Summand(k)): k for k in SUMMAND_KINDS if k != "lens"}
 
 
 def _lines(text: str):

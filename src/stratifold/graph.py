@@ -118,6 +118,10 @@ class StratifoldGraph:
     def __setattr__(self, name, value):
         raise AttributeError("StratifoldGraph is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not slot by slot
+        return StratifoldGraph, (self.whites, self.blacks, self.edges)
+
     # -- lookups ---------------------------------------------------------
 
     def white(self, wid: str) -> WhiteVertex:

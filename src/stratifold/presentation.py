@@ -241,7 +241,6 @@ def fgroup_graph(sig: FSignature) -> StratifoldGraph:
 class SimplifyResult:
     presentation: GroupPresentation
     eliminations: tuple[tuple[str, Word], ...]
-    tracked: tuple[Word, ...]
     exhausted: bool
     steps: int
 
@@ -271,7 +270,6 @@ def _first_eliminable(r: Word, keep: frozenset[str]) -> int | None:
 
 def simplify(pres: GroupPresentation,
              budget: int = DEFAULT_SIMPLIFY_BUDGET,
-             tracked: tuple[Word, ...] = (),
              protect: frozenset[str] = frozenset()) -> SimplifyResult:
     """Bounded Tietze simplification: generator eliminations only.
 
@@ -279,9 +277,8 @@ def simplify(pres: GroupPresentation,
     :func:`_first_eliminable`), substituting its definition everywhere and
     dropping empty relators.  No relator search or insertion is performed,
     so every step is a Tietze transformation and the result presents an
-    isomorphic group with at most as many generators.  ``tracked`` words
-    are rewritten through the same substitutions, and the substitution
-    list itself is returned so further words can be rewritten later.
+    isomorphic group with at most as many generators.  The substitution
+    list is returned so words can be rewritten later (:func:`rewrite_through`).
 
     Each step uses the first relator in list order that defines a
     generator (on graph presentations, the tree relations first) and
@@ -304,7 +301,6 @@ def simplify(pres: GroupPresentation,
             occurs.setdefault(n, set()).add(i)
     # indices whose relator may have an eligible syllable; sorted, so a heap
     ready = [i for i, si in enumerate(picks) if si is not None]
-    tracked = list(tracked)
     eliminations: list[tuple[str, Word]] = []
     exhausted = False
     while ready:
@@ -334,13 +330,12 @@ def simplify(pres: GroupPresentation,
             picks[i] = _first_eliminable(relators[i], keep)
             if picks[i] is not None:
                 heapq.heappush(ready, i)
-        tracked = [t.substitute(name, definition) for t in tracked]
         eliminations.append((name, definition))
     gone = {name for name, _ in eliminations}
     return SimplifyResult(
         GroupPresentation(tuple(g for g in pres.generators if g.name not in gone),
                           tuple(r for r in relators if not r.is_empty)),
-        tuple(eliminations), tuple(tracked), exhausted, len(eliminations))
+        tuple(eliminations), exhausted, len(eliminations))
 
 
 def rewrite_through(word: Word, eliminations: tuple[tuple[str, Word], ...]) -> Word:

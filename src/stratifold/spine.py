@@ -167,17 +167,18 @@ def attachment_white(graph: StratifoldGraph) -> str:
     return graph.whites[0].id
 
 
+# the summands without a parameter that have a spine, and their builders
+_PRIMITIVES = {"s2xs1": s2xs1_spine, "s2~xs1": s2xs1_twisted_spine,
+               "p2xs1": p2xs1_spine}
+
+
 def _spine(s: Summand) -> StratifoldGraph:
     if s.kind == "s3":
         raise NoSpineError("S3 has no 2-stratifold spine:"
                            " no 2-stratifold is contractible")
     if s.kind == "lens":
         return lens_spine(s.q)
-    if s.kind == "s2xs1":
-        return s2xs1_spine()
-    if s.kind == "s2~xs1":
-        return s2xs1_twisted_spine()
-    return p2xs1_spine()
+    return _PRIMITIVES[s.kind]()
 
 
 def synth(expr: ManifoldExpr) -> StratifoldGraph:
@@ -213,11 +214,6 @@ def _junction_blacks(graph: StratifoldGraph) -> list[tuple[str, str]]:
     return out
 
 
-_PRIMITIVES = (
-    ("s2xs1", s2xs1_spine), ("s2~xs1", s2xs1_twisted_spine),
-    ("p2xs1", p2xs1_spine))
-
-
 def _match_piece(piece: StratifoldGraph) -> Summand | None:
     if len(piece.blacks) == 0:
         if are_isomorphic(piece, lens_spine(2)):
@@ -228,7 +224,7 @@ def _match_piece(piece: StratifoldGraph) -> Summand | None:
         if q >= 3 and are_isomorphic(piece, lens_spine(q)):
             return Summand("lens", q)
         return None
-    for kind, make in _PRIMITIVES:
+    for kind, make in _PRIMITIVES.items():
         if are_isomorphic(piece, make()):
             return Summand(kind)
     return None

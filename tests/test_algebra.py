@@ -292,17 +292,17 @@ class TestOrderOracle:
         assert got["c3"].order == 5
 
     def test_budget_abstention(self):
-        oracle = OrderOracle(KLEIN, budget=4)
-        assert oracle.order(Word((("b", 1),))) == UnknownOrder(4)
+        oracle = OrderOracle(KLEIN)
+        assert oracle.order(Word((("b", 1),)), 4) == UnknownOrder(4)
 
     def test_random_graph_orders_are_verdicts(self):
         rng = random.Random(811)
         for _ in range(15):
             g = normalize(random_valid_graph(rng))
             p = natural_presentation(g)
-            oracle = OrderOracle(p, budget=500)
+            oracle = OrderOracle(p)
             for b in g.blacks:
-                v = oracle.order(Word(((f"b.{b.id}", 1),)))
+                v = oracle.order(Word(((f"b.{b.id}", 1),)), 500)
                 assert isinstance(v, (FiniteOrder, InfiniteOrder, UnknownOrder))
                 if isinstance(v, FiniteOrder):
                     assert v.order >= 1

@@ -227,16 +227,10 @@ class TestQGraph:
     def test_abstains_with_unknown_orders(self):
         assert q_graph(theta_graph(), budget=100) is INDETERMINATE
 
-    def test_supplied_orders_are_respected(self):
-        assert q_graph(lens_spine(5),
-                       orders={"b": UnknownOrder(1)}) is INDETERMINATE
-
-    def test_supplied_orders_must_be_a_census(self):
+    def test_reads_the_shared_census(self):
         census = black_orders(lens_spine(5))
         assert census == {"b": FiniteOrder(5, census["b"].certificate)}
-        assert q_graph(lens_spine(5), orders=census).orders is census
-        with pytest.raises(TypeError):
-            q_graph(lens_spine(5), orders=dict(census))
+        assert q_graph(lens_spine(5)).orders is census
 
     def test_abelianization_is_computed_once(self):
         q = q_graph(s2xs1_spine())

@@ -5,12 +5,13 @@ import copy
 import dataclasses
 import gc
 import io
+import pickle
 import random
 import weakref
 
 import pytest
 
-import stratifold.analysis
+import stratifold.algebra
 from stratifold import (FSignature, UnknownOrder, black_orders, fgroup_graph,
                         lens_spine, natural_presentation, normalize,
                         obstructions, parse_expr, parse_graph, q_graph,
@@ -98,13 +99,13 @@ class TestInterleavedCommands:
 class TestSharing:
     def test_one_simplification_for_every_command(self, monkeypatch):
         calls = []
-        real = stratifold.analysis.simplify
+        real = stratifold.algebra.simplify
 
         def counting(pres, *args, **kwargs):
             calls.append(pres)
             return real(pres, *args, **kwargs)
 
-        monkeypatch.setattr(stratifold.analysis, "simplify", counting)
+        monkeypatch.setattr(stratifold.algebra, "simplify", counting)
         clear_analysis()
         text = serialize_graph(synth(parse_expr("L(5) # P2xS1 # S2~xS1")))
         for argv in (["pi1", "--simplify"], ["h1"], ["order"], ["holes"], ["q"],
@@ -135,10 +136,28 @@ class TestSharing:
         assert large is not small
         assert all(v == UnknownOrder(80) for v in large.values())
         assert black_orders(g, 80) is large
-        # the simplification and its Smith form are shared across budgets
-        assert large.oracle._simplified is small.oracle._simplified
-        assert large.oracle._abelian is small.oracle._abelian
-        assert large.oracle._table is not small.oracle._table
+        # one oracle, so one simplification and Smith form, serves every
+        # budget; it keeps only the latest budget's coset table
+        assert large.oracle is small.oracle
+        assert large.oracle._table[0] == 80
+
+    def test_budgets_share_the_simplification_and_smith_form(self, monkeypatch):
+        calls = {"simplify": 0, "smith_normal_form": 0}
+        for name in calls:
+            real = getattr(stratifold.algebra, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(stratifold.algebra, name, counting)
+        clear_analysis()
+        text = serialize_graph(synth(parse_expr("L(5) # P2xS1 # S2~xS1")))
+        for argv in (["h1"], ["order", "--budget", "10000"],
+                     ["obstruct", "--budget", "10000"]):
+            run(argv, text)
+        # one SNF for H1 and the census, one for H1 of the torsion quotient
+        assert calls == {"simplify": 1, "smith_normal_form": 2}
 
     def test_other_graph_releases_the_analysis(self):
         a, b = lens_spine(5), synth(parse_expr("L(3) # S2xS1"))
@@ -195,5 +214,18 @@ class TestImmutable:
     def test_simplification_matches_a_fresh_one(self):
         g = synth(parse_expr("L(4) # S2xS1 # P2xS1"))
         clear_analysis()
-        shared = analyze(g).simplified
+        shared = analyze(g).oracle.simplified
         assert shared == simplify(natural_presentation(normalize(g)))
+
+    def test_copies_and_pickles_round_trip(self):
+        g = lens_spine(5)
+        census = black_orders(g, 300)
+        q = q_graph(g, 300)
+        ab = q.abelianization  # read first, so the cached value is copied too
+        for x in (g, census, q):
+            for twin in (copy.copy(x), copy.deepcopy(x),
+                         pickle.loads(pickle.dumps(x))):
+                assert type(twin) is type(x) and twin == x
+                if x is q:
+                    assert twin.__dict__["abelianization"] == ab
+                    assert twin.orders.oracle.simplified == census.oracle.simplified

@@ -20,8 +20,9 @@ from stratifold import (GENERATOR_ROLES, INDETERMINATE, CosetTable, Exhausted,
                         FiniteOrder, FSignature, Generator, GroupPresentation,
                         InfiniteOrder, OrderOracle, SimplifyResult,
                         UnknownOrder, Word, abelianization, apply_transforms,
-                        black_orders, fgroup_graph, natural_presentation,
-                        normalize, q_graph, q_presentation, relation_matrix,
+                        black_orders, fgroup_graph, fgroup_presentation,
+                        natural_presentation, normalize, q_graph,
+                        q_presentation, relation_matrix,
                         rewrite_through, simplify, smith_normal_form,
                         todd_coxeter)
 from stratifold.algebra import (_AbelianImage, _column_matrix,
@@ -139,6 +140,8 @@ def reference_find_elimination(relators, keep):
 
 def reference_simplify(pres, budget=DEFAULT_SIMPLIFY_BUDGET, tracked=(),
                        protect=frozenset()):
+    """The simplifier's result, and the ``tracked`` words carried through
+    every substitution as it is made."""
     keep = frozenset(g.name for g in pres.generators
                      if g.role not in ELIMINABLE_ROLES) | frozenset(protect)
     gens = list(pres.generators)
@@ -170,8 +173,9 @@ def reference_simplify(pres, budget=DEFAULT_SIMPLIFY_BUDGET, tracked=(),
         gens = [g for g in gens if g.name != name]
         eliminations.append((name, definition))
         steps += 1
-    return SimplifyResult(GroupPresentation(tuple(gens), tuple(relators)),
-                          tuple(eliminations), tuple(tracked), exhausted, steps)
+    return (SimplifyResult(GroupPresentation(tuple(gens), tuple(relators)),
+                           tuple(eliminations), exhausted, steps),
+            tuple(tracked))
 
 
 def naive_power(word, k):
@@ -218,20 +222,20 @@ def test_diagonal_from_invariants_matches_replay():
 def test_oracle_matches_full_matrix_oracle_on_graphs():
     rng = random.Random(1709)
     for g, p in graph_presentations(rng, 60):
-        oracle = OrderOracle(p, budget=300)
+        oracle = OrderOracle(p)
         for w in black_words(g):
-            assert verdict_key(oracle.order(w)) == full_matrix_verdict(p, w, 300)
+            assert verdict_key(oracle.order(w, 300)) == full_matrix_verdict(p, w, 300)
 
 
 def test_oracle_matches_full_matrix_oracle_on_random_words():
     rng = random.Random(1710)
     for _ in range(150):
         p = random_presentation(rng)
-        oracle = OrderOracle(p, budget=200)
+        oracle = OrderOracle(p)
         names = p.generator_names()
         for _ in range(4):
             w = random_word(rng, names, max_syllables=3)
-            assert verdict_key(oracle.order(w)) == full_matrix_verdict(p, w, 200)
+            assert verdict_key(oracle.order(w, 200)) == full_matrix_verdict(p, w, 200)
 
 
 def test_simplify_matches_rescanning_loop():
@@ -244,8 +248,11 @@ def test_simplify_matches_rescanning_loop():
                         if names)
         protect = frozenset(n for n in names if rng.random() < 0.2)
         budget = rng.choice((0, 1, 2, 5, DEFAULT_SIMPLIFY_BUDGET))
-        got = simplify(p, budget, tracked, protect)
-        assert got == reference_simplify(p, budget, tracked, protect)
+        got = simplify(p, budget, protect)
+        want, carried = reference_simplify(p, budget, tracked, protect)
+        assert got == want
+        # words rewritten later match words carried along the way
+        assert tuple(rewrite_through(w, got.eliminations) for w in tracked) == carried
 
 
 def test_power_and_substitute_match_syllable_definitions():
@@ -313,6 +320,22 @@ def test_q_abelianization_matches_quotient_presentation():
         assert q.abelianization == smith_normal_form(relation_matrix(pres))[0]
 
 
+def test_one_oracle_answers_each_budget_as_a_fresh_one():
+    # the kept coset table must not answer for another budget: a table
+    # that exhausted at 50 would make 2000 abstain, and one that closed
+    # at 2000 would decide at 50
+    p = fgroup_presentation(FSignature(0, (2, 3, 5)))
+    w = Word((("c1", 1), ("c2", 1)))
+    shared = OrderOracle(p)
+    for budget in (50, 2000, 50, 2000):
+        v = shared.order(w, budget)
+        assert v == OrderOracle(p).order(w, budget)
+        if budget == 50:
+            assert v == UnknownOrder(50)
+        else:
+            assert v == FiniteOrder(5, "coset enumeration closed with 60 cosets")
+
+
 def test_quotient_invariants_match_added_relators():
     rng = random.Random(1716)
     for _ in range(300):
@@ -323,7 +346,7 @@ def test_quotient_invariants_match_added_relators():
         words += [Word(((n, rng.choice((1, -1, 2))),)) for n in names
                   if rng.random() < 0.4]
         rng.shuffle(words)
-        oracle = OrderOracle(p, budget=10)
+        oracle = OrderOracle(p)
         added = GroupPresentation(p.generators, p.relators + tuple(words))
         want, _ = smith_normal_form(relation_matrix(added))
         assert oracle.quotient_invariants(tuple(words)) == want
