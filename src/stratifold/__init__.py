@@ -25,8 +25,7 @@ from .graph import (BlackVertex, Edge, StratifoldGraph, Violation, WhiteVertex,
 from .presentation import (GENERATOR_ROLES, FSignature, Generator,
                            GroupPresentation, SimplifyResult, Word,
                            fgroup_graph, fgroup_presentation,
-                           natural_presentation, q_presentation,
-                           rewrite_through, simplify)
+                           natural_presentation, rewrite_through, simplify)
 from .spine import (NOT_CANONICAL, SUMMAND_KINDS, ManifoldExpr, Summand,
                     attachment_white, delta_sum, lens_spine, p2xs1_spine,
                     recognize, s2xs1_spine, s2xs1_twisted_spine, synth)
@@ -51,8 +50,8 @@ __all__ = [
     "format_expr", "format_word", "lens_spine", "natural_presentation",
     "normalize", "obstructions", "p2xs1_spine", "parse_expr", "parse_graph",
     "parse_presentation", "parse_word", "partition_at", "q_graph",
-    "q_presentation", "recognize", "relation_matrix", "rewrite_through",
-    "s2xs1_spine", "s2xs1_twisted_spine", "serialize_graph",
-    "serialize_presentation", "simplify", "smith_normal_form",
-    "spanning_tree", "synth", "todd_coxeter", "validate", "white_holes",
+    "recognize", "relation_matrix", "rewrite_through", "s2xs1_spine",
+    "s2xs1_twisted_spine", "serialize_graph", "serialize_presentation",
+    "simplify", "smith_normal_form", "spanning_tree", "synth",
+    "todd_coxeter", "validate", "white_holes",
 ]

@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd
 
 from .algebra import DEFAULT_COSET_BUDGET, AbelianInvariants, OrderOracle
-from .graph import StratifoldGraph, components, normalize
+from .graph import StratifoldGraph, components, is_disk, normalize
 from .presentation import (FSignature, GroupPresentation, Word, killed_words,
                            natural_presentation)
 from .verdicts import (INDETERMINATE, FiniteOrder, InfiniteOrder,
@@ -92,15 +92,7 @@ class OrderCensus(dict):
 
     Its readers see a plain mapping, which cannot be changed: one census
     is handed to every caller that asks about the same graph and budget.
-    It also keeps the normalized graph and the oracle that certified the
-    verdicts, so the Q-surgery reads H1 of the quotient from the oracle's
-    simplified presentation instead of simplifying the graph again.
     """
-
-    def __init__(self, graph: StratifoldGraph, oracle: OrderOracle, verdicts):
-        super().__init__(verdicts)
-        self.graph = graph
-        self.oracle = oracle
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("an OrderCensus cannot be changed")
@@ -109,15 +101,15 @@ class OrderCensus(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, not item by item
-        return OrderCensus, (self.graph, self.oracle, dict(self))
+        # default copy and pickle refill item by item, which the guard refuses
+        return OrderCensus, (dict(self),)
 
 
 class GraphAnalysis:
     """Everything the pipeline derives from one valid graph, each piece
     computed once.
 
-    The normalized graph and its natural presentation are built up front.
+    The natural presentation of the normalized graph is built up front.
     The order oracle (its Tietze simplification is also what ``pi1
     --simplify`` prints, and its Smith form gives H1) and the order census
     under one coset budget are built on first use.  The oracle serves
@@ -127,8 +119,7 @@ class GraphAnalysis:
 
     def __init__(self, graph: StratifoldGraph):
         self.graph = graph
-        self.normal = normalize(graph)
-        self.presentation = natural_presentation(self.normal)
+        self.presentation = natural_presentation(normalize(graph))
         self._census: tuple[int, OrderCensus] | None = None
 
     @cached_property
@@ -139,9 +130,11 @@ class GraphAnalysis:
     def census(self, budget: int) -> OrderCensus:
         if self._census is None or self._census[0] != budget:
             oracle = self.oracle
-            verdicts = {b.id: oracle.order(Word(((f"b.{b.id}", 1),)), budget)
-                        for b in self.normal.blacks}
-            self._census = budget, OrderCensus(self.normal, oracle, verdicts)
+            # normalize changes only labels, so the graph's ids are the
+            # normalized graph's
+            self._census = budget, OrderCensus(
+                {b.id: oracle.order(Word(((f"b.{b.id}", 1),)), budget)
+                 for b in self.graph.blacks})
         return self._census[1]
 
 
@@ -230,33 +223,16 @@ class QComponent:
 
 @dataclass(frozen=True)
 class QResult:
-    """Outcome of the Q-surgery on a graph with fully certified orders.
-
-    The quotient's presentation and its H1 are computed on first use,
-    from the census's presentation and simplification.
-    """
+    """Outcome of the Q-surgery on a graph with fully certified orders:
+    the census it read, what it deleted, what survives, and the quotient
+    group with its H1."""
 
     orders: OrderCensus
     deleted_blacks: tuple[str, ...]
     white_holes: tuple[str, ...]
     components: tuple[QComponent, ...]
-
-    @cached_property
-    def killed(self) -> tuple[Word, ...]:
-        """The killed generators, as :func:`killed_words` lists them."""
-        return killed_words(self.orders.graph, self.orders, self.white_holes)
-
-    @cached_property
-    def presentation(self) -> GroupPresentation:
-        """The graph presentation plus one relator per killed generator."""
-        base = self.orders.oracle.pres
-        return GroupPresentation(base.generators, base.relators + self.killed)
-
-    @cached_property
-    def abelianization(self) -> AbelianInvariants:
-        """H1 of the quotient: H1 of the graph group modulo the images of
-        the killed generators, from the census's simplified presentation."""
-        return self.orders.oracle.quotient_invariants(self.killed)
+    presentation: GroupPresentation
+    abelianization: AbelianInvariants
 
 
 def q_graph(graph: StratifoldGraph,
@@ -267,27 +243,33 @@ def q_graph(graph: StratifoldGraph,
     The orders are the census :func:`black_orders` returns for this graph
     and budget.  Returns INDETERMINATE when any order verdict is Unknown.
     Surviving singleton white vertices are closed surfaces (all their
-    boundaries are capped); the result's presentation presents the
-    quotient of the fundamental group by the subgroup generated by all
-    torsion.
+    boundaries are capped).  The result's presentation is the graph
+    presentation plus one relator per killed generator (see
+    :func:`killed_words`): it presents the quotient of the fundamental
+    group by the subgroup generated by all torsion.  Its H1 is read from
+    the oracle's simplified presentation, so nothing is simplified again.
     """
-    orders = black_orders(graph, budget)
+    analysis = analyze(graph)
+    orders = analysis.census(budget)
     if any(isinstance(v, UnknownOrder) for v in orders.values()):
         return INDETERMINATE
-    holes = white_holes(graph, orders)
+    holes = tuple(sorted(white_holes(graph, orders)))
     deleted = tuple(sorted(b for b, v in orders.items() if v.is_finite))
-    dead_whites = frozenset(holes)
     dead_blacks = frozenset(deleted)
 
     pieces = []
-    for sub in components(graph, dead_whites, dead_blacks):
+    for sub in components(graph, holes, dead_blacks):
         wids = {w.id for w in sub.whites}
         capped = tuple(sorted(e.id for e in graph.edges
                               if e.white in wids and e.black in dead_blacks))
         closed = sub.whites[0].genus if (len(sub.whites) == 1
                                          and not sub.blacks) else None
         pieces.append(QComponent(sub, capped, closed))
-    return QResult(orders, deleted, tuple(sorted(dead_whites)), tuple(pieces))
+    killed = killed_words(graph, deleted, holes)
+    base = analysis.presentation
+    return QResult(orders, deleted, holes, tuple(pieces),
+                   GroupPresentation(base.generators, base.relators + killed),
+                   analysis.oracle.quotient_invariants(killed))
 
 
 def fgroup_signature_of(graph: StratifoldGraph) -> FSignature | None:
@@ -318,8 +300,7 @@ def fgroup_signature_of(graph: StratifoldGraph) -> FSignature | None:
         if abs(pair[0].label) != 1 or abs(pair[1].label) < 2:
             return None
         spokes.append(pair[0])
-        disk = graph.white(pair[1].white)
-        if disk.genus != 0 or len(graph.edges_at_white(disk.id)) != 1:
+        if not is_disk(graph, pair[1].white):
             return None
         periods.append(abs(pair[1].label))
     centers = {e.white for e in spokes}

@@ -286,6 +286,12 @@ def partition_at(graph: StratifoldGraph, black_id: str) -> tuple[int, ...]:
     return tuple(sorted((abs(graph.edge(eid).label) for eid in eids), reverse=True))
 
 
+def is_disk(graph: StratifoldGraph, wid: str) -> bool:
+    """A white vertex of genus 0 with exactly one boundary circle."""
+    return (graph.white(wid).genus == 0
+            and len(graph.edges_at_white(wid)) == 1)
+
+
 def _surface_loop_count(genus: int) -> int:
     # rank of the standard one-vertex cell structure: 2g loops when
     # orientable, |g| loops when nonorientable

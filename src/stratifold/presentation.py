@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import GraphError
 from .graph import StratifoldGraph, WhiteVertex, BlackVertex, Edge, spanning_tree
-from .verdicts import INDETERMINATE, Sentinel, UnknownOrder
 
 GENERATOR_ROLES = ("black", "boundary", "surface", "stable", "period")
 
@@ -348,33 +347,13 @@ def rewrite_through(word: Word, eliminations: tuple[tuple[str, Word], ...]) -> W
     return word
 
 
-def killed_words(graph: StratifoldGraph, orders, holes) -> tuple[Word, ...]:
+def killed_words(graph: StratifoldGraph, blacks, holes) -> tuple[Word, ...]:
     """The generators the Q-surgery kills, one single-generator word each:
-    ``b.<id>`` of every black vertex of certified finite order (order 1
-    included), then the surface generators of each white hole in id
-    order."""
-    words = [Word(((f"b.{b.id}", 1),)) for b in graph.blacks
-             if orders[b.id].is_finite]
-    for wid in sorted(holes):
-        w = graph.white(wid)  # raises GraphError on a non-white id
-        _, names = _surface_word(f"y.{wid}.", w.genus)
+    ``b.<id>`` of each black vertex in ``blacks`` (those of finite order,
+    order 1 included), then the surface generators of each white hole in
+    ``holes``; both come in id order."""
+    words = [Word(((f"b.{bid}", 1),)) for bid in blacks]
+    for wid in holes:
+        _, names = _surface_word(f"y.{wid}.", graph.white(wid).genus)
         words += [Word(((n, 1),)) for n in names]
     return tuple(words)
-
-
-def q_presentation(graph: StratifoldGraph, orders, holes) -> GroupPresentation | Sentinel:
-    """Presentation of the quotient by the subgroup normally generated by
-    all elements of finite order.
-
-    Adds to the graph presentation one relator per killed generator (see
-    :func:`killed_words`); the generator set is unchanged.  If any black
-    vertex's order verdict is Unknown the result is INDETERMINATE.
-    """
-    for b in graph.blacks:
-        if b.id not in orders:
-            raise ValueError(f"no order verdict for black vertex {b.id}")
-    if any(isinstance(v, UnknownOrder) for v in orders.values()):
-        return INDETERMINATE
-    base = natural_presentation(graph)
-    return GroupPresentation(base.generators,
-                             base.relators + killed_words(graph, orders, holes))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NoSpineError
 from .graph import (BlackVertex, Edge, StratifoldGraph, WhiteVertex,
-                    are_isomorphic, components)
+                    are_isomorphic, components, is_disk)
 from .verdicts import Sentinel
 
 SUMMAND_KINDS = ("lens", "p2xs1", "s2xs1", "s2~xs1", "s3")
@@ -152,17 +152,12 @@ def delta_sum(g1: StratifoldGraph, w1: str, g2: StratifoldGraph,
     return StratifoldGraph(whites, blacks, edges)
 
 
-def _is_disk(graph: StratifoldGraph, wid: str) -> bool:
-    return (graph.white(wid).genus == 0
-            and len(graph.edges_at_white(wid)) == 1)
-
-
 def attachment_white(graph: StratifoldGraph) -> str:
     """Deterministic white vertex for the next delta-sum: the smallest-id
     white piece that is not a disk, or the smallest-id white overall when
     the graph is all disks (a bare lens spine)."""
     for w in graph.whites:
-        if not _is_disk(graph, w.id):
+        if not is_disk(graph, w.id):
             return w.id
     return graph.whites[0].id
 
@@ -207,8 +202,8 @@ def _junction_blacks(graph: StratifoldGraph) -> list[tuple[str, str]]:
         edges = [graph.edge(eid) for eid in eids]
         if any(abs(e.label) != 1 for e in edges):
             continue
-        disks = [e.white for e in edges if _is_disk(graph, e.white)]
-        others = [e.white for e in edges if not _is_disk(graph, e.white)]
+        disks = [e.white for e in edges if is_disk(graph, e.white)]
+        others = [e.white for e in edges if not is_disk(graph, e.white)]
         if len(disks) == 1 and len(set(others)) == 2:
             out.append((b.id, disks[0]))
     return out

@@ -12,8 +12,8 @@ from stratifold import (INDETERMINATE, BlackVertex, CosetTable, Edge,
                         abelianization, black_orders, classify_fgroup,
                         fgroup_graph, fgroup_presentation,
                         fgroup_signature_of, lens_spine, natural_presentation,
-                        normalize, obstructions, p2xs1_spine, q_graph,
-                        s2xs1_spine, todd_coxeter, white_holes)
+                        obstructions, p2xs1_spine, q_graph, s2xs1_spine,
+                        todd_coxeter, white_holes)
 
 
 def theta_graph(genus=1):

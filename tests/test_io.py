@@ -1,5 +1,6 @@
 """Text formats and the command line interface."""
 
+import ast
 import contextlib
 import hashlib
 import importlib.resources
@@ -8,21 +9,25 @@ import json
 import pathlib
 import random
 import re
+import shlex
 import time
 
 import jsonschema
 import pytest
 
+import stratifold
 from helpers import random_valid_graph
-from stratifold import (FSignature, GroupPresentation, ParseError, Summand,
-                        Word, fgroup_graph, fgroup_presentation, format_expr,
-                        format_word, lens_spine, natural_presentation,
-                        normalize, parse_expr, parse_graph, parse_presentation,
+from stratifold import (FSignature, ParseError, Summand, Word, fgroup_graph,
+                        fgroup_presentation, format_expr, format_word,
+                        lens_spine, natural_presentation, normalize,
+                        parse_expr, parse_graph, parse_presentation,
                         parse_word, serialize_graph, serialize_presentation,
                         synth, validate)
 from stratifold.cli import _COMMANDS, COMMANDS, _build_parser, exit_code, main
 
 LENS5 = "white w genus 0\nblack b\nedge e w b 5\n"
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 SCHEMA = json.loads(importlib.resources.files("stratifold")
                     .joinpath("report_schema.json").read_text())
@@ -547,11 +552,9 @@ class TestParserReuse:
 
 
 class TestCommandTable:
-    README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-
     def readme_rows(self):
         rows = re.findall(r"^\| `([a-z0-9]+)` *\| *(.*?) *\|$",
-                          self.README.read_text(encoding="utf-8"), re.MULTILINE)
+                          README.read_text(encoding="utf-8"), re.MULTILINE)
         return [name for name, _ in rows], {name: text for name, text in rows}
 
     def test_registry_schema_and_readme_agree(self):
@@ -574,3 +577,48 @@ class TestCommandTable:
             assert squash(out).startswith(squash(f"usage: stratifold {name} ["))
             assert squash(command.help) in squash(out)
             assert "--json" in out
+
+
+class TestPublicSurface:
+    def test_star_import_exports_exactly_the_imported_names(self):
+        init = pathlib.Path(stratifold.__file__)
+        imported = {alias.asname or alias.name
+                    for node in ast.parse(init.read_text(encoding="utf-8")).body
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        assert len(stratifold.__all__) == len(set(stratifold.__all__))
+        assert set(stratifold.__all__) == imported
+        namespace = {}
+        exec("from stratifold import *", namespace)
+        assert imported <= set(namespace)
+
+    def test_readme_python_block_runs(self):
+        blocks = re.findall(r"^```python\n(.*?)^```$",
+                            README.read_text(encoding="utf-8"),
+                            re.MULTILINE | re.DOTALL)
+        assert len(blocks) == 1
+        exec(blocks[0], {})
+
+    def test_readme_graph_example_parses(self):
+        # the example lists its edge before the white vertex it joins
+        block = re.search(r"^## Graph text format\n.*?^```\n(.*?)^```$",
+                          README.read_text(encoding="utf-8"),
+                          re.MULTILINE | re.DOTALL).group(1)
+        assert block.index("edge") < block.index("white")
+        assert parse_graph(block) == parse_graph(LENS5)
+
+    def test_readme_pipelines_print_what_it_shows(self):
+        # each "$ stratifold ... | stratifold ..." line is followed by its
+        # output; every stage runs through main, fed the previous stdout
+        shown = re.findall(r"^\$ (stratifold .*)\n(.*)$",
+                           README.read_text(encoding="utf-8"), re.MULTILINE)
+        assert [out for _, out in shown] == [
+            "H1 = Z/5", "L(3) # S2xS1", "closed: 5 coset(s)"]
+        for pipeline, want in shown:
+            text = ""
+            for stage in pipeline.split(" | "):
+                program, *argv = shlex.split(stage)
+                assert program == "stratifold"
+                code, text = run(argv, text)
+                assert code == 0
+            assert text == want + "\n"

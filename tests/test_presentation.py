@@ -7,11 +7,11 @@ import pytest
 from helpers import random_valid_graph
 from stratifold import (INDETERMINATE, BlackVertex, Edge, FiniteOrder,
                         FSignature, Generator, GraphError, GroupPresentation,
-                        InfiniteOrder, StratifoldGraph, UnknownOrder,
-                        WhiteVertex, Word, abelianization, fgroup_graph,
-                        fgroup_presentation, format_word, lens_spine,
-                        natural_presentation, normalize, q_presentation,
-                        rewrite_through, s2xs1_spine, simplify, spanning_tree)
+                        InfiniteOrder, StratifoldGraph, WhiteVertex, Word,
+                        abelianization, fgroup_graph, fgroup_presentation,
+                        format_word, lens_spine, natural_presentation,
+                        normalize, parse_graph, q_graph, rewrite_through,
+                        s2xs1_spine, simplify, spanning_tree)
 
 
 def shape(pres):
@@ -279,43 +279,42 @@ class TestFGroupBuilders:
 
 
 class TestQPresentation:
+    """The quotient presentation q_graph builds: the graph presentation
+    plus one single-generator relator per killed generator."""
+
     def test_lens_quotient_is_trivial(self):
-        g = normalize(lens_spine(5))
-        q = q_presentation(g, {"b": FiniteOrder(5, "power relator")}, set())
-        ab = abelianization(q)
+        q = q_graph(lens_spine(5))
+        ab = abelianization(q.presentation)
         assert (ab.free_rank, ab.torsion) == (0, ())
 
     def test_adds_single_generator_relators_only(self):
-        g = normalize(lens_spine(5))
-        base = natural_presentation(g)
-        q = q_presentation(g, {"b": FiniteOrder(5, "power relator")}, set())
-        assert q.generators == base.generators
-        extra = q.relators[len(base.relators):]
+        g = lens_spine(5)
+        base = natural_presentation(normalize(g))
+        q = q_graph(g)
+        assert q.presentation.generators == base.generators
+        assert q.presentation.relators[:len(base.relators)] == base.relators
+        extra = q.presentation.relators[len(base.relators):]
         assert [format_word(r) for r in extra] == ["b.b"]
 
     def test_hole_kills_surface_generators(self):
-        g = fgroup_graph(FSignature(-1, (2,)))
-        orders = {"b1": FiniteOrder(2, "power relator")}
-        q = q_presentation(g, orders, {"w0"})
-        ab = abelianization(q)
+        q = q_graph(fgroup_graph(FSignature(-1, (2,))))
+        assert q.white_holes == ("w0",)
+        ab = abelianization(q.presentation)
         assert (ab.free_rank, ab.torsion) == (0, ())
-        assert format_word(q.relators[-1]) == "y.w0.1"
+        assert format_word(q.presentation.relators[-1]) == "y.w0.1"
 
     def test_infinite_blacks_add_nothing(self):
-        g = normalize(s2xs1_spine())
-        base = natural_presentation(g)
-        q = q_presentation(g, {"b": InfiniteOrder("abelian image")}, set())
-        assert q == base
+        g = parse_graph("black b\nedge e w b 3\nwhite w genus -2\n")
+        q = q_graph(g)
+        assert isinstance(q.orders["b"], InfiniteOrder)
+        assert q.presentation == natural_presentation(normalize(g))
+        # the branch circle of S2xS1 has order 1: killing it adds the
+        # relator b.b but leaves H1 as it was
+        g = s2xs1_spine()
+        q = q_graph(g)
+        assert q.orders["b"] == FiniteOrder(1, q.orders["b"].certificate)
+        assert q.abelianization == abelianization(natural_presentation(normalize(g)))
 
     def test_unknown_verdict_abstains(self):
-        g = normalize(lens_spine(5))
-        assert q_presentation(g, {"b": UnknownOrder(10)}, set()) is INDETERMINATE
-
-    def test_missing_verdict_is_an_error(self):
-        with pytest.raises(ValueError):
-            q_presentation(normalize(lens_spine(5)), {}, set())
-
-    def test_non_white_hole_is_an_error(self):
-        g = normalize(lens_spine(5))
-        with pytest.raises(GraphError):
-            q_presentation(g, {"b": FiniteOrder(5, "power relator")}, {"b"})
+        g = fgroup_graph(FSignature(0, (2, 3, 7)))
+        assert q_graph(g, budget=50) is INDETERMINATE
