@@ -11,8 +11,8 @@ from .algebra import (DEFAULT_COSET_BUDGET, AbelianInvariants, CosetTable,
                       Exhausted, IntMatrix, OrderOracle, abelianization,
                       apply_transforms, element_order, relation_matrix,
                       smith_normal_form, todd_coxeter)
-from .analysis import (FCLASS_KINDS, FClass, Obstruction, OrderCensus,
-                       QComponent, QResult, black_orders, classify_fgroup,
+from .analysis import (FCLASS_KINDS, FClass, Obstruction, QComponent,
+                       QResult, black_orders, classify_fgroup,
                        fgroup_signature_of, obstructions, q_graph, white_holes)
 from .errors import (DomainError, GraphError, NoSpineError, ParseError,
                      StratifoldError)
@@ -40,7 +40,7 @@ __all__ = [
     "FSignature", "FiniteOrder", "GENERATOR_ROLES", "Generator", "GraphError",
     "GroupPresentation", "INDETERMINATE", "InfiniteOrder", "IntMatrix",
     "ManifoldExpr", "NOT_CANONICAL", "NoSpineError", "Obstruction",
-    "OrderCensus", "OrderOracle", "OrderVerdict", "ParseError", "QComponent",
+    "OrderOracle", "OrderVerdict", "ParseError", "QComponent",
     "QResult", "SUMMAND_KINDS", "Sentinel", "SimplifyResult",
     "StratifoldError", "StratifoldGraph", "Summand", "UnknownOrder",
     "Violation", "WhiteVertex", "Word", "abelianization", "apply_transforms",

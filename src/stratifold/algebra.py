@@ -545,14 +545,15 @@ def _power_relator_bound(cyclic: tuple[tuple[Word, int], ...], image: Word) -> i
 
 
 class OrderOracle:
-    """Shared certificate state for element orders in one presentation.
+    """Certificate state for element orders in one presentation.
 
-    The simplified presentation is built once, its abelianization
-    transform on first use, and a coset table only when a question needs
-    one, so a census of many words reuses them; each word is rewritten
-    once and both bounds read that image.  The coset budget belongs to
-    each question: the last table is kept with the budget that built it.
-    Every verdict is certified:
+    The simplified presentation and its abelianization transform are
+    built on first need and a coset table only when a question needs one,
+    so a census of many words reuses them; each word is rewritten once
+    and both bounds read that image.  The coset budget belongs to each
+    question, and the oracle keeps one budget slot: the verdicts given
+    and the coset table built under the latest budget, both dropped when
+    another budget is asked.  Every verdict is certified:
 
     1. Infinite when the abelianized image has infinite order;
     2. Finite when a Tietze-derived power bound meets the abelianized
@@ -566,24 +567,35 @@ class OrderOracle:
 
     def __init__(self, pres: GroupPresentation, protect: frozenset[str] = frozenset()):
         self.pres = pres
+        self._protect = protect
         self._names = frozenset(pres.generator_names())
-        self.simplified = simplify(pres, protect=protect)
-        self._cyclic = _cyclic_relators(self.simplified.presentation.relators)
-        self._table: tuple[int, CosetTable | Exhausted] | None = None
+        self._budget: int | None = None
+        self._verdicts: dict[Word, OrderVerdict] = {}
+        self._table: CosetTable | Exhausted | None = None
+
+    @cached_property
+    def simplified(self) -> SimplifyResult:
+        return simplify(self.pres, protect=self._protect)
+
+    @cached_property
+    def _cyclic(self) -> tuple[tuple[Word, int], ...]:
+        return _cyclic_relators(self.simplified.presentation.relators)
 
     @cached_property
     def _abelian(self) -> _AbelianImage:
         return _AbelianImage(self.simplified)
 
-    def _enumerate(self, budget: int) -> CosetTable | Exhausted:
-        if self._table is None or self._table[0] != budget:
-            self._table = budget, todd_coxeter(self.pres, (), budget)
-        return self._table[1]
-
     def order(self, word: Word, budget: int = DEFAULT_COSET_BUDGET) -> OrderVerdict:
         bad = word.names() - self._names
         if bad:
             raise ValueError(f"word uses undeclared generators {sorted(bad)}")
+        if budget != self._budget:
+            self._budget, self._verdicts, self._table = budget, {}, None
+        if word not in self._verdicts:
+            self._verdicts[word] = self._certify(word)
+        return self._verdicts[word]
+
+    def _certify(self, word: Word) -> OrderVerdict:
         if word.is_empty:
             return FiniteOrder(1, "empty word")
         image = rewrite_through(word, self.simplified.eliminations)
@@ -598,12 +610,13 @@ class OrderOracle:
         if 0 in self._abelian.diag:
             # H1 has a free summand: the group is infinite, so no coset
             # table over the trivial subgroup can close
-            return UnknownOrder(budget)
-        result = self._enumerate(budget)
-        if isinstance(result, CosetTable):
-            k = result.permutation_order(word)
-            return FiniteOrder(k, f"coset enumeration closed with {result.cosets} cosets")
-        return UnknownOrder(budget)
+            return UnknownOrder(self._budget)
+        if self._table is None:
+            self._table = todd_coxeter(self.pres, (), self._budget)
+        if isinstance(self._table, CosetTable):
+            k = self._table.permutation_order(word)
+            return FiniteOrder(k, f"coset enumeration closed with {self._table.cosets} cosets")
+        return UnknownOrder(self._budget)
 
     def quotient_invariants(self, words: tuple[Word, ...]) -> AbelianInvariants:
         """H1 of the group modulo the normal closure of ``words``.

@@ -12,7 +12,6 @@ INDETERMINATE rather than a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 
 from .algebra import DEFAULT_COSET_BUDGET, AbelianInvariants, OrderOracle
@@ -87,88 +86,50 @@ def classify_fgroup(sig: FSignature) -> FClass:
     return FClass("infinite", surface=(p == 0))
 
 
-class OrderCensus(dict):
-    """Order verdict of every branch-circle generator, keyed by black id.
+_last: tuple[StratifoldGraph, OrderOracle] | None = None
 
-    Its readers see a plain mapping, which cannot be changed: one census
-    is handed to every caller that asks about the same graph and budget.
+
+def analyze(graph: StratifoldGraph) -> OrderOracle:
+    """The order oracle of the natural presentation of ``graph``
+    (normalized), reused while successive calls ask about graphs equal to
+    it (same vertices, genera, edges and labels, however the input text
+    was ordered).  Only the latest graph's oracle is kept; a different
+    graph replaces it.  The oracle simplifies on first need (that is
+    also what ``pi1 --simplify`` prints, and ``abelianization(oracle)``
+    is H1) and keeps its verdicts and coset table for the latest budget.
     """
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("an OrderCensus cannot be changed")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-    def __reduce__(self):
-        # default copy and pickle refill item by item, which the guard refuses
-        return OrderCensus, (dict(self),)
-
-
-class GraphAnalysis:
-    """Everything the pipeline derives from one valid graph, each piece
-    computed once.
-
-    The natural presentation of the normalized graph is built up front.
-    The order oracle (its Tietze simplification is also what ``pi1
-    --simplify`` prints, and its Smith form gives H1) and the order census
-    under one coset budget are built on first use.  The oracle serves
-    every budget; asking for a census under another budget replaces the
-    census, so at most one census and one coset table are kept.
-    """
-
-    def __init__(self, graph: StratifoldGraph):
-        self.graph = graph
-        self.presentation = natural_presentation(normalize(graph))
-        self._census: tuple[int, OrderCensus] | None = None
-
-    @cached_property
-    def oracle(self) -> OrderOracle:
-        """The oracle of every census; ``abelianization(oracle)`` is H1."""
-        return OrderOracle(self.presentation)
-
-    def census(self, budget: int) -> OrderCensus:
-        if self._census is None or self._census[0] != budget:
-            oracle = self.oracle
-            # normalize changes only labels, so the graph's ids are the
-            # normalized graph's
-            self._census = budget, OrderCensus(
-                {b.id: oracle.order(Word(((f"b.{b.id}", 1),)), budget)
-                 for b in self.graph.blacks})
-        return self._census[1]
-
-
-_last: GraphAnalysis | None = None
-
-
-def analyze(graph: StratifoldGraph) -> GraphAnalysis:
-    """The analysis of ``graph``, reused while successive calls ask about
-    graphs equal to it (same vertices, genera, edges and labels, however
-    the input text was ordered).  Only the latest graph's analysis is
-    kept; a different graph replaces it."""
     global _last
-    if _last is None or _last.graph != graph:
-        _last = GraphAnalysis(graph)
-    return _last
+    if _last is None or _last[0] != graph:
+        _last = graph, OrderOracle(natural_presentation(normalize(graph)))
+    return _last[1]
 
 
 def clear_analysis() -> None:
-    """Forget the kept analysis, so the next call starts from scratch."""
+    """Forget the kept oracle, so the next call starts from scratch."""
     global _last
     _last = None
 
 
+def _census(graph: StratifoldGraph, oracle: OrderOracle,
+            budget: int) -> dict[str, OrderVerdict]:
+    # normalize changes only labels, so the graph's ids are the
+    # normalized graph's
+    return {b.id: oracle.order(Word(((f"b.{b.id}", 1),)), budget)
+            for b in graph.blacks}
+
+
 def black_orders(graph: StratifoldGraph,
-                 budget: int = DEFAULT_COSET_BUDGET) -> OrderCensus:
+                 budget: int = DEFAULT_COSET_BUDGET) -> dict[str, OrderVerdict]:
     """Certified order of every branch-circle generator b.<id>.
 
     Orders are taken in the fundamental group of the (normalized) graph;
-    one oracle is shared across the census so the simplification and any
-    coset table are computed once.  Unknown verdicts are honest
-    abstentions carried by the budget.  Calling again on an equal graph
-    with the same budget returns the same census.
+    one oracle serves the census, so the simplification and any coset
+    table are computed once.  Unknown verdicts are honest abstentions
+    carried by the budget.  Calling again on an equal graph with the
+    same budget reads the oracle's kept verdicts; each call returns a
+    census of its own.
     """
-    return analyze(graph).census(budget)
+    return _census(graph, analyze(graph), budget)
 
 
 def white_holes(graph: StratifoldGraph,
@@ -227,7 +188,7 @@ class QResult:
     the census it read, what it deleted, what survives, and the quotient
     group with its H1."""
 
-    orders: OrderCensus
+    orders: dict[str, OrderVerdict]
     deleted_blacks: tuple[str, ...]
     white_holes: tuple[str, ...]
     components: tuple[QComponent, ...]
@@ -249,8 +210,8 @@ def q_graph(graph: StratifoldGraph,
     group by the subgroup generated by all torsion.  Its H1 is read from
     the oracle's simplified presentation, so nothing is simplified again.
     """
-    analysis = analyze(graph)
-    orders = analysis.census(budget)
+    oracle = analyze(graph)
+    orders = _census(graph, oracle, budget)
     if any(isinstance(v, UnknownOrder) for v in orders.values()):
         return INDETERMINATE
     holes = tuple(sorted(white_holes(graph, orders)))
@@ -266,10 +227,10 @@ def q_graph(graph: StratifoldGraph,
                                          and not sub.blacks) else None
         pieces.append(QComponent(sub, capped, closed))
     killed = killed_words(graph, deleted, holes)
-    base = analysis.presentation
+    base = oracle.pres
     return QResult(orders, deleted, holes, tuple(pieces),
                    GroupPresentation(base.generators, base.relators + killed),
-                   analysis.oracle.quotient_invariants(killed))
+                   oracle.quotient_invariants(killed))
 
 
 def fgroup_signature_of(graph: StratifoldGraph) -> FSignature | None:

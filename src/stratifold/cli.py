@@ -129,8 +129,9 @@ def _ab_json(ab) -> dict:
 # A handler fills in the report.  Handlers of the commands that take one
 # graph receive it parsed and validated; the others receive the input texts.
 # pi1, h1, order, holes, q and obstruct reach the graph's group through
-# analysis.analyze, so successive commands on one graph share its
-# presentation, simplification, H1 and order census.
+# analysis.analyze, so successive commands on one graph share its order
+# oracle: the presentation, its simplification and H1, and the verdicts
+# and coset table of the latest budget.
 
 
 def _cmd_validate(args, inputs, report):
@@ -142,11 +143,11 @@ def _cmd_validate(args, inputs, report):
 
 
 def _cmd_pi1(args, graph, report):
-    analysis = analyze(graph)
-    pres = analysis.presentation
+    oracle = analyze(graph)
+    pres = oracle.pres
     payload = {"simplified": bool(args.simplify)}
     if args.simplify:
-        result = analysis.oracle.simplified
+        result = oracle.simplified
         pres = result.presentation
         payload["eliminations"] = len(result.eliminations)
         payload["exhausted"] = result.exhausted
@@ -155,7 +156,7 @@ def _cmd_pi1(args, graph, report):
 
 
 def _cmd_h1(args, graph, report):
-    ab = abelianization(analyze(graph).oracle)
+    ab = abelianization(analyze(graph))
     report["payload"] = _ab_json(ab)
 
 

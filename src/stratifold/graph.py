@@ -443,11 +443,9 @@ def _signs_compatible(g1, c1, c2, wmap, bmap):
     block, giving a parity constraint y_black xor y_white = c; classes at
     nonorientable whites are unconstrained (single-edge moves).  The
     constraints form a union-find-with-parity problem.  ``c1`` and ``c2``
-    are the parallel classes of the two graphs, from :func:`_cells`.
+    are the parallel classes of the two graphs, from :func:`_cells`; the
+    caller has matched each class of ``c1`` to one of ``c2`` of equal size.
     """
-    if len(c1) != len(c2):
-        return False
-
     parent: dict[tuple[str, str], tuple[tuple[str, str], int]] = {}
 
     def find(x):
@@ -475,10 +473,7 @@ def _signs_compatible(g1, c1, c2, wmap, bmap):
         return True
 
     for (w, b, m), (k, pos1) in c1.items():
-        target = c2.get((wmap[w], bmap[b], m))
-        if target is None or target[0] != k:
-            return False
-        pos2 = target[1]
+        pos2 = c2[(wmap[w], bmap[b], m)][1]
         if g1.white(w).genus < 0:
             continue  # any sign pattern reachable via M3
         allowed = set()
