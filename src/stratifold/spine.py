@@ -121,11 +121,20 @@ def p2xs1_spine() -> StratifoldGraph:
          Edge("e3", "wa", "b", 1)])
 
 
-def _prefixed(graph: StratifoldGraph, prefix: str) -> StratifoldGraph:
-    whites = [WhiteVertex(prefix + w.id, w.genus) for w in graph.whites]
-    blacks = [BlackVertex(prefix + b.id) for b in graph.blacks]
-    edges = [Edge(prefix + e.id, prefix + e.white, prefix + e.black, e.label)
-             for e in graph.edges]
+def _wedge(parts, junctions) -> StratifoldGraph:
+    """The (prefix, graph) parts with prefixed ids, plus per (j, a, b) a
+    junction: black j, disk jd, degree-1 edges ja, jb, jc from a, b, jd."""
+    whites, blacks, edges = [], [], []
+    for prefix, g in parts:
+        whites += [WhiteVertex(prefix + w.id, w.genus) for w in g.whites]
+        blacks += [BlackVertex(prefix + b.id) for b in g.blacks]
+        edges += [Edge(prefix + e.id, prefix + e.white, prefix + e.black, e.label)
+                  for e in g.edges]
+    for j, a, b in junctions:
+        whites.append(WhiteVertex(j + "d", 0))
+        blacks.append(BlackVertex(j))
+        edges += [Edge(j + "a", a, j, 1), Edge(j + "b", b, j, 1),
+                  Edge(j + "c", j + "d", j, 1)]
     return StratifoldGraph(whites, blacks, edges)
 
 
@@ -141,15 +150,7 @@ def delta_sum(g1: StratifoldGraph, w1: str, g2: StratifoldGraph,
     """
     g1.white(w1)
     g2.white(w2)
-    left = _prefixed(g1, "l.")
-    right = _prefixed(g2, "r.")
-    whites = list(left.whites) + list(right.whites) + [WhiteVertex("jd", 0)]
-    blacks = list(left.blacks) + list(right.blacks) + [BlackVertex("j")]
-    edges = list(left.edges) + list(right.edges) + [
-        Edge("ja", "l." + w1, "j", 1),
-        Edge("jb", "r." + w2, "j", 1),
-        Edge("jc", "jd", "j", 1)]
-    return StratifoldGraph(whites, blacks, edges)
+    return _wedge([("l.", g1), ("r.", g2)], [("j", "l." + w1, "r." + w2)])
 
 
 def attachment_white(graph: StratifoldGraph) -> str:
@@ -177,17 +178,39 @@ def _spine(s: Summand) -> StratifoldGraph:
 
 
 def synth(expr: ManifoldExpr) -> StratifoldGraph:
-    """Canonical spine of a connected-sum expression.
+    """Canonical spine of a connected-sum expression, built in one pass.
 
-    Left fold of delta_sum over the sorted summands, attaching at the
-    deterministic vertex on both sides, so equal expressions rebuild
-    byte-identical graphs.  Rejects any expression mentioning S3.
+    One summand gives its primitive spine.  Otherwise summand i (sorted)
+    gets ids prefixed ``s<i>.``, and junction i >= 1 (black ``j<i>``, disk
+    ``j<i>d``, edges ``j<i>a/b/c``) joins summand 0's attachment_white, the
+    hub, to summand i's: a star.  That is the left fold of delta_sum at
+    attachment_white with flat ids for its nested ``l.``/``r.`` ones, so
+    the text is linear in the summands.  Rejects any expression with S3.
+
+    >>> from stratifold import parse_expr, serialize_graph
+    >>> print(serialize_graph(synth(parse_expr("L(3) # S2xS1"))), end="")
+    black j1
+    black s0.b
+    black s1.b
+    edge j1a s0.w j1 1
+    edge j1b s1.wa j1 1
+    edge j1c j1d j1 1
+    edge s0.e s0.w s0.b 3
+    edge s1.e1 s1.wa s1.b 1
+    edge s1.e2 s1.wa s1.b 1
+    edge s1.e3 s1.wd s1.b 1
+    white j1d genus 0
+    white s0.w genus 0
+    white s1.wa genus 0
+    white s1.wd genus 0
     """
     graphs = [_spine(s) for s in expr.summands]
-    acc = graphs[0]
-    for g in graphs[1:]:
-        acc = delta_sum(acc, attachment_white(acc), g, attachment_white(g))
-    return acc
+    if len(graphs) == 1:
+        return graphs[0]
+    hub = "s0." + attachment_white(graphs[0])
+    return _wedge([(f"s{i}.", g) for i, g in enumerate(graphs)],
+                  [(f"j{i}", hub, f"s{i}." + attachment_white(g))
+                   for i, g in enumerate(graphs) if i])
 
 
 def _junction_blacks(graph: StratifoldGraph) -> list[tuple[str, str]]:

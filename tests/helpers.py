@@ -4,8 +4,9 @@ Everything takes an explicit random.Random so individual tests stay
 reproducible; no module-level state.
 """
 
-from stratifold import (BlackVertex, Edge, IntMatrix, StratifoldGraph, Summand,
-                        WhiteVertex, apply_transforms)
+from stratifold import (BlackVertex, Edge, IntMatrix, ManifoldExpr,
+                        StratifoldGraph, Summand, WhiteVertex, apply_transforms,
+                        attachment_white, delta_sum, synth)
 
 
 def random_valid_graph(rng, max_whites=4, max_blacks=3, max_extra=3):
@@ -93,6 +94,17 @@ def relabeled(graph, prefix):
          for e in graph.edges])
 
 
+def fold_synth(expr):
+    """Left fold of delta_sum over the sorted summands, attaching at
+    attachment_white on both sides: synth's graph, but with delta_sum's
+    nested l./r. ids."""
+    graphs = [synth(ManifoldExpr([s])) for s in expr.summands]
+    acc = graphs[0]
+    for g in graphs[1:]:
+        acc = delta_sum(acc, attachment_white(acc), g, attachment_white(g))
+    return acc
+
+
 def cycle_rank(graph):
     return len(graph.edges) - len(graph.whites) - len(graph.blacks) + 1
 
@@ -138,6 +150,12 @@ PRIMITIVE_SUMMANDS = (
     Summand("lens", 7), Summand("lens", 9),
     Summand("s2xs1"), Summand("s2~xs1"), Summand("p2xs1"),
 )
+
+
+# one summand of each spine shape: the bare P2, lens disks of two labels,
+# and the three bundle spines
+SPINE_KINDS = (Summand("lens", 2), Summand("lens", 3), Summand("lens", 4),
+               Summand("s2xs1"), Summand("s2~xs1"), Summand("p2xs1"))
 
 
 def random_expr_summands(rng, max_summands=5):

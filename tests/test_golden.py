@@ -71,15 +71,18 @@ def test_golden_reports_are_byte_identical():
 def _corpus_inputs():
     import random
 
-    from helpers import random_valid_graph
+    from helpers import fold_synth, random_valid_graph
     from stratifold import (FSignature, fgroup_graph, natural_presentation,
                             normalize, parse_expr, serialize_graph,
-                            serialize_presentation, synth)
+                            serialize_presentation)
 
+    # the spines are left folds of delta_sum, so the stored inputs keep their
+    # nested l./r. ids and cover fold-built graphs; the synth cases below
+    # cover synth's own flat ids
     graphs = {}
     for i, expr in enumerate(("L(2)", "L(3)", "S2xS1", "S2~xS1", "P2xS1",
                               "L(3) # S2xS1", "L(2) # L(3) # P2xS1")):
-        graphs[f"spine{i}"] = serialize_graph(synth(parse_expr(expr)))
+        graphs[f"spine{i}"] = serialize_graph(fold_synth(parse_expr(expr)))
     for i, (genus, periods) in enumerate((
             (0, (2, 3, 5)), (-1, (3,)), (0, (2, 3, 7)), (1, ()), (2, (2,)))):
         graphs[f"fgroup{i}"] = serialize_graph(fgroup_graph(FSignature(genus, periods)))
@@ -112,7 +115,7 @@ def _corpus_inputs():
         "free": "gen a black\n",
         "badrel": "gen a black\nrel b^2\n",
         "pi1_sum": serialize_presentation(natural_presentation(
-            normalize(synth(parse_expr("L(2) # L(3) # P2xS1"))))),
+            normalize(fold_synth(parse_expr("L(2) # L(3) # P2xS1"))))),
     }
     exprs = {"expr_ok": "L(3) # P2xS1\n", "expr_s3": "S3\n", "expr_bad": "L(x)\n"}
     return graphs, violations, presentations, exprs

@@ -8,22 +8,26 @@ The order oracle skips coset enumeration when H1 is infinite; the premise
 of that skip is checked directly.  The occurrence-aware simplifier is
 checked against a reference copy of the rescanning loop it replaced, and
 the closed-form word operations against their syllable-by-syllable
-definitions.
+definitions.  The one-pass canonical spine is checked against the left
+fold of delta_sum it replaced.
 """
 
 import random
+from dataclasses import replace
+from itertools import combinations_with_replacement
 from math import gcd
 
 import stratifold.algebra
-from helpers import random_valid_graph
+from helpers import SPINE_KINDS, fold_synth, random_valid_graph
 from stratifold import (GENERATOR_ROLES, INDETERMINATE, CosetTable, Exhausted,
                         FiniteOrder, FSignature, Generator, GroupPresentation,
-                        InfiniteOrder, OrderOracle, SimplifyResult,
-                        UnknownOrder, Word, abelianization, apply_transforms,
-                        black_orders, fgroup_graph, fgroup_presentation,
-                        natural_presentation, normalize, q_graph,
-                        relation_matrix, rewrite_through, simplify,
-                        smith_normal_form, todd_coxeter)
+                        InfiniteOrder, ManifoldExpr, OrderOracle,
+                        SimplifyResult, StratifoldGraph, UnknownOrder,
+                        Word, abelianization, apply_transforms,
+                        are_isomorphic, black_orders, fgroup_graph,
+                        fgroup_presentation, natural_presentation, normalize,
+                        q_graph, relation_matrix, rewrite_through, simplify,
+                        smith_normal_form, synth, todd_coxeter)
 from stratifold.algebra import (_AbelianImage, _column_matrix,
                                 _cyclic_relators, _power_relator_bound)
 from stratifold.presentation import DEFAULT_SIMPLIFY_BUDGET, ELIMINABLE_ROLES
@@ -354,3 +358,41 @@ def test_quotient_invariants_match_added_relators():
         added = GroupPresentation(p.generators, p.relators + tuple(words))
         want, _ = smith_normal_form(relation_matrix(added))
         assert oracle.quotient_invariants(tuple(words)) == want
+
+
+def flat_ids(fold, n):
+    """The fold's spine of n >= 2 summands with synth's ids: summand 0
+    sits under n - 1 ``l.`` prefixes; summand i >= 1 (``r.``) and its
+    junction (``j``) under n - 1 - i."""
+    def flat(old):
+        depth = 0
+        while depth < n - 1 and old.startswith("l.", 2 * depth):
+            depth += 1
+        rest = old[2 * depth:]
+        if depth == n - 1:
+            return "s0." + rest
+        if rest.startswith("r."):
+            return f"s{n - 1 - depth}." + rest[2:]
+        assert rest.startswith("j"), old
+        return f"j{n - 1 - depth}" + rest[1:]
+
+    return StratifoldGraph(
+        [replace(w, id=flat(w.id)) for w in fold.whites],
+        [replace(b, id=flat(b.id)) for b in fold.blacks],
+        [replace(e, id=flat(e.id), white=flat(e.white), black=flat(e.black))
+         for e in fold.edges])
+
+
+def test_synth_is_the_fold_of_delta_sum_with_flat_ids():
+    checked = 0
+    for n in range(1, 7):
+        for summands in combinations_with_replacement(SPINE_KINDS, n):
+            e = ManifoldExpr(summands)
+            got, fold = synth(e), fold_synth(e)
+            assert got == (fold if n == 1 else flat_ids(fold, n)), str(e)
+            # the isomorphism search is factorial (ROADMAP item 5): on four
+            # summands one pair can take minutes
+            if n <= 3:
+                assert are_isomorphic(got, fold), str(e)
+            checked += 1
+    assert checked == 923

@@ -4,16 +4,17 @@ import random
 
 import pytest
 
-from helpers import PRIMITIVE_SUMMANDS, random_expr_summands, relabeled
+from helpers import (PRIMITIVE_SUMMANDS, SPINE_KINDS, random_expr_summands,
+                     relabeled)
 from stratifold import (INDETERMINATE, NOT_CANONICAL, DomainError, FiniteOrder,
                         GraphError, ManifoldExpr, NoSpineError, Sentinel,
                         StratifoldGraph, Summand,
                         WhiteVertex, Word, abelianization, attachment_white,
-                        black_orders, delta_sum, element_order,
+                        black_orders, cw_euler, delta_sum, element_order,
                         euler_characteristic, lens_spine,
                         natural_presentation, normalize, obstructions,
                         p2xs1_spine, partition_at, recognize, s2xs1_spine,
-                        s2xs1_twisted_spine, synth, validate)
+                        s2xs1_twisted_spine, serialize_graph, synth, validate)
 
 
 class TestLensSpine:
@@ -166,6 +167,15 @@ class TestSynth:
         for _ in range(25):
             g = synth(ManifoldExpr(random_expr_summands(rng)))
             assert validate(g) == []
+
+    def test_size_is_linear_in_the_summands(self):
+        e = ManifoldExpr([SPINE_KINDS[i % len(SPINE_KINDS)] for i in range(560)])
+        g = synth(e)
+        assert max(len(x.id) for x in g.whites + g.blacks + g.edges) <= 10
+        assert len(serialize_graph(g).encode()) <= 250 * 560
+        assert validate(g) == []
+        assert recognize(g) == e
+        assert cw_euler(g) == euler_characteristic(g)
 
     def test_s3_has_no_spine(self):
         with pytest.raises(NoSpineError):
