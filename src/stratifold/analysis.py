@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .algebra import DEFAULT_COSET_BUDGET, AbelianInvariants, OrderOracle
-from .graph import StratifoldGraph, components, is_disk, normalize
-from .presentation import (FSignature, GroupPresentation, Word, killed_words,
-                           natural_presentation)
+from .graph import StratifoldGraph, are_isomorphic, components, normalize
+from .presentation import (FSignature, GroupPresentation, Word, fgroup_graph,
+                           killed_words, natural_presentation)
 from .verdicts import (INDETERMINATE, FiniteOrder, InfiniteOrder,
                        OrderVerdict, Sentinel, UnknownOrder)
 
@@ -239,40 +239,21 @@ def fgroup_signature_of(graph: StratifoldGraph) -> FSignature | None:
     That shape is a tree: one central white vertex with p edges of degree
     1, one to each black vertex, and each black vertex tied by one edge of
     degree m_i >= 2 to its own otherwise-isolated disk vertex.  A single
-    white vertex with no edges is the p = 0 member.  Returns None for any
-    other graph.
+    white vertex with no edges is the p = 0 member.  The signature is read
+    off the labels: the center is the white end of a degree-1 edge (the
+    first white when there is none), the periods are the |labels| >= 2.
+    It is returned exactly when the graph is move-isomorphic to its
+    :func:`fgroup_graph`; on a tree every sign pattern is reachable by
+    the moves, so signs never matter.  Returns None for any other graph.
     """
-    if not graph.blacks:
-        if len(graph.whites) == 1 and not graph.edges:
-            return FSignature(graph.whites[0].genus, ())
+    if (len(graph.whites) != len(graph.blacks) + 1
+            or len(graph.edges) != 2 * len(graph.blacks)):
         return None
-    if len(graph.whites) != len(graph.blacks) + 1:
-        return None
-    if len(graph.edges) != 2 * len(graph.blacks):
-        return None
-    periods = []
-    spokes = []
-    for b in graph.blacks:
-        eids = graph.edges_at_black(b.id)
-        if len(eids) != 2:
-            return None
-        pair = sorted((graph.edge(eids[0]), graph.edge(eids[1])),
-                      key=lambda e: abs(e.label))
-        if abs(pair[0].label) != 1 or abs(pair[1].label) < 2:
-            return None
-        spokes.append(pair[0])
-        if not is_disk(graph, pair[1].white):
-            return None
-        periods.append(abs(pair[1].label))
-    centers = {e.white for e in spokes}
-    if len(centers) != 1:
-        return None
-    center = centers.pop()
-    if len(graph.edges_at_white(center)) != len(graph.blacks):
-        return None
-    if any(e.white == center for e in graph.edges if abs(e.label) != 1):
-        return None
-    return FSignature(graph.white(center).genus, tuple(sorted(periods)))
+    center = next((e.white for e in graph.edges if abs(e.label) == 1),
+                  graph.whites[0].id)
+    sig = FSignature(graph.white(center).genus,
+                     tuple(sorted(abs(e.label) for e in graph.edges if abs(e.label) >= 2)))
+    return sig if are_isomorphic(graph, fgroup_graph(sig)) else None
 
 
 @dataclass(frozen=True)

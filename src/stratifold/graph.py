@@ -417,24 +417,28 @@ def normalize(graph: StratifoldGraph) -> StratifoldGraph:
 # -- move-class isomorphism ----------------------------------------------
 
 
-def _white_signature(graph, wid):
-    return (graph.white(wid).genus,
-            tuple(sorted(abs(graph.edge(eid).label) for eid in graph.edges_at_white(wid))))
-
-
-def _cells(graph):
-    """Group parallel edges: (white, black, |label|) -> (count, positives)."""
-    cells: dict[tuple[str, str, int], list[int]] = {}
+def _classes(graph):
+    """Parallel classes of edges: vertex -> neighbour -> {|label|: [count,
+    positives]}, one dict per white-black pair, seen from both ends."""
+    hoods = {v: {} for v in graph._star}
     for e in graph.edges:
-        key = (e.white, e.black, abs(e.label))
-        cnt = cells.setdefault(key, [0, 0])
-        cnt[0] += 1
-        if e.label > 0:
-            cnt[1] += 1
-    return cells
+        w, b = (_WHITE, e.white), (_BLACK, e.black)
+        cell = hoods[w].setdefault(b, {}).setdefault(abs(e.label), [0, 0])
+        hoods[b][w] = hoods[w][b]
+        cell[0] += 1
+        cell[1] += e.label > 0
+    return hoods
 
 
-def _signs_compatible(g1, c1, c2, wmap, bmap):
+def _signatures(graph):
+    """Colour, genus (0 for a black) and sorted |labels| of every vertex."""
+    edge = graph._edge_by_id
+    return {v: (v[0], graph._white_by_id[v[1]].genus if v[0] == _WHITE else 0,
+                tuple(sorted([abs(edge[eid].label) for eid in eids])))
+            for v, eids in graph._star.items()}
+
+
+def _signs_compatible(g1, h1, h2, vmap):
     """Decide whether edge signs agree up to the moves M1-M3.
 
     Every move negates either all edges at one vertex or one edge at a
@@ -442,51 +446,38 @@ def _signs_compatible(g1, c1, c2, wmap, bmap):
     class.  A class at an orientable white vertex can only be flipped as a
     block, giving a parity constraint y_black xor y_white = c; classes at
     nonorientable whites are unconstrained (single-edge moves).  The
-    constraints form a union-find-with-parity problem.  ``c1`` and ``c2``
-    are the parallel classes of the two graphs, from :func:`_cells`; the
-    caller has matched each class of ``c1`` to one of ``c2`` of equal size.
+    constraints are solved by two-colouring, which fails exactly on a
+    cycle of odd parity.  ``h1`` and ``h2`` are the parallel classes of
+    the two graphs, from :func:`_classes`, and ``vmap`` maps every vertex
+    of ``g1`` to one of ``g2``; the caller has matched each class to one
+    of equal size whose positive count is either equal or complementary.
     """
-    parent: dict[tuple[str, str], tuple[tuple[str, str], int]] = {}
-
-    def find(x):
-        if x not in parent:
-            parent[x] = (x, 0)
-        root, par = x, 0
-        while parent[root][0] != root:
-            par ^= parent[root][1]
-            root = parent[root][0]
-        # path compression
-        node, acc = x, par
-        while parent[node][0] != node:
-            nxt, p = parent[node]
-            parent[node] = (root, acc)
-            acc ^= p
-            node = nxt
-        return root, par
-
-    def union(x, y, rel):
-        rx, px = find(x)
-        ry, py = find(y)
-        if rx == ry:
-            return (px ^ py) == rel
-        parent[rx] = (ry, px ^ py ^ rel)
-        return True
-
-    for (w, b, m), (k, pos1) in c1.items():
-        pos2 = c2[(wmap[w], bmap[b], m)][1]
-        if g1.white(w).genus < 0:
+    ties: dict[tuple[str, str], list] = {}
+    for w in g1.whites:
+        if w.genus < 0:
             continue  # any sign pattern reachable via M3
-        allowed = set()
-        if pos1 == pos2:
-            allowed.add(0)
-        if pos1 + pos2 == k:
-            allowed.add(1)
-        if not allowed:
-            return False
-        if len(allowed) == 2:
+        v = (_WHITE, w.id)
+        for u, cls in h1[v].items():
+            other = h2[vmap[v]][vmap[u]]
+            for m, (k, pos) in cls.items():
+                if 2 * pos != k:  # a half-positive class fits either way
+                    flip = pos != other[m][1]
+                    ties.setdefault(v, []).append((u, flip))
+                    ties.setdefault(u, []).append((v, flip))
+    side: dict[tuple[str, str], bool] = {}
+    for start in ties:
+        if start in side:
             continue
-        if not union(("w", w), ("b", b), allowed.pop()):
-            return False
+        side[start] = False
+        todo = [start]
+        while todo:
+            x = todo.pop()
+            for y, flip in ties[x]:
+                if y not in side:
+                    side[y] = side[x] ^ flip
+                    todo.append(y)
+                elif side[y] != side[x] ^ flip:
+                    return False
     return True
 
 
@@ -495,64 +486,87 @@ def are_isomorphic(g1: StratifoldGraph, g2: StratifoldGraph) -> bool:
 
     A color- and genus-preserving vertex bijection must match every
     parallel class of edges by absolute label, and the sign patterns must
-    differ by re-orientation moves only.  The search backtracks over
-    vertex bijections pruned by local signatures.  Whether M1-M3 generate
-    all label equivalences realized by homeomorphisms is not claimed; this
-    predicate is exactly move-class isomorphism.
+    differ by re-orientation moves only.  One backtracking search, kept on
+    an explicit stack, visits g1's vertices depth-first from a vertex of
+    rarest signature (colour, genus, sorted |labels|).  Each vertex maps
+    to an unused vertex of its signature, a neighbour of its parent's
+    image, whose parallel classes to the vertices already mapped match
+    its own in size and, at orientable whites, in a sign split some move
+    reaches; unless the parallel classes form a forest, a complete map
+    must also pass :func:`_signs_compatible`.  The search has no budget:
+    graphs with many automorphisms can take exponential time.  Whether
+    M1-M3 generate all label equivalences realized by homeomorphisms is
+    not claimed; this predicate is exactly move-class isomorphism.
     """
-    if (len(g1.whites) != len(g2.whites) or len(g1.blacks) != len(g2.blacks)
-            or len(g1.edges) != len(g2.edges)):
+    sig1, sig2 = _signatures(g1), _signatures(g2)
+    if sorted(sig1.values()) != sorted(sig2.values()):  # also counts edges
         return False
-    w1 = [w.id for w in g1.whites]
-    w2 = [w.id for w in g2.whites]
-    b1 = [b.id for b in g1.blacks]
-    b2 = [b.id for b in g2.blacks]
-    sig1w = {w: _white_signature(g1, w) for w in w1}
-    sig2w = {w: _white_signature(g2, w) for w in w2}
-    sig1b = {b: partition_at(g1, b) for b in b1}
-    sig2b = {b: partition_at(g2, b) for b in b2}
-    if sorted(sig1w.values()) != sorted(sig2w.values()):
-        return False
-    if sorted(sig1b.values()) != sorted(sig2b.values()):
-        return False
+    by_sig: dict[tuple, list] = {}
+    for v, s in sig2.items():
+        by_sig.setdefault(s, []).append(v)
+    h1, h2 = _classes(g1), _classes(g2)
 
-    cells1, cells2 = _cells(g1), _cells(g2)
+    # g1's vertices in visiting order, each after its parent.  When the
+    # classes form a forest (one per tree edge), no cycle of parity
+    # constraints exists, so every sign split that fits admits is reachable
+    order: list[tuple] = []
+    parent: dict[tuple, tuple | None] = {}
+    forest = True
+    for root in sorted(sig1, key=lambda v: len(by_sig[sig1[v]])):
+        if root in parent:
+            continue
+        parent[root] = None
+        todo = [root]
+        while todo:
+            v = todo.pop()
+            order.append(v)
+            for u, cls in h1[v].items():
+                if u not in parent:
+                    parent[u] = v
+                    todo.append(u)
+                forest = (forest and len(cls) == 1
+                          and (parent[u] == v or parent[v] == u))
 
-    def extend(i, wmap, used):
-        if i == len(w1):
-            return match_blacks(0, {}, set(), wmap)
-        w = w1[i]
-        for cand in w2:
-            if cand in used or sig2w[cand] != sig1w[w]:
+    vmap: dict[tuple, tuple] = {}
+    used: set[tuple] = set()
+
+    def fits(v, c):
+        # v's classes to mapped vertices against c's; that c has no more
+        # mapped neighbours than v only prunes, as the edge counts agree
+        mapped = 0
+        for u, cls in h1[v].items():
+            if u not in vmap:
                 continue
-            wmap[w] = cand
-            used.add(cand)
-            if extend(i + 1, wmap, used):
-                return True
-            del wmap[w]
-            used.remove(cand)
-        return False
-
-    def match_blacks(i, bmap, used, wmap):
-        if i == len(b1):
-            return check(wmap, bmap)
-        b = b1[i]
-        for cand in b2:
-            if cand in used or sig2b[cand] != sig1b[b]:
-                continue
-            bmap[b] = cand
-            used.add(cand)
-            if match_blacks(i + 1, bmap, used, wmap):
-                return True
-            del bmap[b]
-            used.remove(cand)
-        return False
-
-    def check(wmap, bmap):
-        for (w, b, m), (k, _) in cells1.items():
-            t = cells2.get((wmap[w], bmap[b], m))
-            if t is None or t[0] != k:
+            other = h2[c].get(vmap[u])
+            if other is None or len(other) != len(cls):
                 return False
-        return _signs_compatible(g1, cells1, cells2, wmap, bmap)
+            free = sig1[v][1] < 0 or sig1[u][1] < 0  # nonorientable white end
+            for m, (k, pos) in cls.items():
+                k2, pos2 = other.get(m, (0, 0))
+                if k2 != k or not (free or pos == pos2 or pos == k - pos2):
+                    return False
+            mapped += 1
+        return mapped == len(used.intersection(h2[c]))
 
-    return extend(0, {}, set())
+    # frame i iterates the untried candidates of order[i]
+    frames = [iter(by_sig[sig1[order[0]]])] if order else []
+    while frames:
+        v = order[len(frames) - 1]
+        if v in vmap:
+            used.remove(vmap.pop(v))
+        for c in frames[-1]:
+            if c not in used and sig2[c] == sig1[v] and fits(v, c):
+                break
+        else:
+            frames.pop()
+            continue
+        if len(frames) == len(order):
+            if forest or _signs_compatible(g1, h1, h2, {**vmap, v: c}):
+                return True
+            continue
+        vmap[v] = c
+        used.add(c)
+        u = order[len(frames)]
+        pool = by_sig[sig1[u]] if parent[u] is None else h2[vmap[parent[u]]]
+        frames.append(iter(pool))
+    return not order

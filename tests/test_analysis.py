@@ -2,15 +2,16 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from helpers import random_valid_graph
+from helpers import random_valid_graph, relabeled
 from stratifold import (INDETERMINATE, BlackVertex, CosetTable, Edge,
                         Exhausted, FiniteOrder, FSignature, InfiniteOrder,
                         StratifoldGraph, UnknownOrder, WhiteVertex,
-                        abelianization, black_orders, classify_fgroup,
-                        fgroup_graph, fgroup_presentation,
+                        abelianization, are_isomorphic, black_orders,
+                        classify_fgroup, fgroup_graph, fgroup_presentation,
                         fgroup_signature_of, lens_spine, natural_presentation,
                         obstructions, p2xs1_spine, q_graph, s2xs1_spine,
                         todd_coxeter, white_holes)
@@ -285,6 +286,48 @@ class TestFGroupSignatureOf:
         bent = StratifoldGraph(
             [WhiteVertex("w0", 0), WhiteVertex("d1", 1)], g.blacks, g.edges)
         assert fgroup_signature_of(bent) is None
+
+    def test_disguised_members(self):
+        # fresh ids and arbitrary label signs: on a tree every sign
+        # pattern is one move class
+        rng = random.Random(611)
+        for _ in range(200):
+            sig = FSignature(rng.randint(-3, 3), tuple(sorted(
+                rng.randint(2, 6) for _ in range(rng.randint(0, 5)))))
+            g = fgroup_graph(sig)
+            disguised = relabeled(StratifoldGraph(g.whites, g.blacks, [
+                replace(e, label=rng.choice((1, -1)) * e.label) for e in g.edges]), "x")
+            assert fgroup_signature_of(disguised) == sig
+
+    def test_one_change_gives_none_or_an_isomorphic_member(self):
+        rng = random.Random(612)
+        members = 0
+        for _ in range(300):
+            g = fgroup_graph(FSignature(rng.randint(-2, 2), tuple(sorted(
+                rng.randint(2, 4) for _ in range(rng.randint(1, 4))))))
+            whites, edges = list(g.whites), list(g.edges)
+            change = rng.randrange(3)
+            if change == 0:     # move one end of an edge
+                i = rng.randrange(len(edges))
+                if rng.random() < 0.5:
+                    edges[i] = replace(edges[i], white=rng.choice(whites).id)
+                else:
+                    edges[i] = replace(edges[i], black=rng.choice(g.blacks).id)
+            elif change == 1:   # change one label
+                i = rng.randrange(len(edges))
+                edges[i] = replace(edges[i], label=rng.choice((1, -1)) * rng.randint(1, 4))
+            else:               # change one genus
+                i = rng.randrange(len(whites))
+                whites[i] = replace(whites[i], genus=rng.randint(-2, 2))
+            changed = StratifoldGraph(whites, g.blacks, edges)
+            # an F-group graph like it has its |labels| >= 2 as periods
+            # and the genus of one of its whites
+            periods = tuple(sorted(abs(e.label) for e in edges if abs(e.label) >= 2))
+            fits = {FSignature(w.genus, periods) for w in whites}
+            fits = [sig for sig in fits if are_isomorphic(changed, fgroup_graph(sig))]
+            assert fgroup_signature_of(changed) == (fits[0] if fits else None)
+            members += bool(fits)
+        assert 0 < members < 300
 
 
 class TestObstructions:

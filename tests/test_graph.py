@@ -1,15 +1,18 @@
-"""Graph construction, validation, Euler characteristics, normalization."""
+"""Graph construction, validation, Euler characteristics, normalization,
+isomorphism."""
 
 import random
+from itertools import permutations, product
 
 import pytest
 
 from helpers import (cycle_rank, isolate_mutation, random_valid_graph,
                      relabeled, starve_black_mutation, zero_label_mutation)
-from stratifold import (BlackVertex, Edge, GraphError, StratifoldGraph,
-                        WhiteVertex, are_isomorphic, cw_euler, delta_sum,
-                        euler_characteristic, lens_spine, normalize,
-                        partition_at, s2xs1_spine, s2xs1_twisted_spine,
+from stratifold import (BlackVertex, Edge, GraphError, ManifoldExpr,
+                        StratifoldGraph, Summand, WhiteVertex, are_isomorphic,
+                        cw_euler, delta_sum, euler_characteristic, lens_spine,
+                        normalize, partition_at, s2xs1_spine,
+                        s2xs1_twisted_spine, synth,
                         spanning_tree, validate)
 from stratifold.graph import components
 
@@ -285,6 +288,66 @@ class TestNormalize:
         assert signs == [-1, 1]
 
 
+def brute_isomorphic(g1, g2):
+    """Reference: some color- and genus-preserving bijection and some set
+    of M1/M2 flips carry g1's edges onto g2's.  Labels at nonorientable
+    whites compare by absolute value, since M3 makes their signs free."""
+    def edges(g, wmap, bmap, sign):
+        twisted = {w.id for w in g.whites if w.genus < 0}
+        return sorted((wmap[e.white], bmap[e.black], abs(e.label) if e.white in twisted
+                       else e.label * sign.get(("w", e.white), 1) * sign.get(("b", e.black), 1))
+                      for e in g.edges)
+
+    if len(g1.whites) != len(g2.whites) or len(g1.blacks) != len(g2.blacks):
+        return False
+    target = edges(g2, {w.id: w.id for w in g2.whites}, {b.id: b.id for b in g2.blacks}, {})
+    unsigned = sorted((w, b, abs(m)) for w, b, m in target)
+    flippable = ([("b", b.id) for b in g1.blacks]
+                 + [("w", w.id) for w in g1.whites if w.genus >= 0])
+    for wperm in permutations(g2.whites):
+        if any(w.genus != v.genus for w, v in zip(g1.whites, wperm)):
+            continue
+        wmap = {w.id: v.id for w, v in zip(g1.whites, wperm)}
+        for bperm in permutations(g2.blacks):
+            bmap = {b.id: v.id for b, v in zip(g1.blacks, bperm)}
+            if sorted((wmap[e.white], bmap[e.black], abs(e.label))
+                      for e in g1.edges) != unsigned:
+                continue  # flips change no |label|
+            for signs in product((1, -1), repeat=len(flippable)):
+                if edges(g1, wmap, bmap, dict(zip(flippable, signs))) == target:
+                    return True
+    return False
+
+
+def small_graph(rng, nw, nb, ne):
+    whites = [WhiteVertex(f"w{i}", rng.randint(-1, 1)) for i in range(nw)]
+    blacks = [BlackVertex(f"b{i}") for i in range(nb)]
+    return StratifoldGraph(whites, blacks, [
+        Edge(f"e{i}", rng.choice(whites).id, rng.choice(blacks).id,
+             rng.choice((1, -1)) * rng.randint(1, 2)) for i in range(ne)])
+
+
+def disguised(g, rng):
+    """Move-isomorphic copy: shuffled fresh ids and random moves M1-M3."""
+    names = [f"v{i}" for i in range(len(g.whites) + len(g.blacks))]
+    rng.shuffle(names)
+    wid = {w.id: names.pop() for w in g.whites}
+    bid = {b.id: names.pop() for b in g.blacks}
+    sign = {v: rng.choice((1, -1)) for v in [*wid.values(), *bid.values()]}
+    eids = [f"x{i}" for i in range(len(g.edges))]
+    rng.shuffle(eids)
+    genus = {w.id: w.genus for w in g.whites}
+
+    def label(e):
+        if genus[e.white] < 0:
+            return e.label * sign[bid[e.black]] * rng.choice((1, -1))
+        return e.label * sign[bid[e.black]] * sign[wid[e.white]]
+    return StratifoldGraph(
+        [WhiteVertex(wid[w.id], w.genus) for w in g.whites],
+        [BlackVertex(bid[b.id]) for b in g.blacks],
+        [Edge(x, wid[e.white], bid[e.black], label(e)) for x, e in zip(eids, g.edges)])
+
+
 class TestIsomorphism:
     def test_relabeled_copy(self):
         rng = random.Random(101)
@@ -312,3 +375,43 @@ class TestIsomorphism:
     def test_nonorientable_white_absorbs_one_sign(self):
         assert are_isomorphic(annulus(2, 1, genus=-1),
                               annulus(2, -1, genus=-1))
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(131)
+        outcomes = []
+        for i in range(2400):
+            shape = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 5)
+            g = small_graph(rng, *shape)
+            if i % 3 == 0:      # relabelled, re-oriented copy
+                h = disguised(g, rng)
+            elif i % 3 == 1:    # the same with one label negated
+                h = disguised(g, rng)
+                if h.edges:
+                    flip = rng.choice(h.edges)
+                    h = StratifoldGraph(h.whites, h.blacks, [
+                        Edge(e.id, e.white, e.black, -e.label if e == flip else e.label)
+                        for e in h.edges])
+            else:               # independent, of the same size
+                h = small_graph(rng, *shape)
+            want = brute_isomorphic(g, h)
+            assert are_isomorphic(g, h) == want, (g.edges, h.edges)
+            outcomes.append(want)
+        assert 500 < sum(outcomes) < 1900
+
+    def test_odd_cycle_rejected_by_parity_alone(self):
+        # a 4-cycle with one label negated: every parallel class can be
+        # matched on its own, but the signs around the cycle cannot
+        def square(last):
+            return StratifoldGraph(
+                [WhiteVertex("w1", 0), WhiteVertex("w2", 0)],
+                [BlackVertex("b1"), BlackVertex("b2")],
+                [Edge("e1", "w1", "b1", 1), Edge("e2", "w2", "b1", 1),
+                 Edge("e3", "w2", "b2", 1), Edge("e4", "w1", "b2", last)])
+        assert brute_isomorphic(square(1), square(1))
+        assert not brute_isomorphic(square(1), square(-1))
+        assert not are_isomorphic(square(1), square(-1))
+
+    def test_large_graph_needs_no_deep_recursion(self):
+        g = synth(ManifoldExpr([Summand("lens", 3)] * 300))
+        assert len(g.whites) + len(g.blacks) > 1000
+        assert are_isomorphic(g, relabeled(g, "c"))
