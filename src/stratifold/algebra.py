@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .presentation import (GroupPresentation, SimplifyResult, Word, simplify,
-                           rewrite_through)
+from .presentation import GroupPresentation, SimplifyResult, Word, simplify
 from .verdicts import (FiniteOrder, InfiniteOrder, OrderVerdict, UnknownOrder)
 
 DEFAULT_COSET_BUDGET = 100_000
@@ -492,68 +491,93 @@ def todd_coxeter(pres: GroupPresentation, subgroup: tuple[Word, ...] = (),
 
 # -- element order ----------------------------------------------------------
 
-def _cyclic_relators(relators: tuple[Word, ...]) -> tuple[tuple[Word, int], ...]:
-    """Each nontrivial relator cyclically reduced, with its length."""
-    out = []
+def _substituted(word: Word, images: dict[str, Word]) -> Word:
+    """The word with each generator in ``images`` replaced by its image."""
+    out: list[tuple[str, int]] = []
+    for n, e in word.syllables:
+        out.extend(images[n].power(e).syllables if n in images else ((n, e),))
+    return Word(out)
+
+
+def _power_index(relators: tuple[Word, ...]):
+    """The cyclic relators indexed for the power bound: ``(powers,
+    by_count)``, where ``powers`` maps each generator x to the gcd of the
+    exponents m of its single-syllable relators x^m, and ``by_count``
+    holds every other nontrivial relator, cyclically reduced and with its
+    length, keyed by its syllable count."""
+    powers: dict[str, int] = {}
+    by_count: dict[int, list[tuple[Word, int]]] = {}
     for r in relators:
         rc = r.cyclically_reduced()
-        if not rc.is_empty:
-            out.append((rc, rc.length()))
-    return tuple(out)
+        if len(rc.syllables) == 1:
+            name, exp = rc.syllables[0]
+            powers[name] = gcd(powers.get(name, 0), abs(exp))
+        elif rc.syllables:
+            by_count.setdefault(len(rc.syllables), []).append((rc, rc.length()))
+    return powers, by_count
 
 
-def _power_relator_bound(cyclic: tuple[tuple[Word, int], ...], image: Word) -> int | None:
+def _power_relator_bound(index, image: Word) -> int | None:
     """Sound upper bound on the order of ``image`` from the relators.
 
-    ``cyclic`` is :func:`_cyclic_relators` of the simplified (isomorphic)
+    ``index`` is :func:`_power_index` of the simplified (isomorphic)
     presentation, and ``image`` a word rewritten into it.  A relator equal
     to w^k as a cyclic word certifies order(w) | k; for a single-syllable
     image x^e, every power relator x^m certifies order(x^e) | m/gcd(m,e).
     All such bounds are combined by gcd.  Returns None when no bound is
     found, 0 when the image is trivial.
+
+    A single-syllable image can equal a power only of a single-syllable
+    relator, and the gcd of those exponents gives the best such bound,
+    so it is one lookup.  An image of s >= 2 syllables is compared only
+    with the relators of k*s syllables and k times its length.
     """
     w = image.cyclically_reduced()
     if w.is_empty:
         return 0
-    g = 0
-    if len(w.syllables) == 1:
+    powers, by_count = index
+    s = len(w.syllables)
+    if s == 1:
         name, exp = w.syllables[0]
-        m = 0
-        for rc, _ in cyclic:
-            if len(rc.syllables) == 1 and rc.syllables[0][0] == name:
-                m = gcd(m, abs(rc.syllables[0][1]))
-        if m:
-            g = m // gcd(m, abs(exp))
+        m = powers.get(name, 0)
+        return m // gcd(m, abs(exp)) if m else None
+    g = 0
     wlen = w.length()
     inverse = w.inverse()
-    for rc, rlen in cyclic:
-        if rlen % wlen:
+    for count, relators in by_count.items():
+        if count % s:
             continue
-        k = rlen // wlen
-        # w is cyclically reduced, so w^k has k times its syllables (s >= 2)
-        if len(w.syllables) > 1 and len(rc.syllables) != k * len(w.syllables):
-            continue
-        # both words are cyclically reduced, so a rotation taking one to the
-        # other cuts at a syllable boundary; shifting w^k by a whole w is no
-        # rotation at all
-        for v in (w, inverse):
-            p = v.power(k).syllables
-            if any(rc.syllables == p[i:] + p[:i] for i in range(len(v.syllables))):
-                g = gcd(g, k)
-                break
+        k = count // s
+        for rc, rlen in relators:
+            if rlen != k * wlen:
+                continue
+            # both words are cyclically reduced, so a rotation taking one
+            # to the other cuts at a syllable boundary; shifting w^k by a
+            # whole w is no rotation at all
+            for v in (w, inverse):
+                p = v.power(k).syllables
+                if any(rc.syllables == p[i:] + p[:i] for i in range(s)):
+                    g = gcd(g, k)
+                    break
     return g or None
 
 
 class OrderOracle:
     """Certificate state for element orders in one presentation.
 
-    The simplified presentation and its abelianization transform are
-    built on first need and a coset table only when a question needs one,
-    so a census of many words reuses them; each word is rewritten once
-    and both bounds read that image.  The coset budget belongs to each
-    question, and the oracle keeps one budget slot: the verdicts given
-    and the coset table built under the latest budget, both dropped when
-    another budget is asked.  Every verdict is certified:
+    The simplified presentation, its abelianization transform and the
+    power-relator index (:func:`_power_index`: per generator the gcd of
+    its power relators, the other relators by syllable count) are built
+    on first need and a coset table only when a question needs one, so a
+    census of many words reuses them.  Each word is rewritten once, in
+    one substitution pass: an eliminated generator is replaced by its
+    final word, which composes the eliminations and is built the first
+    time a word needs it.  A word with no eliminated generator, such as
+    a protected one, is its own image.  Both bounds read that image.
+    The coset budget belongs to each question, and the oracle keeps one
+    budget slot: the verdicts given and the coset table built under the
+    latest budget, both dropped when another budget is asked.  Every
+    verdict is certified:
 
     1. Infinite when the abelianized image has infinite order;
     2. Finite when a Tietze-derived power bound meets the abelianized
@@ -572,14 +596,42 @@ class OrderOracle:
         self._budget: int | None = None
         self._verdicts: dict[Word, OrderVerdict] = {}
         self._table: CosetTable | Exhausted | None = None
+        self._final: dict[str, Word] = {}
 
     @cached_property
     def simplified(self) -> SimplifyResult:
         return simplify(self.pres, protect=self._protect)
 
     @cached_property
-    def _cyclic(self) -> tuple[tuple[Word, int], ...]:
-        return _cyclic_relators(self.simplified.presentation.relators)
+    def _definitions(self) -> dict[str, Word]:
+        return dict(self.simplified.eliminations)
+
+    @cached_property
+    def _index(self):
+        return _power_index(self.simplified.presentation.relators)
+
+    def _image(self, word: Word) -> Word:
+        """The word rewritten through the eliminations, as
+        :func:`rewrite_through` does, in one pass.
+
+        A definition uses only generators eliminated after its own, so the
+        final word of a generator is its definition with those replaced
+        by their final words; the ones still missing are built first.
+        """
+        defs, final = self._definitions, self._final
+        if word.names().isdisjoint(defs):
+            return word
+        todo = [n for n in word.names() if n in defs and n not in final]
+        while todo:
+            name = todo[-1]
+            later = [n for n in defs[name].names() if n in defs and n not in final]
+            if later:
+                todo += later
+                continue
+            todo.pop()
+            if name not in final:
+                final[name] = _substituted(defs[name], final)
+        return _substituted(word, final)
 
     @cached_property
     def _abelian(self) -> _AbelianImage:
@@ -598,11 +650,11 @@ class OrderOracle:
     def _certify(self, word: Word) -> OrderVerdict:
         if word.is_empty:
             return FiniteOrder(1, "empty word")
-        image = rewrite_through(word, self.simplified.eliminations)
+        image = self._image(word)
         lower, witness = self._abelian.order(image)
         if lower is None:
             return InfiniteOrder(witness)
-        upper = _power_relator_bound(self._cyclic, image)
+        upper = _power_relator_bound(self._index, image)
         if upper == 0 or upper == 1:
             return FiniteOrder(1, "word reduces to the identity under Tietze moves")
         if upper is not None and upper == lower:
@@ -628,7 +680,7 @@ class OrderOracle:
         so that generator's column is dropped instead.
         """
         sp = self.simplified
-        images = [rewrite_through(w, sp.eliminations) for w in words]
+        images = [self._image(w) for w in words]
         dead = {im.syllables[0][0] for im in images
                 if len(im.syllables) == 1 and abs(im.syllables[0][1]) == 1}
         gens = tuple(g for g in sp.presentation.generators if g.name not in dead)

@@ -218,11 +218,15 @@ def q_graph(graph: StratifoldGraph,
     deleted = tuple(sorted(b for b, v in orders.items() if v.is_finite))
     dead_blacks = frozenset(deleted)
 
+    # the capped edges of each white, found in one pass over the edges
+    capped_at: dict[str, list[str]] = {}
+    for e in graph.edges:
+        if e.black in dead_blacks:
+            capped_at.setdefault(e.white, []).append(e.id)
     pieces = []
     for sub in components(graph, holes, dead_blacks):
-        wids = {w.id for w in sub.whites}
-        capped = tuple(sorted(e.id for e in graph.edges
-                              if e.white in wids and e.black in dead_blacks))
+        capped = tuple(sorted(eid for w in sub.whites
+                              for eid in capped_at.get(w.id, ())))
         closed = sub.whites[0].genus if (len(sub.whites) == 1
                                          and not sub.blacks) else None
         pieces.append(QComponent(sub, capped, closed))

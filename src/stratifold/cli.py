@@ -27,7 +27,7 @@ from .analysis import (analyze, black_orders, classify_fgroup,
 from .errors import DomainError, GraphError, NoSpineError, ParseError
 from .formats import format_word, parse_expr, parse_graph, parse_presentation
 from .formats import serialize_graph
-from .graph import euler_characteristic, validate
+from .graph import StratifoldGraph, Violation, euler_characteristic, validate
 from .presentation import simplify  # noqa: F401  (bench/test_bench.py checks it is traced here)
 from .spine import NOT_CANONICAL, delta_sum, recognize, synth
 from .verdicts import INDETERMINATE, FiniteOrder, InfiniteOrder, UnknownOrder
@@ -84,19 +84,29 @@ def _read_input(path, stdin) -> str:
         return fh.read()
 
 
-def _gather_inputs(args, stdin) -> list[str]:
-    if args.command == "synth" and args.expr is not None:
-        return [args.expr]
-    if args.command == "delta":
-        return [_read_input(args.infile, stdin), _read_input(args.in2, stdin),
-                args.w1, args.w2]
-    return [_read_input(args.infile, stdin)]
+# the latest graph text that parsed, its graph and its violations
+_last_read: tuple[str, StratifoldGraph, tuple[Violation, ...]] | None = None
+
+
+def _read_graph(text: str) -> tuple[StratifoldGraph, tuple[Violation, ...]]:
+    """Parse and validate, or reuse the result for the latest text read.
+
+    One text is kept, so a command repeated on the text the previous
+    command read (``order`` then ``obstruct``) reads it once; any other
+    text replaces it.  The graph and its violations are immutable, so
+    the report is the one a fresh read gives.
+    """
+    global _last_read
+    last = _last_read  # read once: another thread may replace it meanwhile
+    if last is None or last[0] != text:
+        graph = parse_graph(text)
+        last = _last_read = text, graph, tuple(validate(graph))
+    return last[1], last[2]
 
 
 def _checked_graph(text: str, report: dict, note: str = ""):
-    """Parse and validate; on violations, record them and return None."""
-    graph = parse_graph(text)
-    problems = validate(graph)
+    """Read the graph; on violations, record them and return None."""
+    graph, problems = _read_graph(text)
     for v in problems:
         _violate(report, v.rule, f"{v.detail}{note}", v.subject)
     return None if problems else graph
@@ -128,17 +138,21 @@ def _ab_json(ab) -> dict:
 #
 # A handler fills in the report.  Handlers of the commands that take one
 # graph receive it parsed and validated; the others receive the input texts.
-# pi1, h1, order, holes, q and obstruct reach the graph's group through
-# analysis.analyze, so successive commands on one graph share its order
-# oracle: the presentation, its simplification and H1, and the verdicts
-# and coset table of the latest budget.
+# Every graph text is read through _read_graph, which keeps the latest
+# text with its graph and violations, so successive commands on one text
+# parse and validate it once.  pi1, h1, order, holes, q and obstruct reach
+# the graph's group through analysis.analyze, so successive commands on
+# one graph share its order oracle: the presentation, its simplification
+# and H1, the composed words of the eliminated generators, the
+# power-relator index, and the verdicts and coset table of the latest
+# budget.
 
 
 def _cmd_validate(args, inputs, report):
-    graph = parse_graph(inputs[0])
+    graph, problems = _read_graph(inputs[0])
     report["payload"] = {"whites": len(graph.whites), "blacks": len(graph.blacks),
                          "edges": len(graph.edges)}
-    for v in validate(graph):
+    for v in problems:
         _violate(report, v.rule, v.detail, v.subject)
 
 
@@ -433,9 +447,10 @@ class _Command:
 
     ``handler(args, subject, report)`` fills in the report, where the
     subject is the parsed and validated graph when ``checked``, and the
-    list of input texts otherwise.  ``renderer(report)`` returns the text
-    lines of a report without violations.  ``options`` are (flag, argparse
-    keywords) pairs, added after --json in this order.
+    list of input texts otherwise.  ``read(args, stdin)`` returns that
+    list; by default it holds the one text of --in.  ``renderer(report)``
+    returns the text lines of a report without violations.  ``options``
+    are (flag, argparse keywords) pairs, added after --json in this order.
     """
 
     help: str
@@ -443,6 +458,7 @@ class _Command:
     renderer: Callable
     checked: bool = True
     options: tuple = (_IN,)
+    read: Callable = lambda args, stdin: [_read_input(args.infile, stdin)]
 
 
 _COMMANDS = {
@@ -472,7 +488,9 @@ _COMMANDS = {
                       options=(("--expr", {
                           "metavar": "STRING",
                           "help": "manifold expression, e.g. \"L(5) # S2xS1\""}),
-                          _in("file holding the expression when --expr is absent"))),
+                          _in("file holding the expression when --expr is absent")),
+                      read=lambda args, stdin: [args.expr if args.expr is not None
+                                                else _read_input(args.infile, stdin)]),
     "recognize": _Command("recover the manifold expression of a canonical spine",
                           _cmd_recognize, _render_recognize),
     "delta": _Command("delta-sum of two graphs at chosen white vertices",
@@ -483,7 +501,10 @@ _COMMANDS = {
                                ("--w1", {"required": True, "metavar": "ID",
                                          "help": "white vertex of the first graph"}),
                                ("--w2", {"required": True, "metavar": "ID",
-                                         "help": "white vertex of the second graph"}))),
+                                         "help": "white vertex of the second graph"})),
+                      read=lambda args, stdin: [_read_input(args.infile, stdin),
+                                                _read_input(args.in2, stdin),
+                                                args.w1, args.w2]),
     "tc": _Command("coset enumeration over the trivial subgroup of a presentation",
                    _cmd_tc, _render_tc, checked=False, options=(_IN, _BUDGET)),
 }
@@ -521,7 +542,7 @@ def main(argv=None, stdin=None) -> int:
     command = _COMMANDS[args.command]
     report = _new_report(args.command)
     try:
-        inputs = _gather_inputs(args, stdin)
+        inputs = command.read(args, stdin)
         report["input_digest"] = _digest(inputs)
         subject = _checked_graph(inputs[0], report) if command.checked else inputs
         if subject is not None:

@@ -1,12 +1,14 @@
-"""Every test starts with no kept order oracle, so the work a test counts
-(simplifications, enumerations, power bounds) cannot depend on which
-tests ran before it."""
+"""Every test starts with no kept order oracle and no kept graph text, so
+the work a test counts (reads, simplifications, enumerations, power
+bounds) cannot depend on which tests ran before it."""
 
 import pytest
 
+import stratifold.cli
 from stratifold.analysis import clear_analysis
 
 
 @pytest.fixture(autouse=True)
 def _fresh_analysis():
     clear_analysis()
+    stratifold.cli._last_read = None

@@ -13,7 +13,7 @@ from stratifold import (AbelianInvariants, CosetTable, Exhausted, FiniteOrder,
                         fgroup_presentation, lens_spine, natural_presentation,
                         normalize, relation_matrix, s2xs1_spine,
                         smith_normal_form, todd_coxeter)
-from stratifold.algebra import _cyclic_relators, _power_relator_bound
+from stratifold.algebra import _power_index, _power_relator_bound
 
 
 def pres(gens, rels):
@@ -260,7 +260,7 @@ class TestElementOrder:
         monkeypatch.setattr(Word, "power", refuse)
         n = 10**7
         relators = (Word((("a", n), ("b", n))),)
-        assert _power_relator_bound(_cyclic_relators(relators),
+        assert _power_relator_bound(_power_index(relators),
                                     Word((("a", 1), ("b", 1)))) is None
 
     def test_power_relator_bound_compares_cyclic_words(self):

@@ -1,10 +1,12 @@
-"""The per-graph order oracle that successive calls on one graph share."""
+"""The per-graph order oracle that successive calls on one graph share, and
+the CLI's read of the latest graph text."""
 
 import contextlib
 import copy
 import dataclasses
 import gc
 import io
+import json
 import pickle
 import random
 import weakref
@@ -12,6 +14,7 @@ import weakref
 import pytest
 
 import stratifold.algebra
+import stratifold.cli
 from stratifold import (FSignature, UnknownOrder, black_orders, fgroup_graph,
                         lens_spine, natural_presentation, normalize,
                         obstructions, parse_expr, parse_graph, q_graph,
@@ -74,6 +77,7 @@ def two_graphs():
 
 def cold(argv, stdin):
     clear_analysis()
+    stratifold.cli._last_read = None
     return run(argv, stdin)
 
 
@@ -209,6 +213,73 @@ class TestSharing:
         black_orders(g, 70)
         gc.collect()
         assert old() is None
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """How often the CLI parses and validates a graph text."""
+    calls = {"parse_graph": 0, "validate": 0}
+    for name in calls:
+        real = getattr(stratifold.cli, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(stratifold.cli, name, counting)
+    return calls
+
+
+SPINE_COMMANDS = (["euler"], ["recognize"], ["pi1", "--simplify"], ["h1"],
+                  ["order", "--budget", BUDGET], ["obstruct", "--budget", BUDGET])
+
+
+class TestReadSlot:
+    def test_one_read_for_the_commands_on_a_spine(self, reads):
+        code, text = run(["synth", "--expr", "L(5) # P2xS1 # S2~xS1 # L(3)"])
+        assert code == 0
+        assert reads == {"parse_graph": 0, "validate": 0}
+        for argv in SPINE_COMMANDS:
+            assert run(argv, text)[0] == 0
+        assert reads == {"parse_graph": 1, "validate": 1}
+
+    def test_one_comment_byte_is_another_text(self, reads):
+        text = serialize_graph(lens_spine(5))
+        a, b = "# a\n" + text, "# b\n" + text
+        for stdin in (a, a, b, b, a):
+            code, out = run(["h1"], stdin)
+            assert (code, out) == (0, "H1 = Z/5\n")
+        assert reads == {"parse_graph": 3, "validate": 3}
+        digests = {json.loads(run(["h1", "--json"], t)[1])["input_digest"]
+                   for t in (a, b)}
+        assert len(digests) == 2
+
+    def test_invalid_text_reports_every_time(self, reads):
+        valid = serialize_graph(synth(parse_expr("L(3) # S2xS1")))
+        # a branch circle met by one sheet, and a label 0
+        invalid = ("white w genus 0\nblack b\nblack c\n"
+                   "edge e w b 1\nedge f w c 0\n")
+        # a text that does not parse leaves the kept text as it was
+        broken = "white w 0\n"
+        sequence = [(argv, valid) for argv in (["order"], ["validate"])]
+        sequence += [(argv + json_flag, invalid)
+                     for argv in (["validate"], ["order"], ["h1"], ["obstruct"])
+                     for json_flag in ([], ["--json"])]
+        sequence += [(["h1"], broken), (["validate"], broken),
+                     (["order"], invalid), (["validate", "--json"], invalid)]
+        sequence += [(argv, valid) for argv in (["order"], ["validate"], ["h1"])]
+        want = [cold(argv, stdin) for argv, stdin in sequence]
+        clear_analysis()
+        stratifold.cli._last_read = None
+        reads.update(parse_graph=0, validate=0)
+        assert [run(argv, stdin) for argv, stdin in sequence] == want
+        assert reads == {"parse_graph": 5, "validate": 3}
+        violations = want[2:10] + want[12:14]
+        assert {code for code, _ in violations} == {1}
+        assert all("BranchTooSmall" in out and "ZeroLabel" in out
+                   for _, out in violations)
+        assert all("ParseError" in out for _, out in want[10:12])
+        assert want[-1] == (0, "H1 = Z + Z/3\n")
 
 
 class TestImmutable:

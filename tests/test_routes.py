@@ -8,8 +8,11 @@ The order oracle skips coset enumeration when H1 is infinite; the premise
 of that skip is checked directly.  The occurrence-aware simplifier is
 checked against a reference copy of the rescanning loop it replaced, and
 the closed-form word operations against their syllable-by-syllable
-definitions.  The one-pass canonical spine is checked against the left
-fold of delta_sum it replaced.
+definitions.  The oracle's one-pass images are checked against the
+sequential rewrite_through, its indexed power bound against a scan of
+every relator, and the Q-surgery's capped edges against a scan per
+piece.  The one-pass canonical spine is checked against the left fold of
+delta_sum it replaced.
 """
 
 import random
@@ -28,8 +31,8 @@ from stratifold import (GENERATOR_ROLES, INDETERMINATE, CosetTable, Exhausted,
                         fgroup_presentation, natural_presentation, normalize,
                         parse_expr, q_graph, relation_matrix, rewrite_through,
                         simplify, smith_normal_form, synth, todd_coxeter)
-from stratifold.algebra import (_AbelianImage, _column_matrix,
-                                _cyclic_relators, _power_relator_bound)
+from stratifold.algebra import (_AbelianImage, _column_matrix, _power_index,
+                                _power_relator_bound)
 from stratifold.presentation import DEFAULT_SIMPLIFY_BUDGET, ELIMINABLE_ROLES
 
 NAMES = ("a", "b", "c", "d", "e")
@@ -103,8 +106,8 @@ def full_matrix_verdict(pres, word, budget):
     if lower is None:
         return "infinite", None
     sr = simplify(pres)
-    upper = _power_relator_bound(_cyclic_relators(sr.presentation.relators),
-                                 rewrite_through(word, sr.eliminations))
+    upper = reference_power_bound(sr.presentation.relators,
+                                  rewrite_through(word, sr.eliminations))
     if upper in (0, 1):
         return "finite", 1
     if upper == lower:
@@ -113,6 +116,37 @@ def full_matrix_verdict(pres, word, budget):
     if isinstance(table, CosetTable):
         return "finite", table.permutation_order(word)
     return "unknown", None
+
+
+def reference_power_bound(relators, image):
+    """The power-relator bound by a scan of every cyclically reduced
+    relator: the gcd of the k with a relator a rotation of image^k or of
+    its inverse^k, and of m/gcd(m, e) over the relators x^m when the image
+    is x^e; None when there is no bound, 0 when the image is trivial."""
+    w = image.cyclically_reduced()
+    if w.is_empty:
+        return 0
+    g = 0
+    cyclic = [rc for rc in (r.cyclically_reduced() for r in relators) if not rc.is_empty]
+    if len(w.syllables) == 1:
+        name, exp = w.syllables[0]
+        m = 0
+        for rc in cyclic:
+            if len(rc.syllables) == 1 and rc.syllables[0][0] == name:
+                m = gcd(m, abs(rc.syllables[0][1]))
+        if m:
+            g = m // gcd(m, abs(exp))
+    wlen = w.length()
+    for rc in cyclic:
+        if rc.length() % wlen:
+            continue
+        k = rc.length() // wlen
+        for v in (w, w.inverse()):
+            p = naive_power(v, k).syllables
+            if any(rc.syllables == p[i:] + p[:i] for i in range(len(p))):
+                g = gcd(g, k)
+                break
+    return g or None
 
 
 def verdict_key(v):
@@ -241,6 +275,49 @@ def test_oracle_matches_full_matrix_oracle_on_random_words():
             assert verdict_key(oracle.order(w, 200)) == full_matrix_verdict(p, w, 200)
 
 
+def test_oracle_image_matches_sequential_rewrite():
+    rng = random.Random(1717)
+    cases = [p for _, p in graph_presentations(rng, 40)]
+    cases += [random_presentation(rng) for _ in range(300)]
+    composed = 0
+    for p in cases:
+        names = p.generator_names()
+        if not names:
+            continue
+        oracle = OrderOracle(p, frozenset(n for n in names if rng.random() < 0.2))
+        eliminations = oracle.simplified.eliminations
+        gone = {name for name, _ in eliminations}
+        for _ in range(5):
+            w = random_word(rng, names, max_syllables=5)
+            composed += not w.names().isdisjoint(gone)
+            assert oracle._image(w) == rewrite_through(w, eliminations)
+    assert composed > 300
+
+
+def test_indexed_power_bound_matches_full_scan():
+    rng = random.Random(1718)
+    multi = found = 0
+    for _ in range(400):
+        p = random_presentation(rng)
+        names = p.generator_names()
+        # powers of random words, rotated and possibly inverted, so that
+        # images of several syllables meet relators they are roots of
+        roots = [random_word(rng, names, max_syllables=3) for _ in range(2)]
+        extra = []
+        for root in roots:
+            q = root.power(rng.randint(1, 4)).syllables
+            i = rng.randrange(len(q) + 1)
+            extra.append(Word(q[i:] + q[:i]).power(rng.choice((1, -1))))
+        relators = p.relators + tuple(extra)
+        index = _power_index(relators)
+        for w in roots + [random_word(rng, names) for _ in range(4)]:
+            got = _power_relator_bound(index, w)
+            assert got == reference_power_bound(relators, w), (relators, w)
+            multi += len(w.cyclically_reduced().syllables) > 1
+            found += len(w.cyclically_reduced().syllables) > 1 and bool(got)
+    assert multi > 800 and found > 200
+
+
 def test_simplify_matches_rescanning_loop():
     rng = random.Random(1711)
     cases = [p for _, p in graph_presentations(rng, 80)]
@@ -358,6 +435,24 @@ def test_quotient_invariants_match_added_relators():
         added = GroupPresentation(p.generators, p.relators + tuple(words))
         want, _ = smith_normal_form(relation_matrix(added))
         assert oracle.quotient_invariants(tuple(words)) == want
+
+
+def test_capped_edges_match_a_scan_per_piece():
+    rng = random.Random(1719)
+    pieces = capped = 0
+    for _ in range(300):
+        g = random_valid_graph(rng, max_whites=5, max_blacks=4, max_extra=4)
+        q = q_graph(g, 300)
+        if q is INDETERMINATE:
+            continue
+        dead = set(q.deleted_blacks)
+        for c in q.components:
+            wids = {w.id for w in c.graph.whites}
+            assert c.capped == tuple(sorted(e.id for e in g.edges
+                                            if e.white in wids and e.black in dead))
+            pieces += 1
+            capped += bool(c.capped)
+    assert pieces > 150 and capped > 40
 
 
 def flat_ids(fold, n):
