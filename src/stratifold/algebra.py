@@ -38,7 +38,7 @@ class IntMatrix:
         n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise ValueError("ragged rows")
-        return cls(len(rows), n, tuple(x for r in rows for x in r))
+        return cls(len(rows), n, tuple([x for r in rows for x in r]))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -46,7 +46,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls(n, n, tuple([1 if i == j else 0 for i in range(n) for j in range(n)]))
 
     def __getitem__(self, idx):
         i, j = idx
@@ -683,10 +683,10 @@ class OrderOracle:
         images = [self._image(w) for w in words]
         dead = {im.syllables[0][0] for im in images
                 if len(im.syllables) == 1 and abs(im.syllables[0][1]) == 1}
-        gens = tuple(g for g in sp.presentation.generators if g.name not in dead)
-        rows = (Word(tuple(s for s in r.syllables if s[0] not in dead))
+        gens = tuple([g for g in sp.presentation.generators if g.name not in dead])
+        rows = (Word([s for s in r.syllables if s[0] not in dead])
                 for r in sp.presentation.relators + tuple(images))
-        pres = GroupPresentation(gens, tuple(r for r in rows if not r.is_empty))
+        pres = GroupPresentation(gens, tuple([r for r in rows if not r.is_empty]))
         inv, _ = smith_normal_form(relation_matrix(pres))
         return inv
 

@@ -99,9 +99,10 @@ def analyze(graph: StratifoldGraph) -> OrderOracle:
     is H1) and keeps its verdicts and coset table for the latest budget.
     """
     global _last
-    if _last is None or _last[0] != graph:
-        _last = graph, OrderOracle(natural_presentation(normalize(graph)))
-    return _last[1]
+    last = _last  # read once: another thread may replace it meanwhile
+    if last is None or last[0] != graph:
+        last = _last = graph, OrderOracle(natural_presentation(normalize(graph)))
+    return last[1]
 
 
 def clear_analysis() -> None:

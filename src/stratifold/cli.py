@@ -1,9 +1,11 @@
 """Command-line interface over the graph calculus.
 
-Every run emits a single report (JSON with --json, readable text
-otherwise).  Exit codes: 0 success, 1 invalid input, 2 a budget ran out
-before a certified answer, 3 obstructions found.  The exit code and all
-output are a function of the report, so runs are reproducible.
+Every run emits a single report (with --json exactly ``json.dumps(report,
+indent=2, sort_keys=True)``, readable text otherwise).  Exit codes: 0
+success, 1 invalid input, 2 a budget ran out before a certified answer, 3
+obstructions found.  The exit code and all output are a function of the
+report, so runs are reproducible.  An argv naming a command is parsed by
+that command's parser alone, with the program parser's errors.
 
 The constructive commands (pi1, synth, delta) print exactly their
 artifact in text mode, so they compose in a pipeline:
@@ -16,10 +18,10 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import DEFAULT_COSET_BUDGET, Exhausted, abelianization, todd_coxeter
 from .analysis import (analyze, black_orders, classify_fgroup,
@@ -38,18 +40,6 @@ SCHEMA_VERSION = "1"
 # -- report plumbing ---------------------------------------------------------
 
 
-def _new_report(command: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "input_digest": hashlib.sha256(b"").hexdigest(),
-        "payload": {},
-        "indeterminate": False,
-        "violations": [],
-        "obstructions": [],
-    }
-
-
 def _violate(report: dict, rule: str, detail: str, subject: str = ""):
     report["violations"].append({"rule": rule, "subject": subject, "detail": detail})
 
@@ -63,6 +53,31 @@ def exit_code(report: dict) -> int:
     if report["indeterminate"]:
         return 2
     return 0
+
+
+def _to_json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` in one pass (with an
+    indent, ``json.dumps`` falls back to its pure-Python encoder).  A type
+    other than the exact ones of report values raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is dict:
+        inner = pad + "  "
+        items = [inner + _quote(key) + ": " + _to_json(value[key], inner)
+                 for key in sorted(value)]
+        return "{" + ",".join(items) + pad + "}" if items else "{}"
+    if kind is list or kind is tuple:
+        inner = pad + "  "
+        items = [inner + _to_json(item, inner) for item in value]
+        return "[" + ",".join(items) + pad + "]" if items else "[]"
+    if kind is int:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _digest(parts: list[str]) -> str:
@@ -525,13 +540,26 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit the JSON report instead of text")
         for flag, keywords in command.options:
             p.add_argument(flag, **keywords)
+    parser.commands = sub.choices  # command name -> its parser
     return parser
 
 
-def main(argv=None, stdin=None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The program parser's ``parse_args``, but an argv naming a command goes
+    straight to that command's parser; leftover words are the program's error."""
     parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # help, no command or an unknown one
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def main(argv=None, stdin=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         if args.command == "delta" and args.in2 == "-" and args.infile in (None, "-"):
             # stdin holds one text; the second read would see it empty
             args.subparser.error("--in and --in2 both read stdin;"
@@ -540,7 +568,9 @@ def main(argv=None, stdin=None) -> int:
         return int(exc.code or 0)
     stdin = stdin if stdin is not None else sys.stdin
     command = _COMMANDS[args.command]
-    report = _new_report(args.command)
+    report = {"schema_version": SCHEMA_VERSION, "command": args.command,
+              "input_digest": _digest([]), "payload": {}, "indeterminate": False,
+              "violations": [], "obstructions": []}
     try:
         inputs = command.read(args, stdin)
         report["input_digest"] = _digest(inputs)
@@ -558,7 +588,7 @@ def main(argv=None, stdin=None) -> int:
     except OSError as exc:
         _violate(report, "IOError", str(exc))
     if args.json:
-        out = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        out = _to_json(report) + "\n"
     else:
         out = _human(report)
     sys.stdout.write(out)

@@ -36,16 +36,31 @@ class Generator:
 def _reduce(syllables):
     out: list[tuple[str, int]] = []
     for name, exp in syllables:
-        if exp == 0:
-            continue
         if out and out[-1][0] == name:
-            merged = out[-1][1] + exp
-            out.pop()
-            if merged:
-                out.append((name, merged))
-        else:
+            exp += out.pop()[1]
+        if exp:
             out.append((name, exp))
     return tuple(out)
+
+
+def _inverse(syllables):
+    # built from a list at its final size: CPython resizes the tuple of a
+    # generator, and keeps the block on a free list until a full collection
+    return tuple([(n, -e) for n, e in reversed(syllables)])
+
+
+def _substitute(syllables, name: str, replacement):
+    """The reduced syllables of a word with each ``name^e`` replaced by
+    ``replacement^e``; the arguments are reduced syllable tuples."""
+    out: list[tuple[str, int]] = []
+    for n, e in syllables:
+        if n != name:
+            out.append((n, e))
+        elif len(replacement) == 1:
+            out.append((replacement[0][0], replacement[0][1] * e))
+        else:
+            out.extend((replacement if e > 0 else _inverse(replacement)) * abs(e))
+    return _reduce(out)
 
 
 @dataclass(frozen=True)
@@ -69,7 +84,7 @@ class Word:
         return Word(self.syllables + other.syllables)
 
     def inverse(self) -> "Word":
-        return Word(tuple((n, -e) for n, e in reversed(self.syllables)))
+        return Word(_inverse(self.syllables))
 
     def power(self, k: int) -> "Word":
         if len(self.syllables) == 1:
@@ -88,12 +103,7 @@ class Word:
         return sum(e for n, e in self.syllables if n == name)
 
     def substitute(self, name: str, replacement: "Word") -> "Word":
-        if name not in self.names():
-            return self
-        out: list[tuple[str, int]] = []
-        for n, e in self.syllables:
-            out.extend(replacement.power(e).syllables if n == name else ((n, e),))
-        return Word(out)
+        return Word(_substitute(self.syllables, name, replacement.syllables))
 
     def cyclically_reduced(self) -> "Word":
         s = list(self.syllables)
@@ -123,7 +133,7 @@ class GroupPresentation:
                 raise ValueError(f"relator uses undeclared generators {sorted(missing)}")
 
     def generator_names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.generators)
+        return tuple([g.name for g in self.generators])
 
 
 @dataclass(frozen=True)
@@ -151,7 +161,7 @@ def _surface_word(prefix: str, genus: int) -> tuple[Word, list[str]]:
             sylls += [(a, 1), (b, 1), (a, -1), (b, -1)]
         return Word(tuple(sylls)), names
     names = [f"{prefix}{j}" for j in range(1, -genus + 1)]
-    return Word(tuple((n, 2) for n in names)), names
+    return Word([(n, 2) for n in names]), names
 
 
 def natural_presentation(graph: StratifoldGraph) -> GroupPresentation:
@@ -190,7 +200,7 @@ def natural_presentation(graph: StratifoldGraph) -> GroupPresentation:
 
     relators: list[Word] = []
     for w in graph.whites:
-        boundary = Word(tuple((f"s.{eid}", 1) for eid in graph.edges_at_white(w.id)))
+        boundary = Word([(f"s.{eid}", 1) for eid in graph.edges_at_white(w.id)])
         relators.append(boundary * genus_words[w.id])
     for eid in sorted(tree):
         e = graph.edge(eid)
@@ -212,7 +222,7 @@ def fgroup_presentation(sig: FSignature) -> GroupPresentation:
     q, names = _surface_word("y", sig.genus)
     gens += [Generator(n, "surface") for n in names]
     relators = [Word(((f"c{i}", sig.periods[i - 1]),)) for i in range(1, p + 1)]
-    relators.append(Word(tuple((f"c{i}", 1) for i in range(1, p + 1))) * q)
+    relators.append(Word([(f"c{i}", 1) for i in range(1, p + 1)]) * q)
     return GroupPresentation(tuple(gens), tuple(relators))
 
 
@@ -247,7 +257,7 @@ class SimplifyResult:
 ELIMINABLE_ROLES = frozenset({"boundary", "stable"})
 
 
-def _first_eliminable(r: Word, keep: frozenset[str]) -> int | None:
+def _first_eliminable(r: tuple, keep: frozenset[str]) -> int | None:
     """Index of the first syllable of ``r`` that eliminates a generator.
 
     A generator can be eliminated from a relator in which it occurs in
@@ -256,12 +266,12 @@ def _first_eliminable(r: Word, keep: frozenset[str]) -> int | None:
     relator is that single syllable (the generator is provably trivial).
     """
     counts: dict[str, int] = {}
-    for n, _ in r.syllables:
+    for n, _ in r:
         counts[n] = counts.get(n, 0) + 1
-    for si, (n, e) in enumerate(r.syllables):
+    for si, (n, e) in enumerate(r):
         if abs(e) != 1 or counts[n] != 1:
             continue
-        if n in keep and len(r.syllables) > 1:
+        if n in keep and len(r) > 1:
             continue
         return si
     return None
@@ -291,39 +301,38 @@ def simplify(pres: GroupPresentation,
     """
     keep = frozenset(g.name for g in pres.generators
                      if g.role not in ELIMINABLE_ROLES) | frozenset(protect)
-    relators = [r for r in pres.relators if not r.is_empty]
+    # relators and definitions are reduced syllable tuples until the end
+    relators = [r.syllables for r in pres.relators if r.syllables]
     picks = [_first_eliminable(r, keep) for r in relators]
     # name -> indices of the relators that may contain it (a superset)
     occurs: dict[str, set[int]] = {}
     for i, r in enumerate(relators):
-        for n in r.names():
+        for n, _ in r:
             occurs.setdefault(n, set()).add(i)
     # indices whose relator may have an eligible syllable; sorted, so a heap
     ready = [i for i, si in enumerate(picks) if si is not None]
-    eliminations: list[tuple[str, Word]] = []
+    eliminations: list[tuple[str, tuple]] = []
     exhausted = False
     while ready:
         ri = heapq.heappop(ready)
-        if picks[ri] is None:  # stale: that relator was rewritten or used
+        si = picks[ri]
+        if si is None:  # stale: that relator was rewritten or used
             continue
         if len(eliminations) >= budget:
             exhausted = True
             break
-        r, si = relators[ri], picks[ri]
-        name, exp = r.syllables[si]
-        before = Word(r.syllables[:si])
-        after = Word(r.syllables[si + 1:])
-        # before * name^exp * after = 1
+        r = relators[ri]
+        name, exp = r[si]
+        # before * name^exp * after = 1, so name^-exp = after * before
+        definition = _reduce(r[si + 1:] + r[:si])
         if exp == 1:
-            definition = before.inverse() * after.inverse()
-        else:
-            definition = after * before
-        relators[ri], picks[ri] = Word(), None
-        for n in r.names():
+            definition = _inverse(definition)
+        relators[ri], picks[ri] = (), None
+        for n, _ in r:
             occurs[n].discard(ri)
-        added = definition.names()
+        added = {n for n, _ in definition}
         for i in occurs.pop(name):
-            relators[i] = relators[i].substitute(name, definition)
+            relators[i] = _substitute(relators[i], name, definition)
             for n in added:
                 occurs[n].add(i)
             picks[i] = _first_eliminable(relators[i], keep)
@@ -332,9 +341,9 @@ def simplify(pres: GroupPresentation,
         eliminations.append((name, definition))
     gone = {name for name, _ in eliminations}
     return SimplifyResult(
-        GroupPresentation(tuple(g for g in pres.generators if g.name not in gone),
-                          tuple(r for r in relators if not r.is_empty)),
-        tuple(eliminations), exhausted, len(eliminations))
+        GroupPresentation(tuple([g for g in pres.generators if g.name not in gone]),
+                          tuple([Word(r) for r in relators if r])),
+        tuple([(name, Word(d)) for name, d in eliminations]), exhausted, len(eliminations))
 
 
 def rewrite_through(word: Word, eliminations: tuple[tuple[str, Word], ...]) -> Word:

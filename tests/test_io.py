@@ -1,6 +1,7 @@
 """Text formats and the command line interface."""
 
 import ast
+import collections
 import contextlib
 import hashlib
 import importlib.resources
@@ -10,6 +11,7 @@ import pathlib
 import random
 import re
 import shlex
+import sys
 import time
 
 import jsonschema
@@ -23,11 +25,13 @@ from stratifold import (FSignature, ParseError, Summand, Word, fgroup_graph,
                         parse_expr, parse_graph, parse_presentation,
                         parse_word, serialize_graph, serialize_presentation,
                         synth, validate)
-from stratifold.cli import _COMMANDS, COMMANDS, _build_parser, exit_code, main
+from stratifold.cli import (_COMMANDS, COMMANDS, _build_parser, _parse_args,
+                           _to_json, exit_code, main)
 
 LENS5 = "white w genus 0\nblack b\nedge e w b 5\n"
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_reports.json"
 
 SCHEMA = json.loads(importlib.resources.files("stratifold")
                     .joinpath("report_schema.json").read_text())
@@ -549,6 +553,113 @@ class TestParserReuse:
             fresh.append(run(argv + ["--json"], text))
         assert shared == fresh
         assert [code for code, _ in shared] == [0, 0, 0, 1, 0, 1, 1, 0, 0, 0]
+
+
+class TestDispatch:
+    """An argv naming a command is parsed by that command's parser alone;
+    every outcome must be the one the program's parser gives."""
+
+    @staticmethod
+    def outcome(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = parse(list(argv))
+            except SystemExit as exc:
+                result = ("exit", exc.code)
+        return result, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def cases(name):
+        valid = [name]
+        if name == "delta":
+            valid += ["--in2", "g2", "--w1", "w", "--w2", "v"]
+        return [
+            valid,
+            valid + ["--help"],
+            valid + ["--budget", "0"],
+            valid + ["--budget", "ten"],
+            valid + ["--frobnicate"],
+            valid + ["--js"],
+            valid + ["--bud", "7"],
+            valid + ["stray"],
+            valid + ["stray", "--frobnicate", "x"],
+            ["delta", "--in2", "g2", "--w1", "w"],
+            ["--json", *valid],
+            [],
+            ["frobnicate", *valid[1:]],
+        ]
+
+    def test_every_outcome_matches_the_program_parser(self):
+        parser = _build_parser()
+        kinds = set()
+        for name in COMMANDS:
+            for argv in self.cases(name):
+                got = self.outcome(_parse_args, argv)
+                assert got == self.outcome(parser.parse_args, argv), argv
+                kinds.add(got[0] if isinstance(got[0], tuple) else "namespace")
+        assert kinds == {"namespace", ("exit", 0), ("exit", 1)}
+
+    def test_command_argv_skips_the_program_parser(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the program's parser parsed a command line")
+
+        monkeypatch.setattr(_build_parser(), "parse_known_args", refuse)
+        for name in COMMANDS:
+            args = _parse_args(self.cases(name)[0])
+            assert (args.command, args.json) == (name, False)
+        assert run(["h1", "--json"], LENS5)[0] == 0
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["stratifold", "h1", "--json"])
+        assert main(stdin=io.StringIO(LENS5)) == 0
+        assert capsys.readouterr().out == run(["h1", "--json"], LENS5)[1]
+        monkeypatch.setattr(sys, "argv", ["stratifold", "order", "--budget", "0"])
+        assert main(stdin=io.StringIO(LENS5)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --budget" in captured.err
+
+
+class TestReportWriter:
+    """The report writer gives exactly json.dumps(value, indent=2,
+    sort_keys=True), or raises TypeError."""
+
+    @staticmethod
+    def dumps(value):
+        return json.dumps(value, indent=2, sort_keys=True)
+
+    def test_golden_reports(self):
+        cases = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
+        reports = [json.loads(c["stdout"]) for c in cases
+                   if "--json" in c["argv"] and c["stdout"]]
+        assert len(reports) > 100
+        for report in reports:
+            assert _to_json(report) == self.dumps(report)
+
+    def test_hand_made_values(self):
+        text = "caf\u00e9 \u4e2d \U0001f600 \ud800 \u2028 \x00\x01\x1f\x7f \"q\" \\ \n\t"
+        values = ["", text, 0, 7, -7, 10**30, -(10**30), True, False, None,
+                  {}, [], (), {"": {}}, [[]], [{}], {"a": []},
+                  {"b": [1, [2, []], {}], "a": {"c": [{"d": None}]}},
+                  [True, False, None, "x", -1],
+                  {text: 1, "Z": 2, "a": 3, "\x00": 4, "\u00e9": [text]}]
+        for value in values:
+            assert _to_json(value) == self.dumps(value)
+        assert _to_json((1, ("a", ()))) == self.dumps([1, ["a", []]])
+
+    def test_other_types_raise(self):
+        class Text(str):
+            pass
+
+        class Number(int):
+            pass
+
+        for value in (1.5, float("nan"), {"a": 0.0}, [1, 2.0], b"x", 1j,
+                      {1: "a"}, {None: 1}, {("a",): 1}, {1, 2}, object(),
+                      Text("a"), [Number(3)], collections.OrderedDict(a=1)):
+            with pytest.raises(TypeError):
+                _to_json(value)
 
 
 class TestCommandTable:

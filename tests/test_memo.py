@@ -14,8 +14,10 @@ import weakref
 import pytest
 
 import stratifold.algebra
+import stratifold.analysis
 import stratifold.cli
-from stratifold import (FSignature, UnknownOrder, black_orders, fgroup_graph,
+from stratifold import (FSignature, StratifoldGraph, UnknownOrder,
+                        abelianization, black_orders, fgroup_graph,
                         lens_spine, natural_presentation, normalize,
                         obstructions, parse_expr, parse_graph, q_graph,
                         serialize_graph, serialize_presentation, simplify,
@@ -213,6 +215,30 @@ class TestSharing:
         black_orders(g, 70)
         gc.collect()
         assert old() is None
+
+    def test_slot_replaced_during_the_check(self):
+        # another caller replaces the kept oracle while this call compares
+        # graphs; the answer is still the oracle of the graph compared
+        other = lens_spine(5)
+        theirs = analyze(other)
+
+        class Meddling(StratifoldGraph):
+            armed = False
+
+            def __eq__(self, rival):
+                if Meddling.armed:
+                    stratifold.analysis._last = other, theirs
+                return StratifoldGraph.__eq__(self, rival)
+
+            __hash__ = StratifoldGraph.__hash__
+
+        g = lens_spine(3)
+        graph = Meddling(g.whites, g.blacks, g.edges)
+        mine = analyze(graph)
+        Meddling.armed = True
+        assert analyze(graph) is mine
+        assert stratifold.analysis._last[1] is theirs
+        assert abelianization(mine).torsion == (3,)
 
 
 @pytest.fixture
