@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .presentation import GroupPresentation, SimplifyResult, Word, simplify
+from .presentation import GroupPresentation, SimplifyResult, Word, _substitute, simplify
 from .verdicts import (FiniteOrder, InfiniteOrder, OrderVerdict, UnknownOrder)
 
 DEFAULT_COSET_BUDGET = 100_000
@@ -491,14 +491,6 @@ def todd_coxeter(pres: GroupPresentation, subgroup: tuple[Word, ...] = (),
 
 # -- element order ----------------------------------------------------------
 
-def _substituted(word: Word, images: dict[str, Word]) -> Word:
-    """The word with each generator in ``images`` replaced by its image."""
-    out: list[tuple[str, int]] = []
-    for n, e in word.syllables:
-        out.extend(images[n].power(e).syllables if n in images else ((n, e),))
-    return Word(out)
-
-
 def _power_index(relators: tuple[Word, ...]):
     """The cyclic relators indexed for the power bound: ``(powers,
     by_count)``, where ``powers`` maps each generator x to the gcd of the
@@ -575,9 +567,11 @@ class OrderOracle:
     time a word needs it.  A word with no eliminated generator, such as
     a protected one, is its own image.  Both bounds read that image.
     The coset budget belongs to each question, and the oracle keeps one
-    budget slot: the verdicts given and the coset table built under the
-    latest budget, both dropped when another budget is asked.  Every
-    verdict is certified:
+    budget slot, a tuple replaced whole when another budget is asked:
+    the latest budget, the verdicts given under it, and a one-item list
+    that holds the coset table once one is built.  A question reads the
+    slot once, so another question that replaces it meanwhile changes
+    nothing for this one.  Every verdict is certified:
 
     1. Infinite when the abelianized image has infinite order;
     2. Finite when a Tietze-derived power bound meets the abelianized
@@ -593,18 +587,16 @@ class OrderOracle:
         self.pres = pres
         self._protect = protect
         self._names = frozenset(pres.generator_names())
-        self._budget: int | None = None
-        self._verdicts: dict[Word, OrderVerdict] = {}
-        self._table: CosetTable | Exhausted | None = None
-        self._final: dict[str, Word] = {}
+        self._slot: tuple = (None, {}, [None])
+        self._final: dict[str, tuple] = {}
 
     @cached_property
     def simplified(self) -> SimplifyResult:
         return simplify(self.pres, protect=self._protect)
 
     @cached_property
-    def _definitions(self) -> dict[str, Word]:
-        return dict(self.simplified.eliminations)
+    def _definitions(self) -> dict[str, tuple]:
+        return {name: d.syllables for name, d in self.simplified.eliminations}
 
     @cached_property
     def _index(self):
@@ -624,14 +616,14 @@ class OrderOracle:
         todo = [n for n in word.names() if n in defs and n not in final]
         while todo:
             name = todo[-1]
-            later = [n for n in defs[name].names() if n in defs and n not in final]
+            later = [n for n, _ in defs[name] if n in defs and n not in final]
             if later:
                 todo += later
                 continue
             todo.pop()
             if name not in final:
-                final[name] = _substituted(defs[name], final)
-        return _substituted(word, final)
+                final[name] = _substitute(defs[name], final)
+        return Word(_substitute(word.syllables, final))
 
     @cached_property
     def _abelian(self) -> _AbelianImage:
@@ -641,13 +633,16 @@ class OrderOracle:
         bad = word.names() - self._names
         if bad:
             raise ValueError(f"word uses undeclared generators {sorted(bad)}")
-        if budget != self._budget:
-            self._budget, self._verdicts, self._table = budget, {}, None
-        if word not in self._verdicts:
-            self._verdicts[word] = self._certify(word)
-        return self._verdicts[word]
+        slot = self._slot  # read once: a question asked meanwhile may replace it
+        if slot[0] != budget:
+            slot = self._slot = budget, {}, [None]
+        _, verdicts, table = slot
+        verdict = verdicts.get(word)
+        if verdict is None:
+            verdict = verdicts[word] = self._certify(word, budget, table)
+        return verdict
 
-    def _certify(self, word: Word) -> OrderVerdict:
+    def _certify(self, word: Word, budget: int, table: list) -> OrderVerdict:
         if word.is_empty:
             return FiniteOrder(1, "empty word")
         image = self._image(word)
@@ -662,13 +657,13 @@ class OrderOracle:
         if 0 in self._abelian.diag:
             # H1 has a free summand: the group is infinite, so no coset
             # table over the trivial subgroup can close
-            return UnknownOrder(self._budget)
-        if self._table is None:
-            self._table = todd_coxeter(self.pres, (), self._budget)
-        if isinstance(self._table, CosetTable):
-            k = self._table.permutation_order(word)
-            return FiniteOrder(k, f"coset enumeration closed with {self._table.cosets} cosets")
-        return UnknownOrder(self._budget)
+            return UnknownOrder(budget)
+        if table[0] is None:
+            table[0] = todd_coxeter(self.pres, (), budget)
+        if isinstance(table[0], CosetTable):
+            k = table[0].permutation_order(word)
+            return FiniteOrder(k, f"coset enumeration closed with {table[0].cosets} cosets")
+        return UnknownOrder(budget)
 
     def quotient_invariants(self, words: tuple[Word, ...]) -> AbelianInvariants:
         """H1 of the group modulo the normal closure of ``words``.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .algebra import DEFAULT_COSET_BUDGET, AbelianInvariants, OrderOracle
-from .graph import StratifoldGraph, are_isomorphic, components, normalize
+from .graph import StratifoldGraph, are_isomorphic, components
 from .presentation import (FSignature, GroupPresentation, Word, fgroup_graph,
                            killed_words, natural_presentation)
 from .verdicts import (INDETERMINATE, FiniteOrder, InfiniteOrder,
@@ -90,18 +90,19 @@ _last: tuple[StratifoldGraph, OrderOracle] | None = None
 
 
 def analyze(graph: StratifoldGraph) -> OrderOracle:
-    """The order oracle of the natural presentation of ``graph``
-    (normalized), reused while successive calls ask about graphs equal to
-    it (same vertices, genera, edges and labels, however the input text
-    was ordered).  Only the latest graph's oracle is kept; a different
-    graph replaces it.  The oracle simplifies on first need (that is
-    also what ``pi1 --simplify`` prints, and ``abelianization(oracle)``
-    is H1) and keeps its verdicts and coset table for the latest budget.
+    """The order oracle of the natural presentation of ``graph`` as given
+    (its labels normalized on the presentation's own walk), reused while
+    successive calls ask about graphs equal to it (same vertices, genera,
+    edges and labels, however the input text was ordered).  Only the
+    latest graph's oracle is kept; a different graph replaces it.  The
+    oracle simplifies on first need (that is also what ``pi1 --simplify``
+    prints, and ``abelianization(oracle)`` is H1) and keeps its verdicts
+    and coset table for the latest budget.
     """
     global _last
     last = _last  # read once: another thread may replace it meanwhile
     if last is None or last[0] != graph:
-        last = _last = graph, OrderOracle(natural_presentation(normalize(graph)))
+        last = _last = graph, OrderOracle(natural_presentation(graph))
     return last[1]
 
 
@@ -113,8 +114,6 @@ def clear_analysis() -> None:
 
 def _census(graph: StratifoldGraph, oracle: OrderOracle,
             budget: int) -> dict[str, OrderVerdict]:
-    # normalize changes only labels, so the graph's ids are the
-    # normalized graph's
     return {b.id: oracle.order(Word(((f"b.{b.id}", 1),)), budget)
             for b in graph.blacks}
 
@@ -123,7 +122,8 @@ def black_orders(graph: StratifoldGraph,
                  budget: int = DEFAULT_COSET_BUDGET) -> dict[str, OrderVerdict]:
     """Certified order of every branch-circle generator b.<id>.
 
-    Orders are taken in the fundamental group of the (normalized) graph;
+    Orders are taken in the fundamental group of the graph as given,
+    presented with its labels normalized on the presentation's own walk;
     one oracle serves the census, so the simplification and any coset
     table are computed once.  Unknown verdicts are honest abstentions
     carried by the budget.  Calling again on an equal graph with the

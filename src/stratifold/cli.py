@@ -157,9 +157,10 @@ def _ab_json(ab) -> dict:
 # text with its graph and violations, so successive commands on one text
 # parse and validate it once.  pi1, h1, order, holes, q and obstruct reach
 # the graph's group through analysis.analyze, so successive commands on
-# one graph share its order oracle: the presentation, its simplification
-# and H1, the composed words of the eliminated generators, the
-# power-relator index, and the verdicts and coset table of the latest
+# one graph share its order oracle: the presentation of the graph as
+# given (its labels normalized on the presentation's own walk), its
+# simplification and H1, the composed words of the eliminated generators,
+# the power-relator index, and the verdicts and coset table of the latest
 # budget.
 
 

@@ -238,17 +238,6 @@ def _bfs(graph: StratifoldGraph, start: tuple[str, str],
     return order
 
 
-def _tree_discovery(graph: StratifoldGraph) -> list[tuple[tuple[str, str], str]]:
-    """The breadth-first discovery order from the root of a connected graph."""
-    nverts = len(graph.whites) + len(graph.blacks)
-    if nverts == 0:
-        raise GraphError("empty graph has no spanning tree")
-    order = _bfs(graph, graph._root(), set())
-    if len(order) + 1 != nverts:
-        raise GraphError("graph is not connected")
-    return order
-
-
 def components(graph: StratifoldGraph, dead_whites,
                dead_blacks) -> list[StratifoldGraph]:
     """Connected pieces left after deleting some vertices and their edges.
@@ -378,7 +367,31 @@ def spanning_tree(graph: StratifoldGraph) -> frozenset[str]:
     before white on an id tie) and scans each vertex's incident edges in
     edge-id order, so the result is deterministic.
     """
-    return frozenset(eid for _, eid in _tree_discovery(graph))
+    return _tree_labels(graph)[0]
+
+
+def _tree_labels(graph: StratifoldGraph) -> tuple[frozenset[str], dict[str, int]]:
+    """The :func:`spanning_tree` of a connected graph and every edge's
+    :func:`normalize`d label (edge id -> label), from one walk."""
+    nverts = len(graph.whites) + len(graph.blacks)
+    if nverts == 0:
+        raise GraphError("empty graph has no spanning tree")
+    order = _bfs(graph, graph._root(), set())
+    if len(order) + 1 != nverts:
+        raise GraphError("graph is not connected")
+    labels = {e.id: e.label for e in graph.edges}
+    for (kind, vid), eid in order:
+        if labels[eid] > 0:
+            continue
+        if kind == _BLACK:
+            for other in graph.edges_at_black(vid):
+                labels[other] = -labels[other]
+        elif graph.white(vid).genus >= 0:
+            for other in graph.edges_at_white(vid):
+                labels[other] = -labels[other]
+        else:
+            labels[eid] = -labels[eid]
+    return frozenset([eid for _, eid in order]), labels
 
 
 def normalize(graph: StratifoldGraph) -> StratifoldGraph:
@@ -396,19 +409,7 @@ def normalize(graph: StratifoldGraph) -> StratifoldGraph:
     already fixed.  Idempotent, and the result is move-isomorphic to the
     input by construction.
     """
-    labels = {e.id: e.label for e in graph.edges}
-    for (vertex, eid) in _tree_discovery(graph):
-        if labels[eid] > 0:
-            continue
-        kind, vid = vertex
-        if kind == _BLACK:
-            for other in graph.edges_at_black(vid):
-                labels[other] = -labels[other]
-        elif graph.white(vid).genus >= 0:
-            for other in graph.edges_at_white(vid):
-                labels[other] = -labels[other]
-        else:
-            labels[eid] = -labels[eid]
+    _, labels = _tree_labels(graph)
     return StratifoldGraph(
         graph.whites, graph.blacks,
         [Edge(e.id, e.white, e.black, labels[e.id]) for e in graph.edges])

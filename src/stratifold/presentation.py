@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import GraphError
-from .graph import StratifoldGraph, WhiteVertex, BlackVertex, Edge, spanning_tree
+from .graph import StratifoldGraph, WhiteVertex, BlackVertex, Edge, _tree_labels
 
 GENERATOR_ROLES = ("black", "boundary", "surface", "stable", "period")
 
@@ -49,17 +49,19 @@ def _inverse(syllables):
     return tuple([(n, -e) for n, e in reversed(syllables)])
 
 
-def _substitute(syllables, name: str, replacement):
-    """The reduced syllables of a word with each ``name^e`` replaced by
-    ``replacement^e``; the arguments are reduced syllable tuples."""
+def _substitute(syllables, images):
+    """The reduced syllables of a word with each ``n^e`` whose name ``n``
+    is in ``images`` replaced by ``images[n]^e``; the word and the images
+    are reduced syllable tuples."""
     out: list[tuple[str, int]] = []
     for n, e in syllables:
-        if n != name:
+        image = images.get(n)
+        if image is None:
             out.append((n, e))
-        elif len(replacement) == 1:
-            out.append((replacement[0][0], replacement[0][1] * e))
+        elif len(image) == 1:
+            out.append((image[0][0], image[0][1] * e))
         else:
-            out.extend((replacement if e > 0 else _inverse(replacement)) * abs(e))
+            out.extend((image if e > 0 else _inverse(image)) * abs(e))
     return _reduce(out)
 
 
@@ -103,7 +105,7 @@ class Word:
         return sum(e for n, e in self.syllables if n == name)
 
     def substitute(self, name: str, replacement: "Word") -> "Word":
-        return Word(_substitute(self.syllables, name, replacement.syllables))
+        return Word(_substitute(self.syllables, {name: replacement.syllables}))
 
     def cyclically_reduced(self) -> "Word":
         s = list(self.syllables)
@@ -150,18 +152,18 @@ class FSignature:
                 raise ValueError(f"period {m} < 2")
 
 
-def _surface_word(prefix: str, genus: int) -> tuple[Word, list[str]]:
-    """The boundary-of-polygon word q and the surface generator names,
-    ``<prefix>1``, ``<prefix>2``, ..."""
+def _surface_word(prefix: str, genus: int) -> tuple[list, list[str]]:
+    """The reduced syllables of the boundary-of-polygon word q and the
+    surface generator names, ``<prefix>1``, ``<prefix>2``, ..."""
     if genus >= 0:
         names = [f"{prefix}{j}" for j in range(1, 2 * genus + 1)]
         sylls = []
         for i in range(genus):
             a, b = names[2 * i], names[2 * i + 1]
             sylls += [(a, 1), (b, 1), (a, -1), (b, -1)]
-        return Word(tuple(sylls)), names
+        return sylls, names
     names = [f"{prefix}{j}" for j in range(1, -genus + 1)]
-    return Word([(n, 2) for n in names]), names
+    return [(n, 2) for n in names], names
 
 
 def natural_presentation(graph: StratifoldGraph) -> GroupPresentation:
@@ -176,19 +178,15 @@ def natural_presentation(graph: StratifoldGraph) -> GroupPresentation:
     stored as s^-1 b^m; per non-tree edge with label m the conjugation
     relation stored as t^-1 s t b^-m.
 
-    Requires a connected graph whose spanning-tree labels are positive
-    (run :func:`stratifold.graph.normalize` first).
+    The graph is presented as given: the labels m are those that
+    :func:`stratifold.graph.normalize` gives, read off the tree's own walk.
+    Requires a connected graph with no label 0 on a tree edge.
     """
-    tree = spanning_tree(graph)
-    for eid in sorted(tree):
-        if graph.edge(eid).label <= 0:
-            raise GraphError(
-                f"tree edge {eid} has non-positive label; normalize the graph first")
-
+    tree, labels = _tree_labels(graph)
     gens: list[Generator] = []
     for b in graph.blacks:
         gens.append(Generator(f"b.{b.id}", "black"))
-    genus_words: dict[str, Word] = {}
+    genus_words: dict[str, list] = {}
     for w in graph.whites:
         for eid in graph.edges_at_white(w.id):
             gens.append(Generator(f"s.{eid}", "boundary"))
@@ -200,15 +198,17 @@ def natural_presentation(graph: StratifoldGraph) -> GroupPresentation:
 
     relators: list[Word] = []
     for w in graph.whites:
-        boundary = Word([(f"s.{eid}", 1) for eid in graph.edges_at_white(w.id)])
-        relators.append(boundary * genus_words[w.id])
+        boundary = [(f"s.{eid}", 1) for eid in graph.edges_at_white(w.id)]
+        relators.append(Word(boundary + genus_words[w.id]))
     for eid in sorted(tree):
+        if not labels[eid]:
+            raise GraphError(f"tree edge {eid} has label 0")
         e = graph.edge(eid)
-        relators.append(Word(((f"s.{eid}", -1), (f"b.{e.black}", e.label))))
+        relators.append(Word(((f"s.{eid}", -1), (f"b.{e.black}", labels[eid]))))
     for eid in nontree:
         e = graph.edge(eid)
         t = f"t.{eid}"
-        relators.append(Word(((t, -1), (f"s.{eid}", 1), (t, 1), (f"b.{e.black}", -e.label))))
+        relators.append(Word(((t, -1), (f"s.{eid}", 1), (t, 1), (f"b.{e.black}", -labels[eid]))))
     return GroupPresentation(tuple(gens), tuple(relators))
 
 
@@ -222,7 +222,7 @@ def fgroup_presentation(sig: FSignature) -> GroupPresentation:
     q, names = _surface_word("y", sig.genus)
     gens += [Generator(n, "surface") for n in names]
     relators = [Word(((f"c{i}", sig.periods[i - 1]),)) for i in range(1, p + 1)]
-    relators.append(Word([(f"c{i}", 1) for i in range(1, p + 1)]) * q)
+    relators.append(Word([(f"c{i}", 1) for i in range(1, p + 1)] + q))
     return GroupPresentation(tuple(gens), tuple(relators))
 
 
@@ -332,7 +332,7 @@ def simplify(pres: GroupPresentation,
             occurs[n].discard(ri)
         added = {n for n, _ in definition}
         for i in occurs.pop(name):
-            relators[i] = _substitute(relators[i], name, definition)
+            relators[i] = _substitute(relators[i], {name: definition})
             for n in added:
                 occurs[n].add(i)
             picks[i] = _first_eliminable(relators[i], keep)

@@ -16,12 +16,12 @@ import pytest
 import stratifold.algebra
 import stratifold.analysis
 import stratifold.cli
-from stratifold import (FSignature, StratifoldGraph, UnknownOrder,
-                        abelianization, black_orders, fgroup_graph,
-                        lens_spine, natural_presentation, normalize,
-                        obstructions, parse_expr, parse_graph, q_graph,
-                        serialize_graph, serialize_presentation, simplify,
-                        synth)
+from stratifold import (FSignature, OrderOracle, StratifoldGraph,
+                        UnknownOrder, Word, abelianization, black_orders,
+                        fgroup_graph, lens_spine, natural_presentation,
+                        normalize, obstructions, parse_expr, parse_graph,
+                        q_graph, serialize_graph, serialize_presentation,
+                        simplify, synth)
 from stratifold.analysis import analyze, clear_analysis
 from stratifold.cli import COMMANDS, main
 
@@ -154,7 +154,7 @@ class TestSharing:
         small = black_orders(g, 50)
         assert all(v == UnknownOrder(50) for v in small.values())
         oracle = analyze(g)
-        assert oracle._budget == 50
+        assert oracle._slot[0] == 50
         large = black_orders(g, 80)
         assert large != small
         assert all(v == UnknownOrder(80) for v in large.values())
@@ -162,7 +162,7 @@ class TestSharing:
         # one oracle, so one simplification and Smith form, serves every
         # budget; it keeps only the latest budget's verdicts and coset table
         assert analyze(g) is oracle
-        assert oracle._budget == 80
+        assert oracle._slot[0] == 80
 
     def test_budgets_share_the_simplification_and_smith_form(self, monkeypatch):
         calls = {"simplify": 0, "smith_normal_form": 0}
@@ -211,10 +211,32 @@ class TestSharing:
     def test_new_budget_releases_the_old_census(self):
         g = fgroup_graph(FSignature(0, (2, 3, 7)))
         black_orders(g, 60)
-        old = weakref.ref(analyze(g)._table)
+        old = weakref.ref(analyze(g)._slot[2][0])
         black_orders(g, 70)
         gc.collect()
         assert old() is None
+
+    def test_budget_replaced_during_the_lookup(self):
+        # a question at another budget replaces the oracle's budget slot
+        # while this one looks its word up; this one still answers under
+        # its own budget, not with the other budget's coset table
+        oracle = OrderOracle(natural_presentation(fgroup_graph(FSignature(0, (2, 3, 5)))))
+        b1, b2 = Word((("b.b1", 1),)), Word((("b.b2", 1),))
+
+        class Meddling(Word):
+            armed = True
+
+            def __hash__(self):
+                if Meddling.armed:
+                    Meddling.armed = False
+                    oracle.order(b2, 2000)
+                return Word.__hash__(self)
+
+        fresh = OrderOracle(oracle.pres).order(b1, 50)
+        assert fresh == UnknownOrder(50)
+        assert oracle.order(Meddling(b1.syllables), 50) == fresh
+        assert not Meddling.armed
+        assert oracle.order(b2, 2000).certificate == "coset enumeration closed with 60 cosets"
 
     def test_slot_replaced_during_the_check(self):
         # another caller replaces the kept oracle while this call compares

@@ -101,11 +101,22 @@ class TestNaturalPresentation:
         # conjugation relator is stored as t^-1 s t b^-m
         assert "t.e2^-1 s.e2 t.e2 b.b^-1" in [format_word(r) for r in p.relators]
 
-    def test_requires_positive_tree_labels(self):
+    def test_zero_tree_label_raises(self):
         g = StratifoldGraph([WhiteVertex("w", 0)], [BlackVertex("b")],
-                            [Edge("e", "w", "b", -5)])
-        with pytest.raises(GraphError):
+                            [Edge("e", "w", "b", 0)])
+        with pytest.raises(GraphError, match="tree edge e has label 0"):
             natural_presentation(g)
+
+    def test_any_orientation_presents_as_normalized(self):
+        # signed labels and nonorientable whites: the presentation reads
+        # normalize's labels off its own tree walk
+        rng = random.Random(304)
+        negative = 0
+        for _ in range(250):
+            g = random_valid_graph(rng)
+            negative += any(g.edge(eid).label < 0 for eid in spanning_tree(g))
+            assert natural_presentation(g) == natural_presentation(normalize(g))
+        assert negative >= 100
 
     def test_counts_on_random_graphs(self):
         rng = random.Random(303)
