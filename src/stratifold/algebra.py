@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm, prod
 
-from .presentation import GroupPresentation, SimplifyResult, Word, _substitute, simplify
+from .presentation import GroupPresentation, SimplifyResult, Word, rewrite_through, simplify
 from .verdicts import (FiniteOrder, InfiniteOrder, OrderVerdict, UnknownOrder)
 
 DEFAULT_COSET_BUDGET = 100_000
@@ -81,12 +81,7 @@ class AbelianInvariants:
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return None if self.free_rank else prod(self.torsion)
 
     def direct_sum(self, other: "AbelianInvariants") -> "AbelianInvariants":
         diag = list(self.torsion) + list(other.torsion)
@@ -288,8 +283,7 @@ class _AbelianImage:
                 if c:
                     return None, f"free coordinate {j} of the abelianized image is {c}"
             elif d >= 2 and c % d:
-                k = d // gcd(d, c % d)
-                order = order * k // gcd(order, k)
+                order = lcm(order, d // gcd(d, c % d))
         return order, f"abelianized image has order {order}"
 
 
@@ -343,7 +337,7 @@ class CosetTable:
                 seen[j] = True
                 j = perm[j]
                 length += 1
-            order = order * length // gcd(order, length)
+            order = lcm(order, length)
         return order
 
 
@@ -561,11 +555,10 @@ class OrderOracle:
     power-relator index (:func:`_power_index`: per generator the gcd of
     its power relators, the other relators by syllable count) are built
     on first need and a coset table only when a question needs one, so a
-    census of many words reuses them.  Each word is rewritten once, in
-    one substitution pass: an eliminated generator is replaced by its
-    final word, which composes the eliminations and is built the first
-    time a word needs it.  A word with no eliminated generator, such as
-    a protected one, is its own image.  Both bounds read that image.
+    census of many words reuses them.  A word with an eliminated
+    generator is rewritten through the simplifier's eliminations in
+    order (:func:`rewrite_through`); a word with none, such as a
+    protected one, is its own image.  Both bounds read that image.
     The coset budget belongs to each question, and the oracle keeps one
     budget slot, a tuple replaced whole when another budget is asked:
     the latest budget, the verdicts given under it, and a one-item list
@@ -588,42 +581,23 @@ class OrderOracle:
         self._protect = protect
         self._names = frozenset(pres.generator_names())
         self._slot: tuple = (None, {}, [None])
-        self._final: dict[str, tuple] = {}
 
     @cached_property
     def simplified(self) -> SimplifyResult:
         return simplify(self.pres, protect=self._protect)
 
     @cached_property
-    def _definitions(self) -> dict[str, tuple]:
-        return {name: d.syllables for name, d in self.simplified.eliminations}
+    def _eliminated(self) -> frozenset[str]:
+        return frozenset([name for name, _ in self.simplified.eliminations])
 
     @cached_property
     def _index(self):
         return _power_index(self.simplified.presentation.relators)
 
     def _image(self, word: Word) -> Word:
-        """The word rewritten through the eliminations, as
-        :func:`rewrite_through` does, in one pass.
-
-        A definition uses only generators eliminated after its own, so the
-        final word of a generator is its definition with those replaced
-        by their final words; the ones still missing are built first.
-        """
-        defs, final = self._definitions, self._final
-        if word.names().isdisjoint(defs):
+        if word.names().isdisjoint(self._eliminated):
             return word
-        todo = [n for n in word.names() if n in defs and n not in final]
-        while todo:
-            name = todo[-1]
-            later = [n for n, _ in defs[name] if n in defs and n not in final]
-            if later:
-                todo += later
-                continue
-            todo.pop()
-            if name not in final:
-                final[name] = _substitute(defs[name], final)
-        return Word(_substitute(word.syllables, final))
+        return rewrite_through(word, self.simplified.eliminations)
 
     @cached_property
     def _abelian(self) -> _AbelianImage:

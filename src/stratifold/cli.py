@@ -159,9 +159,9 @@ def _ab_json(ab) -> dict:
 # the graph's group through analysis.analyze, so successive commands on
 # one graph share its order oracle: the presentation of the graph as
 # given (its labels normalized on the presentation's own walk), its
-# simplification and H1, the composed words of the eliminated generators,
-# the power-relator index, and the verdicts and coset table of the latest
-# budget.
+# simplification and H1, the power-relator index, and the verdicts and
+# coset table of the latest budget.  A word with an eliminated generator
+# is rewritten through the simplifier's eliminations in order.
 
 
 def _cmd_validate(args, inputs, report):

@@ -49,19 +49,17 @@ def _inverse(syllables):
     return tuple([(n, -e) for n, e in reversed(syllables)])
 
 
-def _substitute(syllables, images):
-    """The reduced syllables of a word with each ``n^e`` whose name ``n``
-    is in ``images`` replaced by ``images[n]^e``; the word and the images
-    are reduced syllable tuples."""
+def _substitute(syllables, name: str, replacement):
+    """The reduced syllables of a word with each ``name^e`` replaced by
+    ``replacement^e``; the arguments are reduced syllable tuples."""
     out: list[tuple[str, int]] = []
     for n, e in syllables:
-        image = images.get(n)
-        if image is None:
+        if n != name:
             out.append((n, e))
-        elif len(image) == 1:
-            out.append((image[0][0], image[0][1] * e))
+        elif len(replacement) == 1:
+            out.append((replacement[0][0], replacement[0][1] * e))
         else:
-            out.extend((image if e > 0 else _inverse(image)) * abs(e))
+            out.extend((replacement if e > 0 else _inverse(replacement)) * abs(e))
     return _reduce(out)
 
 
@@ -105,7 +103,7 @@ class Word:
         return sum(e for n, e in self.syllables if n == name)
 
     def substitute(self, name: str, replacement: "Word") -> "Word":
-        return Word(_substitute(self.syllables, {name: replacement.syllables}))
+        return Word(_substitute(self.syllables, name, replacement.syllables))
 
     def cyclically_reduced(self) -> "Word":
         s = list(self.syllables)
@@ -126,13 +124,14 @@ class GroupPresentation:
 
     def __post_init__(self):
         names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate generator names")
         declared = set(names)
+        if len(declared) != len(names):
+            raise ValueError("duplicate generator names")
         for r in self.relators:
-            missing = r.names() - declared
-            if missing:
-                raise ValueError(f"relator uses undeclared generators {sorted(missing)}")
+            for n, _ in r.syllables:
+                if n not in declared:
+                    missing = sorted(r.names() - declared)
+                    raise ValueError(f"relator uses undeclared generators {missing}")
 
     def generator_names(self) -> tuple[str, ...]:
         return tuple([g.name for g in self.generators])
@@ -332,7 +331,7 @@ def simplify(pres: GroupPresentation,
             occurs[n].discard(ri)
         added = {n for n, _ in definition}
         for i in occurs.pop(name):
-            relators[i] = _substitute(relators[i], {name: definition})
+            relators[i] = _substitute(relators[i], name, definition)
             for n in added:
                 occurs[n].add(i)
             picks[i] = _first_eliminable(relators[i], keep)

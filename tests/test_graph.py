@@ -40,6 +40,15 @@ class TestConstruction:
         with pytest.raises(GraphError):
             StratifoldGraph([WhiteVertex("w", 0), WhiteVertex("w", 1)], [], [])
 
+    @pytest.mark.parametrize("blacks, edges, message", [
+        (["b", "b"], [], "duplicate black vertex id 'b'"),
+        (["b"], [("e", 3), ("e", 5)], "duplicate edge id 'e'"),
+    ])
+    def test_duplicate_black_and_edge_ids_rejected(self, blacks, edges, message):
+        with pytest.raises(GraphError, match=message):
+            StratifoldGraph([WhiteVertex("w", 0)], [BlackVertex(b) for b in blacks],
+                            [Edge(eid, "w", "b", label) for eid, label in edges])
+
     def test_ids_namespaced_per_kind(self):
         # a white and a black may share an id; endpoints are typed
         g = StratifoldGraph([WhiteVertex("x", 0)], [BlackVertex("x")],
@@ -51,6 +60,9 @@ class TestConstruction:
         with pytest.raises(GraphError):
             StratifoldGraph([WhiteVertex("w", 0)], [BlackVertex("b")],
                             [Edge("e", "w", "nope", 3)])
+        with pytest.raises(GraphError, match="dangling white endpoint 'nope'"):
+            StratifoldGraph([WhiteVertex("w", 0)], [BlackVertex("b")],
+                            [Edge("e", "nope", "b", 3)])
 
     def test_lookup_helpers(self):
         g = one_edge(3)
@@ -199,6 +211,15 @@ class TestSpanningTree:
         rng = random.Random(33)
         g = random_valid_graph(rng, max_extra=3)
         assert spanning_tree(g) == spanning_tree(g)
+
+    @pytest.mark.parametrize("graph, message", [
+        (StratifoldGraph([], [], []), "empty graph has no spanning tree"),
+        (StratifoldGraph([WhiteVertex("w1", 0), WhiteVertex("w2", 0)], [BlackVertex("b")],
+                         [Edge("e", "w1", "b", 3)]), "graph is not connected"),
+    ])
+    def test_needs_a_nonempty_connected_graph(self, graph, message):
+        with pytest.raises(GraphError, match=message):
+            spanning_tree(graph)
 
 
 def union_find_components(graph, dead_whites, dead_blacks):

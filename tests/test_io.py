@@ -85,6 +85,8 @@ class TestGraphFormat:
     def test_arity_errors(self):
         with pytest.raises(ParseError, match="expected 'white"):
             parse_graph("white w")
+        with pytest.raises(ParseError, match="line 2: expected 'black <id>'"):
+            parse_graph("white w genus 0\nblack b c")
         with pytest.raises(ParseError, match="expected 'edge"):
             parse_graph("white w genus 0\nblack b\nedge e w b 5 9")
 
@@ -104,6 +106,16 @@ class TestGraphFormat:
         for _ in range(100):
             g = random_valid_graph(rng)
             assert parse_graph(serialize_graph(g)) == g
+
+    def test_reshuffled_text_is_one_set_element(self):
+        text = serialize_graph(synth(parse_expr("L(3) # S2xS1")))
+        lines = text.splitlines()
+        random.Random(6).shuffle(lines)
+        shuffled = "\n".join(lines)
+        assert shuffled != text.rstrip("\n")
+        g, h = parse_graph(text), parse_graph(shuffled)
+        assert g is not h and hash(g) == hash(h)
+        assert len({g, h}) == 1
 
     def test_unserializable_id_rejected(self):
         from stratifold import BlackVertex, Edge, StratifoldGraph, WhiteVertex
@@ -134,6 +146,10 @@ class TestWordFormat:
             with pytest.raises(ParseError, match="bad word syllable"):
                 parse_word(text)
 
+    def test_caret_in_a_name_is_not_formatted(self):
+        with pytest.raises(ParseError, match="'a\\^2' is not representable"):
+            format_word(Word((("a^2", 1),)))
+
     def test_round_trip_random(self):
         rng = random.Random(701)
         names = ["a", "b.x", "y.w0.2", "t"]
@@ -160,6 +176,15 @@ class TestPresentationFormat:
     def test_undeclared_generator_rejected(self):
         with pytest.raises(ParseError, match="undeclared"):
             parse_presentation("gen a black\nrel a z")
+
+    def test_arity_errors(self):
+        for text in ("gen a", "gen a black extra"):
+            with pytest.raises(ParseError, match="line 1: expected 'gen <name> <role>'"):
+                parse_presentation(text)
+
+    def test_bad_syllable_cites_its_line(self):
+        with pytest.raises(ParseError, match="line 2: bad word syllable 'a\\^x'"):
+            parse_presentation("gen a black\nrel a^x")
 
     def test_bad_role_rejected(self):
         with pytest.raises(ParseError, match="role"):

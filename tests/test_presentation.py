@@ -70,6 +70,11 @@ class TestGroupPresentation:
     def test_undeclared_relator_name_rejected(self):
         with pytest.raises(ValueError):
             GroupPresentation((Generator("a", "black"),), (Word((("z", 1),)),))
+        # the first relator with an undeclared name is reported, its names sorted
+        rels = (Word((("a", 1),)), Word((("z", 1), ("a", 2), ("y", -1), ("z", 1))),
+                Word((("x", 1),)))
+        with pytest.raises(ValueError, match=r"undeclared generators \['y', 'z'\]$"):
+            GroupPresentation((Generator("a", "black"),), rels)
 
     def test_bad_role_rejected(self):
         with pytest.raises(ValueError):

@@ -8,9 +8,8 @@ The order oracle skips coset enumeration when H1 is infinite; the premise
 of that skip is checked directly.  The occurrence-aware simplifier is
 checked against a reference copy of the rescanning loop it replaced, and
 the closed-form word operations against their syllable-by-syllable
-definitions.  The oracle's one-pass images are checked against the
-sequential rewrite_through, its indexed power bound against a scan of
-every relator, and the Q-surgery's capped edges against a scan per
+definitions.  The oracle's indexed power bound is checked against a scan
+of every relator, and the Q-surgery's capped edges against a scan per
 piece.  The one-pass canonical spine is checked against the left fold of
 delta_sum it replaced.
 """
@@ -266,6 +265,7 @@ def test_oracle_matches_full_matrix_oracle_on_graphs():
 
 def test_oracle_matches_full_matrix_oracle_on_random_words():
     rng = random.Random(1710)
+    rewritten = 0
     for _ in range(150):
         p = random_presentation(rng)
         oracle = OrderOracle(p)
@@ -273,25 +273,10 @@ def test_oracle_matches_full_matrix_oracle_on_random_words():
         for _ in range(4):
             w = random_word(rng, names, max_syllables=3)
             assert verdict_key(oracle.order(w, 200)) == full_matrix_verdict(p, w, 200)
-
-
-def test_oracle_image_matches_sequential_rewrite():
-    rng = random.Random(1717)
-    cases = [p for _, p in graph_presentations(rng, 40)]
-    cases += [random_presentation(rng) for _ in range(300)]
-    composed = 0
-    for p in cases:
-        names = p.generator_names()
-        if not names:
-            continue
-        oracle = OrderOracle(p, frozenset(n for n in names if rng.random() < 0.2))
-        eliminations = oracle.simplified.eliminations
-        gone = {name for name, _ in eliminations}
-        for _ in range(5):
-            w = random_word(rng, names, max_syllables=5)
-            composed += not w.names().isdisjoint(gone)
-            assert oracle._image(w) == rewrite_through(w, eliminations)
-    assert composed > 300
+            # the image of such a word is a rewrite, not the word itself
+            rewritten += any(name in w.names() and not d.is_empty
+                             for name, d in oracle.simplified.eliminations)
+    assert rewritten >= 30
 
 
 def test_indexed_power_bound_matches_full_scan():
