@@ -9,8 +9,8 @@ connected sums of lens spaces, S2 bundles over S1, and P2 x S1.
 
 from .algebra import (DEFAULT_COSET_BUDGET, AbelianInvariants, CosetTable,
                       Exhausted, IntMatrix, OrderOracle, abelianization,
-                      apply_transforms, element_order, relation_matrix,
-                      smith_normal_form, todd_coxeter)
+                      apply_transforms, relation_matrix, smith_normal_form,
+                      todd_coxeter)
 from .analysis import (FCLASS_KINDS, FClass, Obstruction, QComponent,
                        QResult, black_orders, classify_fgroup,
                        fgroup_signature_of, obstructions, q_graph, white_holes)
@@ -21,7 +21,7 @@ from .formats import (format_expr, format_word, parse_expr, parse_graph,
                       serialize_presentation)
 from .graph import (BlackVertex, Edge, StratifoldGraph, Violation, WhiteVertex,
                     are_isomorphic, cw_euler, euler_characteristic, normalize,
-                    partition_at, spanning_tree, validate)
+                    spanning_tree, validate)
 from .presentation import (GENERATOR_ROLES, FSignature, Generator,
                            GroupPresentation, SimplifyResult, Word,
                            fgroup_graph, fgroup_presentation,
@@ -45,11 +45,11 @@ __all__ = [
     "StratifoldError", "StratifoldGraph", "Summand", "UnknownOrder",
     "Violation", "WhiteVertex", "Word", "abelianization", "apply_transforms",
     "are_isomorphic", "attachment_white", "black_orders", "classify_fgroup",
-    "cw_euler", "delta_sum", "element_order", "euler_characteristic",
+    "cw_euler", "delta_sum", "euler_characteristic",
     "fgroup_graph", "fgroup_presentation", "fgroup_signature_of",
     "format_expr", "format_word", "lens_spine", "natural_presentation",
     "normalize", "obstructions", "p2xs1_spine", "parse_expr", "parse_graph",
-    "parse_presentation", "parse_word", "partition_at", "q_graph",
+    "parse_presentation", "parse_word", "q_graph",
     "recognize", "relation_matrix", "rewrite_through", "s2xs1_spine",
     "s2xs1_twisted_spine", "serialize_graph", "serialize_presentation",
     "simplify", "smith_normal_form", "spanning_tree", "synth",

@@ -40,14 +40,6 @@ class IntMatrix:
             raise ValueError("ragged rows")
         return cls(len(rows), n, tuple([x for r in rows for x in r]))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple([1 if i == j else 0 for i in range(n) for j in range(n)]))
-
     def __getitem__(self, idx):
         i, j = idx
         return self.entries[i * self.cols + j]
@@ -82,13 +74,6 @@ class AbelianInvariants:
     def order(self) -> int | None:
         """Group order, or None when infinite."""
         return None if self.free_rank else prod(self.torsion)
-
-    def direct_sum(self, other: "AbelianInvariants") -> "AbelianInvariants":
-        diag = list(self.torsion) + list(other.torsion)
-        m = IntMatrix.from_rows([[diag[i] if i == j else 0 for j in range(len(diag))]
-                                 for i in range(len(diag))])
-        inv, _ = smith_normal_form(m)
-        return AbelianInvariants(self.free_rank + other.free_rank, inv.torsion)
 
 
 # -- Smith normal form -----------------------------------------------------
@@ -298,34 +283,26 @@ class Exhausted:
 
 
 class CosetTable:
-    """Completed coset table: the action of each generator is a bijection.
+    """Completed coset table over the trivial subgroup: the action of each
+    generator is a bijection of the group's elements.
 
     ``action[name]`` maps coset -> coset for the generator; inverses are
-    the inverse permutations.  Coset 0 is the subgroup itself.
+    the inverse permutations.  Coset 0 is the identity.
     """
 
-    def __init__(self, gens: tuple[str, ...], action: dict[str, tuple[int, ...]]):
-        self.gens = gens
+    def __init__(self, action: dict[str, tuple[int, ...]]):
         self.action = action
         self.cosets = len(next(iter(action.values()))) if action else 1
         self._inverse = {g: _invert_perm(p) for g, p in action.items()}
 
-    def act(self, coset: int, name: str, exp: int) -> int:
-        perm = self.action[name] if exp > 0 else self._inverse[name]
-        for _ in range(abs(exp)):
-            coset = perm[coset]
-        return coset
-
-    def word_permutation(self, word: Word) -> tuple[int, ...]:
-        return tuple(self._act_word(c, word) for c in range(self.cosets))
-
-    def _act_word(self, coset: int, word: Word) -> int:
-        for n, e in word.syllables:
-            coset = self.act(coset, n, e)
-        return coset
-
     def permutation_order(self, word: Word) -> int:
-        perm = self.word_permutation(word)
+        """Order of the permutation ``word`` induces on the cosets, which
+        over the trivial subgroup is the order of the element."""
+        perm = list(range(self.cosets))
+        for name, e in word.syllables:
+            step = self.action[name] if e > 0 else self._inverse[name]
+            for _ in range(abs(e)):
+                perm = [step[c] for c in perm]
         seen = [False] * self.cosets
         order = 1
         for i in range(self.cosets):
@@ -348,9 +325,9 @@ def _invert_perm(p):
     return out
 
 
-def todd_coxeter(pres: GroupPresentation, subgroup: tuple[Word, ...] = (),
+def todd_coxeter(pres: GroupPresentation,
                  budget: int = DEFAULT_COSET_BUDGET) -> CosetTable | Exhausted:
-    """HLT-style coset enumeration over the given subgroup generators.
+    """HLT-style coset enumeration over the trivial subgroup.
 
     Deterministic: cosets are defined in a fixed order (relators scanned
     in presentation order at each live coset, then remaining entries
@@ -376,7 +353,6 @@ def todd_coxeter(pres: GroupPresentation, subgroup: tuple[Word, ...] = (),
         return out
 
     relator_cols = [word_cols(r) for r in pres.relators if not r.is_empty]
-    subgroup_cols = [word_cols(w) for w in subgroup if not w.is_empty]
 
     table: list[list[int | None]] = [[None] * ncols]
     p = [0]
@@ -455,8 +431,6 @@ def todd_coxeter(pres: GroupPresentation, subgroup: tuple[Word, ...] = (),
         pass
 
     try:
-        for cols in subgroup_cols:
-            scan_and_fill(0, cols)
         alpha = 0
         while alpha < len(table):
             if rep(alpha) != alpha:
@@ -480,7 +454,7 @@ def todd_coxeter(pres: GroupPresentation, subgroup: tuple[Word, ...] = (),
     for gi, name in enumerate(names):
         col = 2 * gi
         action[name] = tuple(number[rep(table[c][col])] for c in live)
-    return CosetTable(tuple(names), action)
+    return CosetTable(action)
 
 
 # -- element order ----------------------------------------------------------
@@ -633,7 +607,7 @@ class OrderOracle:
             # table over the trivial subgroup can close
             return UnknownOrder(budget)
         if table[0] is None:
-            table[0] = todd_coxeter(self.pres, (), budget)
+            table[0] = todd_coxeter(self.pres, budget)
         if isinstance(table[0], CosetTable):
             k = table[0].permutation_order(word)
             return FiniteOrder(k, f"coset enumeration closed with {table[0].cosets} cosets")
@@ -659,13 +633,3 @@ class OrderOracle:
         inv, _ = smith_normal_form(relation_matrix(pres))
         return inv
 
-
-def element_order(pres: GroupPresentation, word: Word,
-                  budget: int = DEFAULT_COSET_BUDGET) -> OrderVerdict:
-    """Certified order of a word in the presented group, or Unknown.
-
-    See :class:`OrderOracle` for the certificate strategy.  The word's
-    own generators are protected during simplification so that power
-    relators over them stay visible.
-    """
-    return OrderOracle(pres, frozenset(word.names())).order(word, budget)

@@ -156,12 +156,7 @@ def _ab_json(ab) -> dict:
 # Every graph text is read through _read_graph, which keeps the latest
 # text with its graph and violations, so successive commands on one text
 # parse and validate it once.  pi1, h1, order, holes, q and obstruct reach
-# the graph's group through analysis.analyze, so successive commands on
-# one graph share its order oracle: the presentation of the graph as
-# given (its labels normalized on the presentation's own walk), its
-# simplification and H1, the power-relator index, and the verdicts and
-# coset table of the latest budget.  A word with an eliminated generator
-# is rewritten through the simplifier's eliminations in order.
+# the graph's group through analysis.analyze.
 
 
 def _cmd_validate(args, inputs, report):

@@ -265,16 +265,6 @@ def components(graph: StratifoldGraph, dead_whites,
     return [piece for _, piece in pieces]
 
 
-def partition_at(graph: StratifoldGraph, black_id: str) -> tuple[int, ...]:
-    """The partition of d at a branch circle: incident |labels|, descending.
-
-    Its sum d is the number of sheets meeting the circle, and the parts are
-    the covering degrees of the boundary circles glued there.
-    """
-    eids = graph.edges_at_black(black_id)
-    return tuple(sorted((abs(graph.edge(eid).label) for eid in eids), reverse=True))
-
-
 def is_disk(graph: StratifoldGraph, wid: str) -> bool:
     """A white vertex of genus 0 with exactly one boundary circle."""
     return (graph.white(wid).genus == 0

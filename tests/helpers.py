@@ -4,9 +4,10 @@ Everything takes an explicit random.Random so individual tests stay
 reproducible; no module-level state.
 """
 
-from stratifold import (BlackVertex, Edge, IntMatrix, ManifoldExpr,
-                        StratifoldGraph, Summand, WhiteVertex, apply_transforms,
-                        attachment_white, delta_sum, synth)
+from stratifold import (DEFAULT_COSET_BUDGET, BlackVertex, Edge, IntMatrix,
+                        ManifoldExpr, OrderOracle, StratifoldGraph, Summand,
+                        WhiteVertex, apply_transforms, attachment_white,
+                        delta_sum, synth)
 
 
 def random_valid_graph(rng, max_whites=4, max_blacks=3, max_extra=3):
@@ -107,6 +108,20 @@ def fold_synth(expr):
 
 def cycle_rank(graph):
     return len(graph.edges) - len(graph.whites) - len(graph.blacks) + 1
+
+
+def diagonal(entries, cols=None):
+    """Matrix with ``entries`` down the diagonal, square unless ``cols``
+    adds zero columns."""
+    cols = len(entries) if cols is None else cols
+    return IntMatrix.from_rows([[d if i == j else 0 for j in range(cols)]
+                                for i, d in enumerate(entries)])
+
+
+def word_order(pres, word, budget=DEFAULT_COSET_BUDGET):
+    """Certified order of ``word``, its own generators protected while the
+    oracle simplifies, so power relators over them stay visible."""
+    return OrderOracle(pres, frozenset(word.names())).order(word, budget)
 
 
 def random_int_matrix(rng, max_dim=4, max_entry=6):

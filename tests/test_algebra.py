@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from helpers import (random_int_matrix, random_unimodular_ops,
-                     random_valid_graph, transformed)
+from helpers import (diagonal, random_int_matrix, random_unimodular_ops,
+                     random_valid_graph, transformed, word_order)
 from stratifold import (AbelianInvariants, CosetTable, Exhausted, FiniteOrder,
                         FSignature, Generator, GroupPresentation, IntMatrix,
                         InfiniteOrder, OrderOracle, UnknownOrder, Word,
-                        abelianization, apply_transforms, element_order,
-                        fgroup_presentation, lens_spine, natural_presentation,
+                        abelianization, apply_transforms, fgroup_presentation, lens_spine, natural_presentation,
                         normalize, relation_matrix, s2xs1_spine,
                         smith_normal_form, todd_coxeter)
 from stratifold.algebra import _power_index, _power_relator_bound
@@ -43,10 +42,6 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix(2, 2, (1, 2, 3))
 
-    def test_zeros_and_identity(self):
-        assert IntMatrix.zeros(2, 3).entries == (0,) * 6
-        assert IntMatrix.identity(2).to_lists() == [[1, 0], [0, 1]]
-
 
 class TestSmithNormalForm:
     def test_diag_2_3(self):
@@ -57,11 +52,11 @@ class TestSmithNormalForm:
         assert d.to_lists() == [[1, 0], [0, 6]]
 
     def test_zero_matrix_is_free(self):
-        inv, _ = smith_normal_form(IntMatrix.zeros(2, 3))
+        inv, _ = smith_normal_form(diagonal([0, 0], cols=3))
         assert inv == AbelianInvariants(3, ())
 
     def test_identity_is_trivial(self):
-        inv, _ = smith_normal_form(IntMatrix.identity(3))
+        inv, _ = smith_normal_form(diagonal([1, 1, 1]))
         assert inv == AbelianInvariants(0, ())
         assert inv.is_trivial
 
@@ -116,11 +111,13 @@ class TestAbelianInvariants:
         assert AbelianInvariants(0, ()).order() == 1
 
     def test_direct_sum_merges_chains(self):
-        a = AbelianInvariants(0, (2,))
-        b = AbelianInvariants(0, (3,))
-        assert a.direct_sum(b) == AbelianInvariants(0, (6,))
-        c = AbelianInvariants(1, (2, 2)).direct_sum(AbelianInvariants(0, (4,)))
-        assert c == AbelianInvariants(1, (2, 2, 4))
+        # Z/2 + Z/3 = Z/6, and Z + Z/2 + Z/2 + Z/4 is already a chain
+        inv, _ = smith_normal_form(diagonal([2, 3]))
+        assert inv == AbelianInvariants(0, (6,))
+        inv, _ = smith_normal_form(diagonal([2, 2, 4], cols=4))
+        assert inv == AbelianInvariants(1, (2, 2, 4))
+        inv, _ = smith_normal_form(diagonal([4, 2, 2], cols=4))
+        assert inv == AbelianInvariants(1, (2, 2, 4))
 
 
 class TestAbelianization:
@@ -177,12 +174,6 @@ class TestToddCoxeter:
         t2 = todd_coxeter(p)
         assert t1.action == t2.action
 
-    def test_subgroup_index(self):
-        # <c1> has order 2 in the order-6 group, hence index 3
-        p = fgroup_presentation(FSignature(0, (2, 2, 3)))
-        t = todd_coxeter(p, subgroup=(Word((("c1", 1),)),))
-        assert t.cosets == 3
-
     def test_exhaustion_reports_budget(self):
         out = todd_coxeter(KLEIN, budget=8)
         assert isinstance(out, Exhausted)
@@ -200,56 +191,93 @@ class TestToddCoxeter:
         p = fgroup_presentation(FSignature(0, (2, 3, 4)))
         t = todd_coxeter(p)
         for r in p.relators:
-            assert t.word_permutation(r) == tuple(range(t.cosets))
+            assert t.permutation_order(r) == 1
+            assert t.permutation_order(r.inverse()) == 1
 
-    def test_act_respects_involution(self):
-        t = todd_coxeter(fgroup_presentation(FSignature(0, (2, 2, 3))))
-        for c in range(t.cosets):
-            assert t.act(t.act(c, "c1", 1), "c1", 1) == c
+    @pytest.mark.parametrize("periods", [(2, 3, 4), (2, 3, 5), (2, 2, 7)])
+    def test_permutation_order_matches_composed_action(self, periods):
+        # the reference composes each word from the generators' own
+        # permutations by nonnegative powers only, p^-1 = p^(ord p - 1), so
+        # it shares nothing with the table's inverse permutations
+        t = todd_coxeter(fgroup_presentation(FSignature(0, periods)))
+        assert isinstance(t, CosetTable)
+        identity = tuple(range(t.cosets))
+
+        def order(perm):
+            k, q = 1, perm
+            while q != identity:
+                q = tuple([perm[c] for c in q])
+                k += 1
+            return k
+
+        def power(perm, k):
+            q = identity
+            for _ in range(k):
+                q = tuple([perm[c] for c in q])
+            return q
+
+        def reference(word):
+            q = identity
+            for name, e in word.syllables:
+                p = t.action[name]
+                step = power(p if e > 0 else power(p, order(p) - 1), abs(e))
+                q = tuple([step[c] for c in q])
+            return order(q)
+
+        rng = random.Random(4127)
+        names = sorted(t.action)
+        words = [Word((("c1", -1), ("c2", 2))), Word((("c3", -7), ("c1", 1)))]
+        for _ in range(300):
+            words.append(Word(tuple((rng.choice(names),
+                                     rng.choice((-1, 1)) * rng.randint(1, 7))
+                                    for _ in range(rng.randint(1, 6)))))
+        assert sum(any(e < 0 for _, e in w.syllables) for w in words) >= 200
+        for w in words:
+            assert t.permutation_order(w) == reference(w), w
 
 
 class TestElementOrder:
     def test_power_relator_certificate(self):
         p = pres([("b", "black")], [[("b", 5)]])
-        v = element_order(p, Word((("b", 1),)))
+        v = word_order(p, Word((("b", 1),)))
         assert isinstance(v, FiniteOrder)
         assert v.order == 5
         assert "power relator" in v.certificate
 
     def test_infinite_via_abelianization(self):
         p = natural_presentation(normalize(s2xs1_spine()))
-        v = element_order(p, Word((("t.e2", 1),)))
+        v = word_order(p, Word((("t.e2", 1),)))
         assert isinstance(v, InfiniteOrder)
 
     def test_infinite_in_free_abelian(self):
         p = pres([("a", "black"), ("b", "black")],
                  [[("a", 1), ("b", 1), ("a", -1), ("b", -1)]])
-        assert isinstance(element_order(p, Word((("b", 1),))), InfiniteOrder)
+        assert isinstance(word_order(p, Word((("b", 1),))), InfiniteOrder)
 
     def test_identity_reduction(self):
         # in the annulus-plus-disk graph the black curve bounds: order 1
         p = natural_presentation(normalize(s2xs1_spine()))
-        v = element_order(p, Word((("b.b", 1),)))
+        v = word_order(p, Word((("b.b", 1),)))
         assert v == FiniteOrder(1, "word reduces to the identity under Tietze moves")
 
     def test_abstention_within_budget(self):
         # the abelian image of b has order 2 but the group needs
         # enumeration, which cannot close in 2 cosets
-        v = element_order(KLEIN, Word((("b", 1),)), budget=2)
+        v = word_order(KLEIN, Word((("b", 1),)), budget=2)
         assert v == UnknownOrder(2)
 
     def test_enumeration_fallback(self):
         # (2,3,3) has order 12; c1 c2 has trivial abelian image there,
         # so only the coset table can settle it
         p = fgroup_presentation(FSignature(0, (2, 3, 3)))
-        v = element_order(p, Word((("c2", 1), ("c3", -1))))
+        v = word_order(p, Word((("c2", 1), ("c3", -1))))
         assert isinstance(v, FiniteOrder)
         assert "coset" in v.certificate
 
     def test_reflection_orders_in_finite_families(self):
         for periods in ((2, 2, 2), (2, 2, 5), (2, 3, 3), (2, 3, 4), (2, 3, 5)):
             p = fgroup_presentation(FSignature(0, periods))
-            v = element_order(p, Word((("c1", 1),)))
+            v = word_order(p, Word((("c1", 1),)))
             assert v == FiniteOrder(2, v.certificate)
             assert isinstance(v, FiniteOrder)
 
@@ -269,18 +297,18 @@ class TestElementOrder:
         p = pres([("a", "black"), ("b", "black")], [[("b", 1), ("a", 1)] * 3])
         for syllables in ([("a", 1), ("b", 1)], [("b", 1), ("a", 1)],
                           [("b", -1), ("a", -1)]):
-            v = element_order(p, Word(tuple(syllables)), budget=2000)
+            v = word_order(p, Word(tuple(syllables)), budget=2000)
             assert isinstance(v, FiniteOrder)
             assert v.order == 3
             assert v.certificate.startswith("power relator bound 3")
 
     def test_empty_word(self):
-        v = element_order(KLEIN, Word())
+        v = word_order(KLEIN, Word())
         assert v == FiniteOrder(1, "empty word")
 
     def test_undeclared_name_rejected(self):
         with pytest.raises(ValueError):
-            element_order(KLEIN, Word((("zz", 1),)))
+            word_order(KLEIN, Word((("zz", 1),)))
 
 
 class TestOrderOracle:

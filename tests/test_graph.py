@@ -11,10 +11,10 @@ from helpers import (cycle_rank, isolate_mutation, random_valid_graph,
 from stratifold import (BlackVertex, Edge, GraphError, ManifoldExpr,
                         StratifoldGraph, Summand, WhiteVertex, are_isomorphic,
                         cw_euler, delta_sum, euler_characteristic, lens_spine,
-                        normalize, partition_at, s2xs1_spine,
+                        normalize, s2xs1_spine,
                         s2xs1_twisted_spine, synth,
                         spanning_tree, validate)
-from stratifold.graph import components
+from stratifold.graph import _signatures, components
 
 
 def one_edge(label, genus=0):
@@ -137,26 +137,28 @@ class TestValidate:
 
 
 class TestPartition:
+    # the partition of d at a branch circle, as the isomorphism search
+    # reads it: the incident |labels| in a black's signature
     def test_signs_dropped_and_sorted(self):
         g = StratifoldGraph(
             [WhiteVertex("w", 0)], [BlackVertex("b")],
             [Edge("e1", "w", "b", 2), Edge("e2", "w", "b", 1),
              Edge("e3", "w", "b", -1)])
-        assert partition_at(g, "b") == (2, 1, 1)
+        assert _signatures(g)[("b", "b")] == ("b", 0, (1, 1, 2))
 
     def test_single_edge(self):
-        assert partition_at(one_edge(3), "b") == (3,)
+        assert _signatures(one_edge(3))[("b", "b")] == ("b", 0, (3,))
 
     def test_three_ones(self):
         g = StratifoldGraph(
             [WhiteVertex("w", 1)], [BlackVertex("b")],
             [Edge("e1", "w", "b", 1), Edge("e2", "w", "b", 1),
              Edge("e3", "w", "b", 1)])
-        assert partition_at(g, "b") == (1, 1, 1)
+        assert _signatures(g)[("b", "b")] == ("b", 0, (1, 1, 1))
 
     def test_unknown_vertex(self):
         with pytest.raises(GraphError):
-            partition_at(one_edge(3), "nope")
+            one_edge(3).edges_at_black("nope")
 
 
 class TestEuler:

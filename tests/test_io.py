@@ -728,6 +728,18 @@ class TestPublicSurface:
         exec("from stratifold import *", namespace)
         assert imported <= set(namespace)
 
+    def test_readme_library_names_exist(self):
+        # every name the README's library list cites in parentheses, such
+        # as (`synth`, `recognize`, `delta_sum`), is exported or a command
+        section = re.search(r"^On top of that encoding the library provides:\n(.*?)^## ",
+                            README.read_text(encoding="utf-8"),
+                            re.MULTILINE | re.DOTALL).group(1)
+        names = [name for group in re.findall(r"\((`\w+`(?:,\s*`\w+`)*)\)", section)
+                 for name in re.findall(r"`(\w+)`", group)]
+        assert len(names) >= 10
+        missing = [n for n in names if n not in stratifold.__all__ and n not in COMMANDS]
+        assert missing == []
+
     def test_readme_python_block_runs(self):
         blocks = re.findall(r"^```python\n(.*?)^```$",
                             README.read_text(encoding="utf-8"),

@@ -111,7 +111,7 @@ def full_matrix_verdict(pres, word, budget):
         return "finite", 1
     if upper == lower:
         return "finite", upper
-    table = todd_coxeter(pres, (), budget)
+    table = todd_coxeter(pres, budget=budget)
     if isinstance(table, CosetTable):
         return "finite", table.permutation_order(word)
     return "unknown", None
@@ -340,7 +340,7 @@ def test_free_abelianization_never_closes():
     free = [p for p in cases if abelianization(p).free_rank]
     assert len(free) >= 80
     for p in free:
-        assert isinstance(todd_coxeter(p, (), 2000), Exhausted)
+        assert isinstance(todd_coxeter(p, budget=2000), Exhausted)
 
 
 def test_census_skips_enumeration_when_abelianization_is_free(monkeypatch):

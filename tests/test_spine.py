@@ -5,15 +5,15 @@ import random
 import pytest
 
 from helpers import (PRIMITIVE_SUMMANDS, SPINE_KINDS, random_expr_summands,
-                     relabeled)
+                     relabeled, word_order)
 from stratifold import (INDETERMINATE, NOT_CANONICAL, DomainError, FiniteOrder,
                         GraphError, ManifoldExpr, NoSpineError, Sentinel,
                         StratifoldGraph, Summand,
                         WhiteVertex, Word, abelianization, attachment_white,
-                        black_orders, cw_euler, delta_sum, element_order,
+                        black_orders, cw_euler, delta_sum,
                         euler_characteristic, lens_spine,
                         natural_presentation, normalize, obstructions,
-                        p2xs1_spine, partition_at, recognize, s2xs1_spine,
+                        p2xs1_spine, recognize, s2xs1_spine,
                         s2xs1_twisted_spine, serialize_graph, synth, validate)
 
 
@@ -47,7 +47,7 @@ class TestLensSpine:
             assert v.order == q
         # q = 2 has no branch circle; the surface loop carries the torsion
         p = natural_presentation(lens_spine(2))
-        v = element_order(p, Word((("y.w.1", 1),)))
+        v = word_order(p, Word((("y.w.1", 1),)))
         assert v == FiniteOrder(2, v.certificate)
 
     def test_all_validate(self):
@@ -61,9 +61,12 @@ class TestBundlePrimitives:
             assert validate(make()) == []
 
     def test_partitions(self):
-        assert partition_at(s2xs1_spine(), "b") == (1, 1, 1)
-        assert partition_at(s2xs1_twisted_spine(), "b") == (1, 1, 1)
-        assert partition_at(p2xs1_spine(), "b") == (2, 1, 1)
+        for make, want in ((s2xs1_spine, [1, 1, 1]),
+                           (s2xs1_twisted_spine, [1, 1, 1]),
+                           (p2xs1_spine, [1, 1, 2])):
+            g = make()
+            assert sorted(abs(g.edge(eid).label)
+                          for eid in g.edges_at_black("b")) == want
 
     def test_homology(self):
         for make, want in ((s2xs1_spine, (1, ())),
@@ -86,7 +89,8 @@ class TestDeltaSum:
         d = delta_sum(lens_spine(3), "w", lens_spine(4), "w")
         assert {w.id for w in d.whites} == {"l.w", "r.w", "jd"}
         assert {b.id for b in d.blacks} == {"l.b", "r.b", "j"}
-        assert partition_at(d, "j") == (1, 1, 1)
+        assert sorted(abs(d.edge(eid).label)
+                      for eid in d.edges_at_black("j")) == [1, 1, 1]
         assert validate(d) == []
 
     def test_euler_drops_by_one(self):
