@@ -286,14 +286,15 @@ class CosetTable:
     """Completed coset table over the trivial subgroup: the action of each
     generator is a bijection of the group's elements.
 
-    ``action[name]`` maps coset -> coset for the generator; inverses are
-    the inverse permutations.  Coset 0 is the identity.
+    ``action[name]`` maps coset -> coset for the generator and
+    ``inverse[name]`` for its inverse.  Coset 0 is the identity.
     """
 
-    def __init__(self, action: dict[str, tuple[int, ...]]):
+    def __init__(self, action: dict[str, tuple[int, ...]],
+                 inverse: dict[str, tuple[int, ...]]):
         self.action = action
         self.cosets = len(next(iter(action.values()))) if action else 1
-        self._inverse = {g: _invert_perm(p) for g, p in action.items()}
+        self._inverse = inverse
 
     def permutation_order(self, word: Word) -> int:
         """Order of the permutation ``word`` induces on the cosets, which
@@ -318,11 +319,8 @@ class CosetTable:
         return order
 
 
-def _invert_perm(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return out
+class _Overflow(Exception):
+    """The coset budget ran out inside ``todd_coxeter``."""
 
 
 def todd_coxeter(pres: GroupPresentation,
@@ -335,28 +333,18 @@ def todd_coxeter(pres: GroupPresentation,
     the total number of cosets ever defined; exceeding it returns
     ``Exhausted`` rather than an answer.
     """
+    # column 2i applies generator i and column 2i + 1 its inverse, so
+    # c ^ 1 is the inverse column of c
     names = pres.generator_names()
     ncols = 2 * len(names)
-    col_of = {}
-    for i, n in enumerate(names):
-        col_of[(n, 1)] = 2 * i
-        col_of[(n, -1)] = 2 * i + 1
+    index = {n: i for i, n in enumerate(names)}
+    relator_cols = [[2 * index[n] + (e < 0) for n, e in r.syllables
+                     for _ in range(abs(e))]
+                    for r in pres.relators if not r.is_empty]
 
-    def inv_col(c):
-        return c ^ 1
-
-    def word_cols(w: Word):
-        out = []
-        for n, e in w.syllables:
-            step = 1 if e > 0 else -1
-            out.extend([col_of[(n, step)]] * abs(e))
-        return out
-
-    relator_cols = [word_cols(r) for r in pres.relators if not r.is_empty]
-
+    # a definition appends a row, so len(table) counts the cosets defined
     table: list[list[int | None]] = [[None] * ncols]
     p = [0]
-    defined = 1
     dead_queue: deque[int] = deque()
 
     def rep(k):
@@ -368,15 +356,13 @@ def todd_coxeter(pres: GroupPresentation,
         return l
 
     def define(alpha, x):
-        nonlocal defined
-        if defined >= budget:
-            raise _Overflow
         beta = len(table)
+        if beta >= budget:
+            raise _Overflow
         table.append([None] * ncols)
         p.append(beta)
-        defined += 1
         table[alpha][x] = beta
-        table[beta][inv_col(x)] = alpha
+        table[beta][x ^ 1] = alpha
 
     def merge(k, l):
         k, l = rep(k), rep(l)
@@ -394,15 +380,15 @@ def todd_coxeter(pres: GroupPresentation,
                 delta = table[gamma][x]
                 if delta is None:
                     continue
-                table[delta][inv_col(x)] = None
+                table[delta][x ^ 1] = None
                 mu, nu = rep(gamma), rep(delta)
                 if table[mu][x] is not None:
                     merge(nu, table[mu][x])
-                elif table[nu][inv_col(x)] is not None:
-                    merge(mu, table[nu][inv_col(x)])
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1])
                 else:
                     table[mu][x] = nu
-                    table[nu][inv_col(x)] = mu
+                    table[nu][x ^ 1] = mu
 
     def scan_and_fill(alpha, cols):
         f, i = alpha, 0
@@ -415,20 +401,17 @@ def todd_coxeter(pres: GroupPresentation,
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][inv_col(cols[j])] is not None:
-                b = table[b][inv_col(cols[j])]
+            while j >= i and table[b][cols[j] ^ 1] is not None:
+                b = table[b][cols[j] ^ 1]
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return
             if j == i:
                 table[f][cols[i]] = b
-                table[b][inv_col(cols[i])] = f
+                table[b][cols[i] ^ 1] = f
                 return
             define(f, cols[i])
-
-    class _Overflow(Exception):
-        pass
 
     try:
         alpha = 0
@@ -446,15 +429,15 @@ def todd_coxeter(pres: GroupPresentation,
                         define(alpha, x)
             alpha += 1
     except _Overflow:
-        return Exhausted(budget, defined)
+        return Exhausted(budget, len(table))
 
     live = [i for i in range(len(table)) if rep(i) == i]
     number = {c: i for i, c in enumerate(live)}
-    action = {}
+    action, inverse = {}, {}
     for gi, name in enumerate(names):
-        col = 2 * gi
-        action[name] = tuple(number[rep(table[c][col])] for c in live)
-    return CosetTable(action)
+        action[name] = tuple(number[rep(table[c][2 * gi])] for c in live)
+        inverse[name] = tuple(number[rep(table[c][2 * gi + 1])] for c in live)
+    return CosetTable(action, inverse)
 
 
 # -- element order ----------------------------------------------------------

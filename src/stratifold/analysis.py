@@ -12,6 +12,7 @@ INDETERMINATE rather than a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .algebra import DEFAULT_COSET_BUDGET, AbelianInvariants, OrderOracle
@@ -86,30 +87,19 @@ def classify_fgroup(sig: FSignature) -> FClass:
     return FClass("infinite", surface=(p == 0))
 
 
-_last: tuple[StratifoldGraph, OrderOracle] | None = None
-
-
+@lru_cache(maxsize=1)
 def analyze(graph: StratifoldGraph) -> OrderOracle:
     """The order oracle of the natural presentation of ``graph`` as given
     (its labels normalized on the presentation's own walk), reused while
     successive calls ask about graphs equal to it (same vertices, genera,
     edges and labels, however the input text was ordered).  Only the
-    latest graph's oracle is kept; a different graph replaces it.  The
-    oracle simplifies on first need (that is also what ``pi1 --simplify``
-    prints, and ``abelianization(oracle)`` is H1) and keeps its verdicts
-    and coset table for the latest budget.
+    latest graph's oracle is kept; a different graph replaces it, and
+    ``analyze.cache_clear()`` drops it.  The oracle simplifies on first
+    need (that is also what ``pi1 --simplify`` prints, and
+    ``abelianization(oracle)`` is H1) and keeps its verdicts and coset
+    table for the latest budget.
     """
-    global _last
-    last = _last  # read once: another thread may replace it meanwhile
-    if last is None or last[0] != graph:
-        last = _last = graph, OrderOracle(natural_presentation(graph))
-    return last[1]
-
-
-def clear_analysis() -> None:
-    """Forget the kept oracle, so the next call starts from scratch."""
-    global _last
-    _last = None
+    return OrderOracle(natural_presentation(graph))
 
 
 def _census(graph: StratifoldGraph, oracle: OrderOracle,

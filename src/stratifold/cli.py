@@ -99,24 +99,18 @@ def _read_input(path, stdin) -> str:
         return fh.read()
 
 
-# the latest graph text that parsed, its graph and its violations
-_last_read: tuple[str, StratifoldGraph, tuple[Violation, ...]] | None = None
-
-
+@functools.lru_cache(maxsize=1)
 def _read_graph(text: str) -> tuple[StratifoldGraph, tuple[Violation, ...]]:
     """Parse and validate, or reuse the result for the latest text read.
 
     One text is kept, so a command repeated on the text the previous
     command read (``order`` then ``obstruct``) reads it once; any other
-    text replaces it.  The graph and its violations are immutable, so
-    the report is the one a fresh read gives.
+    text replaces it, and a text that fails to parse leaves it.  The
+    graph and its violations are immutable, so the report is the one a
+    fresh read gives.
     """
-    global _last_read
-    last = _last_read  # read once: another thread may replace it meanwhile
-    if last is None or last[0] != text:
-        graph = parse_graph(text)
-        last = _last_read = text, graph, tuple(validate(graph))
-    return last[1], last[2]
+    graph = parse_graph(text)
+    return graph, tuple(validate(graph))
 
 
 def _checked_graph(text: str, report: dict, note: str = ""):

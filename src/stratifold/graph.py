@@ -72,7 +72,7 @@ class StratifoldGraph:
     """
 
     __slots__ = ("whites", "blacks", "edges", "_white_by_id", "_black_by_id",
-                 "_edge_by_id", "_star")
+                 "_edge_by_id", "_star", "_hash")
 
     def __init__(self, whites: Iterable[WhiteVertex],
                  blacks: Iterable[BlackVertex],
@@ -168,7 +168,14 @@ class StratifoldGraph:
         return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        # kept on first use, since one-entry caches hash their key on every
+        # call; a copy or pickle is rebuilt through __init__ (__reduce__),
+        # so it never carries a hash salted by another process
+        try:
+            return self._hash
+        except AttributeError:
+            super().__setattr__("_hash", hash(self._key()))
+            return self._hash
 
     def __repr__(self):
         return (f"StratifoldGraph({len(self.whites)} white, "

@@ -5,10 +5,10 @@ bounds) cannot depend on which tests ran before it."""
 import pytest
 
 import stratifold.cli
-from stratifold.analysis import clear_analysis
+from stratifold.analysis import analyze
 
 
 @pytest.fixture(autouse=True)
 def _fresh_analysis():
-    clear_analysis()
-    stratifold.cli._last_read = None
+    analyze.cache_clear()
+    stratifold.cli._read_graph.cache_clear()

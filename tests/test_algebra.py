@@ -180,6 +180,22 @@ class TestToddCoxeter:
         assert out.budget == 8
         assert out.defined >= 8
 
+    @pytest.mark.parametrize("p, budget, cosets", [
+        (fgroup_presentation(FSignature(0, (2, 3, 5))), 157, 60),
+        (fgroup_presentation(FSignature(0, (2, 3, 4))), 58, 24),
+        (fgroup_presentation(FSignature(0, (2, 2, 7))), 35, 14),
+        # the Klein four-group
+        (pres([("a", "black"), ("b", "black")],
+              [[("a", 2)], [("b", 2)], [("a", 1), ("b", 1)] * 2]), 4, 4),
+    ])
+    def test_smallest_budget_that_closes(self, p, budget, cosets):
+        # pins the sequence of definitions: any change to it moves the
+        # budget at which the table first closes
+        t = todd_coxeter(p, budget)
+        assert isinstance(t, CosetTable) and t.cosets == cosets
+        assert todd_coxeter(p, budget - 1) == Exhausted(budget - 1, budget - 1)
+        assert todd_coxeter(p, 0) == Exhausted(0, 1)
+
     def test_permutation_orders(self):
         t = todd_coxeter(fgroup_presentation(FSignature(0, (2, 2, 3))))
         assert t.permutation_order(Word((("c1", 1),))) == 2

@@ -16,13 +16,13 @@ import pytest
 import stratifold.algebra
 import stratifold.analysis
 import stratifold.cli
-from stratifold import (FSignature, OrderOracle, StratifoldGraph,
-                        UnknownOrder, Word, abelianization, black_orders,
-                        fgroup_graph, lens_spine, natural_presentation,
-                        normalize, obstructions, parse_expr, parse_graph,
-                        q_graph, serialize_graph, serialize_presentation,
-                        simplify, synth)
-from stratifold.analysis import analyze, clear_analysis
+from stratifold import (FSignature, OrderOracle, UnknownOrder, Word,
+                        abelianization, black_orders, fgroup_graph,
+                        lens_spine, natural_presentation, normalize,
+                        obstructions, parse_expr, parse_graph, q_graph,
+                        serialize_graph, serialize_presentation, simplify,
+                        synth)
+from stratifold.analysis import analyze
 from stratifold.cli import COMMANDS, main
 
 BUDGET = "2000"
@@ -78,8 +78,8 @@ def two_graphs():
 
 
 def cold(argv, stdin):
-    clear_analysis()
-    stratifold.cli._last_read = None
+    analyze.cache_clear()
+    stratifold.cli._read_graph.cache_clear()
     return run(argv, stdin)
 
 
@@ -238,29 +238,35 @@ class TestSharing:
         assert not Meddling.armed
         assert oracle.order(b2, 2000).certificate == "coset enumeration closed with 60 cosets"
 
-    def test_slot_replaced_during_the_check(self):
-        # another caller replaces the kept oracle while this call compares
-        # graphs; the answer is still the oracle of the graph compared
+    def test_slot_replaced_during_the_check(self, monkeypatch):
+        # another caller asks about another graph while this call builds
+        # its oracle; this call still returns the oracle of its own graph
         other = lens_spine(5)
-        theirs = analyze(other)
+        present = stratifold.analysis.natural_presentation
+        calls = []
 
-        class Meddling(StratifoldGraph):
-            armed = False
+        def meddling(graph):
+            calls.append(graph)
+            if len(calls) == 1:
+                assert abelianization(analyze(other)).torsion == (5,)
+            return present(graph)
 
-            def __eq__(self, rival):
-                if Meddling.armed:
-                    stratifold.analysis._last = other, theirs
-                return StratifoldGraph.__eq__(self, rival)
-
-            __hash__ = StratifoldGraph.__hash__
-
+        monkeypatch.setattr(stratifold.analysis, "natural_presentation", meddling)
         g = lens_spine(3)
-        graph = Meddling(g.whites, g.blacks, g.edges)
-        mine = analyze(graph)
-        Meddling.armed = True
-        assert analyze(graph) is mine
-        assert stratifold.analysis._last[1] is theirs
+        mine = analyze(g)
+        assert calls == [g, other]
         assert abelianization(mine).torsion == (3,)
+        assert analyze(g) is mine
+
+    def test_copies_hit_the_kept_oracle(self):
+        g = lens_spine(5)
+        kept = analyze(g)
+        for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g)):
+            assert twin is not g
+            assert hash(twin) == hash(g) and twin == g
+            hits = analyze.cache_info().hits
+            assert analyze(twin) is kept
+            assert analyze.cache_info().hits == hits + 1
 
 
 @pytest.fixture
@@ -317,8 +323,8 @@ class TestReadSlot:
                      (["order"], invalid), (["validate", "--json"], invalid)]
         sequence += [(argv, valid) for argv in (["order"], ["validate"], ["h1"])]
         want = [cold(argv, stdin) for argv, stdin in sequence]
-        clear_analysis()
-        stratifold.cli._last_read = None
+        analyze.cache_clear()
+        stratifold.cli._read_graph.cache_clear()
         reads.update(parse_graph=0, validate=0)
         assert [run(argv, stdin) for argv, stdin in sequence] == want
         assert reads == {"parse_graph": 5, "validate": 3}

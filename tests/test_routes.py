@@ -364,7 +364,7 @@ def test_census_skips_enumeration_when_abelianization_is_free(monkeypatch):
     # (2,3,7) triangle group has trivial H1, and b^7 = 1 does not pin the
     # order, so the census tries (and shares) one table; the kept analysis
     # is dropped first, so no earlier census of this graph is reused
-    stratifold.analysis.clear_analysis()
+    stratifold.analysis.analyze.cache_clear()
     orders = black_orders(fgroup_graph(FSignature(0, (2, 3, 7))), budget=300)
     assert len(calls) == 1
     assert all(isinstance(v, UnknownOrder) for v in orders.values())
