@@ -1,10 +1,12 @@
 """Exact integer linear algebra and coset enumeration.
 
 Everything here runs over Python's arbitrary-precision integers; no
-floating point and no modular shortcuts.  The Smith normal form records
-its row and column operations so any result can be replayed and checked
-against the input matrix, and the coset enumerator is a deterministic
-HLT-style procedure with a hard coset budget.
+floating point and no modular shortcuts.  The Smith normal form works on
+sparse rows and records its row and column operations, which reach a
+diagonal form (not always the divisibility chain, which is read off that
+diagonal) so any result can be replayed and checked against the input
+matrix.  The coset enumerator is a deterministic HLT-style procedure
+with a hard coset budget.
 """
 
 from __future__ import annotations
@@ -78,48 +80,74 @@ class AbelianInvariants:
 
 # -- Smith normal form -----------------------------------------------------
 
-def _apply(a, op):
-    kind = op[0]
-    if kind == "swap_rows":
-        _, i, j = op
+def _apply(a: list[dict[int, int]], op):
+    """One elementary move on sparse rows, ``{column: value}`` dicts that
+    hold no zeros."""
+    kind, i = op[0], op[1]
+    if kind == "add_row":  # row_i += k * row_j
+        _, _, j, k = op
+        row = a[i]
+        for c, v in a[j].items():
+            x = row.get(c, 0) + k * v
+            if x:
+                row[c] = x
+            else:
+                row.pop(c, None)
+    elif kind == "add_col":  # col_i += k * col_j
+        _, _, j, k = op
+        for row in a:
+            if j in row:
+                x = row.get(i, 0) + k * row[j]
+                if x:
+                    row[i] = x
+                else:
+                    row.pop(i, None)
+    elif kind == "swap_rows":
+        j = op[2]
         a[i], a[j] = a[j], a[i]
     elif kind == "swap_cols":
-        _, i, j = op
+        j = op[2]
         for row in a:
-            row[i], row[j] = row[j], row[i]
+            x, y = row.pop(i, 0), row.pop(j, 0)
+            if y:
+                row[i] = y
+            if x:
+                row[j] = x
     elif kind == "negate_row":
-        _, i = op
-        a[i] = [-x for x in a[i]]
+        a[i] = {c: -v for c, v in a[i].items()}
     elif kind == "negate_col":
-        _, i = op
         for row in a:
-            row[i] = -row[i]
-    elif kind == "add_row":  # row_i += k * row_j
-        _, i, j, k = op
-        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
-    elif kind == "add_col":  # col_i += k * col_j
-        _, i, j, k = op
-        for row in a:
-            row[i] += k * row[j]
+            if i in row:
+                row[i] = -row[i]
     else:  # pragma: no cover
         raise ValueError(f"unknown transform {kind!r}")
 
 
+def _sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
+    c = m.cols
+    return [{j: v for j, v in enumerate(m.entries[i * c:(i + 1) * c]) if v}
+            for i in range(m.rows)]
+
+
 def apply_transforms(m: IntMatrix, transforms) -> IntMatrix:
     """Replay recorded row/column operations on a matrix."""
-    a = m.to_lists()
+    a = _sparse_rows(m)
     for op in transforms:
         _apply(a, op)
-    return IntMatrix.from_rows(a) if a else IntMatrix(0, m.cols, ())
+    rows = [[row.get(j, 0) for j in range(m.cols)] for row in a]
+    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, m.cols, ())
 
 
-def _snf_inplace(a, rows, cols):
-    """Diagonalize with unimodular row/column moves; returns the op list.
+def _diagonalize(a: list[dict[int, int]], cols: int) -> list[tuple]:
+    """Diagonalize sparse rows with unimodular row/column moves; returns
+    the op list.
 
     Pivot choice: the nonzero entry of smallest absolute value in the
-    remaining submatrix, ties broken by (row, col).  The divisibility
-    fix-up folds offending rows into the pivot row, so the final diagonal
-    is the invariant-factor chain.
+    remaining submatrix, ties broken by (row, col).  The pivot clears its
+    column, then its row, and a remainder re-picks the pivot.  The pivot
+    search and the moves read only nonzero entries, plus one membership
+    test per row for a column.  The diagonal reached is nonnegative but
+    need not be a divisibility chain.
     """
     ops = []
 
@@ -127,16 +155,16 @@ def _snf_inplace(a, rows, cols):
         ops.append(op)
         _apply(a, op)
 
+    rows = len(a)
     t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # locate pivot
+    while t < min(rows, cols):
         best = None
         for i in range(t, rows):
-            for j in range(t, cols):
-                v = a[i][j]
-                if v and (best is None or (abs(v), i, j) < best):
+            for j, v in a[i].items():
+                if best is None or (abs(v), i, j) < best:
                     best = (abs(v), i, j)
+            if best is not None and best[0] == 1:
+                break  # a unit: no later row can win the tie
         if best is None:
             break
         _, pi, pj = best
@@ -148,37 +176,34 @@ def _snf_inplace(a, rows, cols):
             record(("negate_row", t))
         pivot = a[t][t]
         dirty = False
-        for i in range(rows):
-            if i != t and a[i][t]:
+        # rows above t hold nothing in column t
+        for i in range(t + 1, rows):
+            if t in a[i]:
                 q = a[i][t] // pivot
                 if q:
                     record(("add_row", i, t, -q))
-                if a[i][t]:
-                    dirty = True
-        if dirty:
-            continue  # a smaller remainder appeared; re-pick the pivot
-        for j in range(cols):
-            if j != t and a[t][j]:
+                dirty = dirty or t in a[i]
+        if not dirty:
+            for j in sorted(a[t].keys() - {t}):
                 q = a[t][j] // pivot
                 if q:
                     record(("add_col", j, t, -q))
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            record(("add_row", t, offender, 1))
-            continue
-        t += 1
+                dirty = dirty or j in a[t]
+        if not dirty:
+            t += 1
     return ops
+
+
+def _chain(diagonal) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... (each >= 2) of the group
+    Z/e_1 + Z/e_2 + ... for positive ``diagonal`` entries e_i: pairwise
+    (gcd, lcm) moves, then the units dropped."""
+    d = [e for e in diagonal if e != 1]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple([e for e in d if e != 1])
 
 
 def smith_normal_form(m: IntMatrix):
@@ -186,22 +211,21 @@ def smith_normal_form(m: IntMatrix):
 
     Returns ``(AbelianInvariants, transforms)`` where the transforms are
     the recorded elementary operations; replaying them on the input with
-    :func:`apply_transforms` reproduces the diagonal form, which makes the
-    computation independently checkable.
+    :func:`apply_transforms` reproduces *a* diagonal form, which makes the
+    computation independently checkable.  It need not be the Smith form:
+    :func:`_chain` of its nonzero entries gives the invariant factors.
     """
-    a = m.to_lists()
-    ops = _snf_inplace(a, m.rows, m.cols)
-    diag = [a[i][i] for i in range(min(m.rows, m.cols))]
-    nonzero = [d for d in diag if d]
-    free_rank = m.cols - len(nonzero)
-    torsion = tuple(d for d in nonzero if d >= 2)
-    return AbelianInvariants(free_rank, torsion), tuple(ops)
+    a = _sparse_rows(m)
+    ops = _diagonalize(a, m.cols)
+    nonzero = [d for row in a for d in row.values()]
+    return AbelianInvariants(m.cols - len(nonzero), _chain(nonzero)), tuple(ops)
 
 
-def _column_matrix(transforms, n: int) -> list[list[int]]:
+def _column_matrix(transforms, n: int) -> list[dict[int, int]]:
     """Accumulate the column operations into the unimodular matrix V with
-    (input) @ V = (diagonal form), as a list of rows."""
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    (input) @ V = (diagonal form), as sparse rows: one ``{column: value}``
+    dict per row."""
+    v = [{i: 1} for i in range(n)]
     for op in transforms:
         if op[0] in ("swap_cols", "negate_col", "add_col"):
             _apply(v, op)
@@ -237,33 +261,43 @@ def abelianization(group: GroupPresentation | OrderOracle) -> AbelianInvariants:
 
 
 class _AbelianImage:
-    """Invariant-factor coordinates for images in the abelianization of a
+    """Diagonal coordinates for images in the abelianization of a
     simplified presentation (words rewritten through its eliminations).
 
-    The column operations recorded by the SNF form a unimodular matrix V
-    with (relation matrix) @ V = diag(units, torsion chain, zeros);
-    transporting an exponent vector x to x @ V puts each coordinate in Z
-    or Z/d_j, where the order of the image is read off directly.
+    The column operations recorded by the SNF form a unimodular matrix V,
+    kept as sparse rows, with (relation matrix) @ V = D diagonal, though
+    not always a divisibility chain.  Transporting an exponent vector x to
+    x @ V puts coordinate j in Z/d_j (Z when d_j = 0), where the order of
+    the image is read off directly.  Column j of M @ V is d_j times a
+    column of a unimodular matrix, which is primitive, so d_j is the gcd
+    of coordinate j over the relators.
     """
 
     def __init__(self, sr: SimplifyResult):
-        m = relation_matrix(sr.presentation)
+        pres = sr.presentation
+        m = relation_matrix(pres)
         inv, ops = smith_normal_form(m)
         self.invariants = inv
-        units = m.cols - inv.free_rank - len(inv.torsion)
-        self.diag = [1] * units + list(inv.torsion) + [0] * inv.free_rank
         # generator name -> its row of V
-        self.rows = dict(zip(sr.presentation.generator_names(),
-                             _column_matrix(ops, m.cols)))
+        self.rows = dict(zip(pres.generator_names(), _column_matrix(ops, m.cols)))
+        self.diag = [0] * m.cols
+        for r in pres.relators:
+            for j, c in self._coordinates(r).items():
+                self.diag[j] = gcd(self.diag[j], c)
+
+    def _coordinates(self, word: Word) -> dict[int, int]:
+        """x @ V for the word's exponent sums x; absent coordinates are 0."""
+        y: dict[int, int] = {}
+        for name, e in word.syllables:
+            for j, v in self.rows[name].items():
+                y[j] = y.get(j, 0) + e * v
+        return y
 
     def order(self, image: Word):
         """(order, witness), order None when infinite."""
-        y = [0] * len(self.diag)
-        for name, e in image.syllables:
-            for j, v in enumerate(self.rows[name]):
-                y[j] += e * v
         order = 1
-        for j, (d, c) in enumerate(zip(self.diag, y)):
+        for j, c in sorted(self._coordinates(image).items()):
+            d = self.diag[j]
             if d == 0:
                 if c:
                     return None, f"free coordinate {j} of the abelianized image is {c}"

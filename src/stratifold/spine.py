@@ -166,6 +166,8 @@ def attachment_white(graph: StratifoldGraph) -> str:
 # the summands without a parameter that have a spine, and their builders
 _PRIMITIVES = {"s2xs1": s2xs1_spine, "s2~xs1": s2xs1_twisted_spine,
                "p2xs1": p2xs1_spine}
+# and their spines, built once for recognize to compare against
+_PRIMITIVE_SPINES = tuple([(kind, make()) for kind, make in _PRIMITIVES.items()])
 
 
 def _spine(s: Summand) -> StratifoldGraph:
@@ -242,8 +244,8 @@ def _match_piece(piece: StratifoldGraph) -> Summand | None:
         if q >= 3 and are_isomorphic(piece, lens_spine(q)):
             return Summand("lens", q)
         return None
-    for kind, make in _PRIMITIVES.items():
-        if are_isomorphic(piece, make()):
+    for kind, spine in _PRIMITIVE_SPINES:
+        if are_isomorphic(piece, spine):
             return Summand(kind)
     return None
 

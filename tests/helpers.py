@@ -1,13 +1,14 @@
 """Shared randomized generators for the test suite.
 
 Everything takes an explicit random.Random so individual tests stay
-reproducible; no module-level state.
+reproducible; no module-level state.  Also the dense Smith normal form
+that the sparse diagonalization replaced, kept as a reference.
 """
 
-from stratifold import (DEFAULT_COSET_BUDGET, BlackVertex, Edge, IntMatrix,
-                        ManifoldExpr, OrderOracle, StratifoldGraph, Summand,
-                        WhiteVertex, apply_transforms, attachment_white,
-                        delta_sum, synth)
+from stratifold import (DEFAULT_COSET_BUDGET, AbelianInvariants, BlackVertex,
+                        Edge, IntMatrix, ManifoldExpr, OrderOracle,
+                        StratifoldGraph, Summand, WhiteVertex,
+                        apply_transforms, attachment_white, delta_sum, synth)
 
 
 def random_valid_graph(rng, max_whites=4, max_blacks=3, max_extra=3):
@@ -152,6 +153,146 @@ def random_unimodular_ops(rng, rows, cols, count=8):
             ops.append(("add_row" if side else "add_col",
                         i, j, rng.randint(-3, 3)))
     return tuple(ops)
+
+
+def random_sparse_matrix(rng, max_dim=6, max_entry=9):
+    """Rectangular and possibly empty (no rows or no columns), with zero
+    rows and columns, negative entries and a random share of zeros."""
+    rows, cols = rng.randint(0, max_dim), rng.randint(0, max_dim)
+    fill = rng.random()
+    return IntMatrix(rows, cols, tuple(
+        [rng.randint(-max_entry, max_entry) if rng.random() < fill else 0
+         for _ in range(rows * cols)]))
+
+
+def apply_dense(a, op):
+    """One recorded elementary operation on a list of row lists."""
+    kind = op[0]
+    if kind == "swap_rows":
+        _, i, j = op
+        a[i], a[j] = a[j], a[i]
+    elif kind == "swap_cols":
+        _, i, j = op
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+    elif kind == "negate_row":
+        _, i = op
+        a[i] = [-x for x in a[i]]
+    elif kind == "negate_col":
+        _, i = op
+        for row in a:
+            row[i] = -row[i]
+    elif kind == "add_row":  # row_i += k * row_j
+        _, i, j, k = op
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+    elif kind == "add_col":  # col_i += k * col_j
+        _, i, j, k = op
+        for row in a:
+            row[i] += k * row[j]
+    else:
+        raise ValueError(f"unknown transform {kind!r}")
+
+
+def snf_inplace(a, rows, cols):
+    """Diagonalize with unimodular row/column moves; returns the op list.
+
+    The dense reference: each pivot rescans the whole remaining
+    submatrix for the nonzero entry of smallest absolute value, ties
+    broken by (row, col).  The divisibility fix-up folds offending rows
+    into the pivot row, so the final diagonal is the invariant-factor
+    chain.
+    """
+    ops = []
+
+    def record(op):
+        ops.append(op)
+        apply_dense(a, op)
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = a[i][j]
+                if v and (best is None or (abs(v), i, j) < best):
+                    best = (abs(v), i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != t:
+            record(("swap_rows", t, pi))
+        if pj != t:
+            record(("swap_cols", t, pj))
+        if a[t][t] < 0:
+            record(("negate_row", t))
+        pivot = a[t][t]
+        dirty = False
+        for i in range(rows):
+            if i != t and a[i][t]:
+                q = a[i][t] // pivot
+                if q:
+                    record(("add_row", i, t, -q))
+                if a[i][t]:
+                    dirty = True
+        if dirty:
+            continue  # a smaller remainder appeared; re-pick the pivot
+        for j in range(cols):
+            if j != t and a[t][j]:
+                q = a[t][j] // pivot
+                if q:
+                    record(("add_col", j, t, -q))
+                if a[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        offender = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if a[i][j] % pivot:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            record(("add_row", t, offender, 1))
+            continue
+        t += 1
+    return ops
+
+
+def reference_invariants(m):
+    """Abelian invariants read off the dense reference's chain."""
+    a = m.to_lists()
+    snf_inplace(a, m.rows, m.cols)
+    nonzero = [a[i][i] for i in range(min(m.rows, m.cols)) if a[i][i]]
+    return AbelianInvariants(m.cols - len(nonzero),
+                             tuple(d for d in nonzero if d >= 2))
+
+
+def prime_power_chain(orders):
+    """Invariant factors (each >= 2, ascending) of the sum of Z/d over
+    positive ``orders``: the k-th largest power of each prime, multiplied
+    across primes, is the k-th factor from the top."""
+    powers = {}
+    for d in orders:
+        p = 2
+        while p * p <= d:
+            q = 1
+            while d % p == 0:
+                d //= p
+                q *= p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+        if d > 1:
+            powers.setdefault(d, []).append(d)
+    depth = max((len(v) for v in powers.values()), default=0)
+    chain = [1] * depth
+    for qs in powers.values():
+        for k, q in enumerate(sorted(qs, reverse=True)):
+            chain[k] *= q
+    return tuple(reversed(chain))
 
 
 def transformed(matrix, rng, count=8):

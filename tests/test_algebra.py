@@ -1,8 +1,14 @@
 """Integer matrices, Smith form, coset enumeration, order certificates."""
 
+import os
 import random
+import subprocess
+import sys
+from math import prod
 
 import pytest
+
+import stratifold
 
 from helpers import (diagonal, random_int_matrix, random_unimodular_ops,
                      random_valid_graph, transformed, word_order)
@@ -12,7 +18,7 @@ from stratifold import (AbelianInvariants, CosetTable, Exhausted, FiniteOrder,
                         abelianization, apply_transforms, fgroup_presentation, lens_spine, natural_presentation,
                         normalize, relation_matrix, s2xs1_spine,
                         smith_normal_form, todd_coxeter)
-from stratifold.algebra import _power_index, _power_relator_bound
+from stratifold.algebra import _chain, _power_index, _power_relator_bound
 
 
 def pres(gens, rels):
@@ -45,11 +51,14 @@ class TestIntMatrix:
 
 class TestSmithNormalForm:
     def test_diag_2_3(self):
-        # SNF of diag(2, 3) is diag(1, 6)
+        # diag(2, 3) is already diagonal, so nothing is recorded; its
+        # chain is diag(1, 6), so H1 = Z/6
         inv, ops = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
         assert inv == AbelianInvariants(0, (6,))
+        assert ops == ()
         d = apply_transforms(IntMatrix.from_rows([[2, 0], [0, 3]]), ops)
-        assert d.to_lists() == [[1, 0], [0, 6]]
+        assert d.to_lists() == [[2, 0], [0, 3]]
+        assert _chain([2, 3]) == (6,)
 
     def test_zero_matrix_is_free(self):
         inv, _ = smith_normal_form(diagonal([0, 0], cols=3))
@@ -68,7 +77,7 @@ class TestSmithNormalForm:
         inv, _ = smith_normal_form(IntMatrix.from_rows([[-4]]))
         assert inv == AbelianInvariants(0, (4,))
 
-    def test_replay_reaches_divisibility_chain(self):
+    def test_replay_reaches_a_diagonal_whose_chain_is_the_invariants(self):
         rng = random.Random(808)
         for _ in range(60):
             m = random_int_matrix(rng)
@@ -80,14 +89,21 @@ class TestSmithNormalForm:
                     if i != j:
                         assert d[i, j] == 0
             assert all(x >= 0 for x in diag)
-            for a, b in zip(diag, diag[1:]):
-                if a:
-                    assert b % a == 0
-                else:
-                    assert b == 0
             nonzero = [x for x in diag if x]
             assert inv.free_rank == m.cols - len(nonzero)
-            assert inv.torsion == tuple(x for x in nonzero if x >= 2)
+            chain = _chain(nonzero)
+            assert inv.torsion == chain
+            assert all(x >= 2 for x in chain)
+            for a, b in zip(chain, chain[1:]):
+                assert b % a == 0
+            assert prod(chain) == prod(nonzero)
+
+    def test_chain_merges_coprime_parts_and_drops_units(self):
+        assert _chain([]) == ()
+        assert _chain([1, 1]) == ()
+        assert _chain([4, 6]) == (2, 12)
+        assert _chain([3, 2, 2]) == (2, 6)
+        assert _chain([9, 1, 3, 2]) == (3, 18)
 
     def test_invariants_stable_under_unimodular_changes(self):
         rng = random.Random(809)
@@ -359,3 +375,18 @@ def test_unimodular_ops_generator_sanity():
         t = apply_transforms(m, random_unimodular_ops(rng, 2, 2))
         inv, _ = smith_normal_form(t)
         assert inv == AbelianInvariants(0, (6,))
+
+
+def test_h1_of_a_genus_10000_surface_in_bounded_memory():
+    # one child process whose address space is capped at 1 GB: a dense
+    # column matrix for the 20000 generators would need 20000^2 entries
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from stratifold.cli import main\n"
+            "sys.exit(main(['h1']))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stratifold.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], input="white w genus 10000\n",
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "H1 = Z^20000\n"

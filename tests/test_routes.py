@@ -2,15 +2,17 @@
 
 The abelian invariants and the order certificates are taken on the
 Tietze-simplified presentation; here they are checked against the full,
-unsimplified relation matrix.  H1 of the torsion quotient, read from the
-order oracle, is checked against a quotient presentation built here.
-The order oracle skips coset enumeration when H1 is infinite; the premise
-of that skip is checked directly.  The occurrence-aware simplifier is
-checked against a reference copy of the rescanning loop it replaced, and
-the closed-form word operations against their syllable-by-syllable
-definitions.  The oracle's indexed power bound is checked against a scan
-of every relator, and the Q-surgery's capped edges against a scan per
-piece.  The one-pass canonical spine is checked against the left fold of
+unsimplified relation matrix, and the sparse Smith form against the
+dense one with the divisibility fix-up that it replaced.  H1 of the
+torsion quotient, read from the order oracle, is checked against a
+quotient presentation built here.  The order oracle skips coset
+enumeration when H1 is infinite; the premise of that skip is checked
+directly.  The occurrence-aware simplifier is checked against a
+reference copy of the rescanning loop it replaced, and the closed-form
+word operations against their syllable-by-syllable definitions.  The
+oracle's indexed power bound is checked against a scan of every
+relator, and the Q-surgery's capped edges against a scan per piece.
+The one-pass canonical spine is checked against the left fold of
 delta_sum it replaced.
 """
 
@@ -20,7 +22,9 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 import stratifold.algebra
-from helpers import SPINE_KINDS, fold_synth, random_valid_graph
+from helpers import (SPINE_KINDS, apply_dense, fold_synth, prime_power_chain,
+                     random_sparse_matrix, random_unimodular_ops,
+                     random_valid_graph, reference_invariants)
 from stratifold import (GENERATOR_ROLES, INDETERMINATE, CosetTable, Exhausted,
                         FiniteOrder, FSignature, Generator, GroupPresentation,
                         InfiniteOrder, ManifoldExpr, OrderOracle,
@@ -30,8 +34,8 @@ from stratifold import (GENERATOR_ROLES, INDETERMINATE, CosetTable, Exhausted,
                         fgroup_presentation, natural_presentation, normalize,
                         parse_expr, q_graph, relation_matrix, rewrite_through,
                         simplify, smith_normal_form, synth, todd_coxeter)
-from stratifold.algebra import (_AbelianImage, _column_matrix, _power_index,
-                                _power_relator_bound)
+from stratifold.algebra import (_AbelianImage, _chain, _column_matrix,
+                                _power_index, _power_relator_bound)
 from stratifold.presentation import DEFAULT_SIMPLIFY_BUDGET, ELIMINABLE_ROLES
 
 NAMES = ("a", "b", "c", "d", "e")
@@ -83,7 +87,7 @@ def full_matrix_order(pres, word):
         diag = [d[i, i] if i < d.rows else 0 for i in range(n)]
         v = _column_matrix(ops, n)
     x = [word.exponent_sum(name) for name in names]
-    y = [sum(x[i] * v[i][j] for i in range(n)) for j in range(n)]
+    y = [sum(x[i] * v[i].get(j, 0) for i in range(n)) for j in range(n)]
     order = 1
     for d, c in zip(diag, y):
         if d == 0 and c:
@@ -239,6 +243,38 @@ def test_abelianization_matches_full_matrix_snf():
     for p in cases:
         full, _ = smith_normal_form(relation_matrix(p))
         assert abelianization(p) == full
+
+
+def test_sparse_smith_form_matches_the_dense_reference():
+    rng = random.Random(1711)
+    for _ in range(400):
+        m = random_sparse_matrix(rng)
+        inv, ops = smith_normal_form(m)
+        assert inv == reference_invariants(m)
+        d = apply_transforms(m, ops)
+        assert (d.rows, d.cols) == (m.rows, m.cols)
+        assert all(d[i, j] == 0 for i in range(d.rows) for j in range(d.cols)
+                   if i != j)
+        nonzero = [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i]]
+        assert all(x > 0 for x in nonzero)
+        assert inv.free_rank == m.cols - len(nonzero)
+        assert _chain(nonzero) == inv.torsion == prime_power_chain(nonzero)
+
+
+def test_sparse_column_matrix_matches_a_dense_replay():
+    rng = random.Random(1712)
+    for _ in range(200):
+        m = random_sparse_matrix(rng)
+        _, ops = smith_normal_form(m)
+        ops += random_unimodular_ops(rng, m.rows, m.cols)
+        n = m.cols
+        dense = [[int(i == j) for j in range(n)] for i in range(n)]
+        for op in ops:
+            if op[0] in ("swap_cols", "negate_col", "add_col"):
+                apply_dense(dense, op)
+        sparse = _column_matrix(ops, n)
+        assert [[row.get(j, 0) for j in range(n)] for row in sparse] == dense
+        assert all(v for row in sparse for v in row.values())
 
 
 def test_diagonal_from_invariants_matches_replay():
