@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .presentation import GroupPresentation, SimplifyResult, Word, rewrite_through, simplify
 from .verdicts import (FiniteOrder, InfiniteOrder, OrderVerdict, UnknownOrder)
@@ -46,10 +46,6 @@ class IntMatrix:
         i, j = idx
         return self.entries[i * self.cols + j]
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols])
-                for i in range(self.rows)]
-
 
 @dataclass(frozen=True)
 class AbelianInvariants:
@@ -68,14 +64,6 @@ class AbelianInvariants:
                 raise ValueError("torsion coefficients must be >= 2")
             if i and self.torsion[i] % self.torsion[i - 1]:
                 raise ValueError("torsion coefficients must form a chain")
-
-    @property
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        return None if self.free_rank else prod(self.torsion)
 
 
 # -- Smith normal form -----------------------------------------------------
@@ -548,8 +536,8 @@ class OrderOracle:
     on first need and a coset table only when a question needs one, so a
     census of many words reuses them.  A word with an eliminated
     generator is rewritten through the simplifier's eliminations in
-    order (:func:`rewrite_through`); a word with none, such as a
-    protected one, is its own image.  Both bounds read that image.
+    order (:func:`rewrite_through`); a word with none is its own image.
+    Both bounds read that image.
     The coset budget belongs to each question, and the oracle keeps one
     budget slot, a tuple replaced whole when another budget is asked:
     the latest budget, the verdicts given under it, and a one-item list
@@ -567,15 +555,14 @@ class OrderOracle:
     4. otherwise Unknown(budget): abstention, never a guess.
     """
 
-    def __init__(self, pres: GroupPresentation, protect: frozenset[str] = frozenset()):
+    def __init__(self, pres: GroupPresentation):
         self.pres = pres
-        self._protect = protect
         self._names = frozenset(pres.generator_names())
         self._slot: tuple = (None, {}, [None])
 
     @cached_property
     def simplified(self) -> SimplifyResult:
-        return simplify(self.pres, protect=self._protect)
+        return simplify(self.pres)
 
     @cached_property
     def _eliminated(self) -> frozenset[str]:

@@ -40,10 +40,6 @@ class FClass:
         if self.kind not in FCLASS_KINDS:
             raise ValueError(f"unknown classification kind {self.kind!r}")
 
-    @property
-    def is_finite(self):
-        return self.kind != "infinite"
-
     def __str__(self):
         if self.kind == "finite-cyclic":
             return f"cyclic of order {self.order}"
@@ -176,10 +172,8 @@ class QComponent:
 @dataclass(frozen=True)
 class QResult:
     """Outcome of the Q-surgery on a graph with fully certified orders:
-    the census it read, what it deleted, what survives, and the quotient
-    group with its H1."""
+    what it deleted, what survives, and the quotient group with its H1."""
 
-    orders: dict[str, OrderVerdict]
     deleted_blacks: tuple[str, ...]
     white_holes: tuple[str, ...]
     components: tuple[QComponent, ...]
@@ -206,7 +200,7 @@ def q_graph(graph: StratifoldGraph,
     if any(isinstance(v, UnknownOrder) for v in orders.values()):
         return INDETERMINATE
     holes = tuple(sorted(white_holes(graph, orders)))
-    deleted = tuple(sorted(b for b, v in orders.items() if v.is_finite))
+    deleted = tuple(sorted(b for b, v in orders.items() if isinstance(v, FiniteOrder)))
     dead_blacks = frozenset(deleted)
 
     # the capped edges of each white, found in one pass over the edges
@@ -223,7 +217,7 @@ def q_graph(graph: StratifoldGraph,
         pieces.append(QComponent(sub, capped, closed))
     killed = killed_words(graph, deleted, holes)
     base = oracle.pres
-    return QResult(orders, deleted, holes, tuple(pieces),
+    return QResult(deleted, holes, tuple(pieces),
                    GroupPresentation(base.generators, base.relators + killed),
                    oracle.quotient_invariants(killed))
 

@@ -525,7 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help, description=command.help)
-        p.set_defaults(subparser=p)
         p.add_argument("--json", action="store_true",
                        help="emit the JSON report instead of text")
         for flag, keywords in command.options:
@@ -552,8 +551,8 @@ def main(argv=None, stdin=None) -> int:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         if args.command == "delta" and args.in2 == "-" and args.infile in (None, "-"):
             # stdin holds one text; the second read would see it empty
-            args.subparser.error("--in and --in2 both read stdin;"
-                                 " give at least one of them as a file")
+            _build_parser().commands["delta"].error(
+                "--in and --in2 both read stdin; give at least one of them as a file")
     except SystemExit as exc:
         return int(exc.code or 0)
     stdin = stdin if stdin is not None else sys.stdin

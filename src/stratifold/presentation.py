@@ -99,9 +99,6 @@ class Word:
     def names(self) -> set[str]:
         return {n for n, _ in self.syllables}
 
-    def exponent_sum(self, name: str) -> int:
-        return sum(e for n, e in self.syllables if n == name)
-
     def substitute(self, name: str, replacement: "Word") -> "Word":
         return Word(_substitute(self.syllables, name, replacement.syllables))
 
@@ -277,8 +274,7 @@ def _first_eliminable(r: tuple, keep: frozenset[str]) -> int | None:
 
 
 def simplify(pres: GroupPresentation,
-             budget: int = DEFAULT_SIMPLIFY_BUDGET,
-             protect: frozenset[str] = frozenset()) -> SimplifyResult:
+             budget: int = DEFAULT_SIMPLIFY_BUDGET) -> SimplifyResult:
     """Bounded Tietze simplification: generator eliminations only.
 
     Repeatedly eliminates a generator defined by a relator (see
@@ -293,13 +289,12 @@ def simplify(pres: GroupPresentation,
     rewrites only the relators that contain the eliminated generator.
 
     Only boundary and stable-letter generators are eliminated freely; the
-    structural generators (black, surface, period) and any name listed in
-    ``protect`` are removed only when a relator proves them trivial.  That
-    keeps power relators like b^m visible, which the order certificates
-    in the algebra module depend on.
+    structural generators (black, surface, period) are removed only when
+    a relator proves them trivial.  That keeps power relators like b^m
+    visible, which the order certificates in the algebra module depend on.
     """
     keep = frozenset(g.name for g in pres.generators
-                     if g.role not in ELIMINABLE_ROLES) | frozenset(protect)
+                     if g.role not in ELIMINABLE_ROLES)
     # relators and definitions are reduced syllable tuples until the end
     relators = [r.syllables for r in pres.relators if r.syllables]
     picks = [_first_eliminable(r, keep) for r in relators]

@@ -163,11 +163,11 @@ def attachment_white(graph: StratifoldGraph) -> str:
     return graph.whites[0].id
 
 
-# the summands without a parameter that have a spine, and their builders
-_PRIMITIVES = {"s2xs1": s2xs1_spine, "s2~xs1": s2xs1_twisted_spine,
-               "p2xs1": p2xs1_spine}
-# and their spines, built once for recognize to compare against
-_PRIMITIVE_SPINES = tuple([(kind, make()) for kind, make in _PRIMITIVES.items()])
+# the summands without a parameter that have a spine, and their spines,
+# built once: synth shares them (graphs are immutable) and recognize
+# compares against them
+_PRIMITIVE_SPINES = {"s2xs1": s2xs1_spine(), "s2~xs1": s2xs1_twisted_spine(),
+                     "p2xs1": p2xs1_spine()}
 
 
 def _spine(s: Summand) -> StratifoldGraph:
@@ -176,7 +176,7 @@ def _spine(s: Summand) -> StratifoldGraph:
                            " no 2-stratifold is contractible")
     if s.kind == "lens":
         return lens_spine(s.q)
-    return _PRIMITIVES[s.kind]()
+    return _PRIMITIVE_SPINES[s.kind]
 
 
 def synth(expr: ManifoldExpr) -> StratifoldGraph:
@@ -244,7 +244,7 @@ def _match_piece(piece: StratifoldGraph) -> Summand | None:
         if q >= 3 and are_isomorphic(piece, lens_spine(q)):
             return Summand("lens", q)
         return None
-    for kind, spine in _PRIMITIVE_SPINES:
+    for kind, spine in _PRIMITIVE_SPINES.items():
         if are_isomorphic(piece, spine):
             return Summand(kind)
     return None

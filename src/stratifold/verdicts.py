@@ -39,10 +39,6 @@ class FiniteOrder:
     order: int
     certificate: str
 
-    @property
-    def is_finite(self):
-        return True
-
 
 @dataclass(frozen=True)
 class InfiniteOrder:
@@ -50,20 +46,12 @@ class InfiniteOrder:
 
     certificate: str
 
-    @property
-    def is_finite(self):
-        return False
-
 
 @dataclass(frozen=True)
 class UnknownOrder:
     """Budget exhausted before any certificate was found."""
 
     budget: int
-
-    @property
-    def is_finite(self):
-        return False
 
 
 OrderVerdict = FiniteOrder | InfiniteOrder | UnknownOrder

@@ -120,9 +120,8 @@ def diagonal(entries, cols=None):
 
 
 def word_order(pres, word, budget=DEFAULT_COSET_BUDGET):
-    """Certified order of ``word``, its own generators protected while the
-    oracle simplifies, so power relators over them stay visible."""
-    return OrderOracle(pres, frozenset(word.names())).order(word, budget)
+    """Certified order of ``word`` by a fresh oracle of ``pres``."""
+    return OrderOracle(pres).order(word, budget)
 
 
 def random_int_matrix(rng, max_dim=4, max_entry=6):
@@ -263,7 +262,7 @@ def snf_inplace(a, rows, cols):
 
 def reference_invariants(m):
     """Abelian invariants read off the dense reference's chain."""
-    a = m.to_lists()
+    a = [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
     snf_inplace(a, m.rows, m.cols)
     nonzero = [a[i][i] for i in range(min(m.rows, m.cols)) if a[i][i]]
     return AbelianInvariants(m.cols - len(nonzero),

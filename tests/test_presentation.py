@@ -8,10 +8,10 @@ from helpers import random_valid_graph
 from stratifold import (INDETERMINATE, BlackVertex, Edge, FiniteOrder,
                         FSignature, Generator, GraphError, GroupPresentation,
                         InfiniteOrder, StratifoldGraph, WhiteVertex, Word,
-                        abelianization, fgroup_graph, fgroup_presentation,
-                        format_word, lens_spine, natural_presentation,
-                        normalize, parse_graph, q_graph, rewrite_through,
-                        s2xs1_spine, simplify, spanning_tree)
+                        abelianization, black_orders, fgroup_graph,
+                        fgroup_presentation, format_word, lens_spine,
+                        natural_presentation, normalize, parse_graph, q_graph,
+                        rewrite_through, s2xs1_spine, simplify, spanning_tree)
 
 
 def shape(pres):
@@ -44,8 +44,6 @@ class TestWord:
     def test_length_and_exponent_sum(self):
         w = Word((("a", 2), ("b", -3)))
         assert w.length() == 5
-        assert w.exponent_sum("a") == 2
-        assert w.exponent_sum("b") == -3
         assert w.names() == {"a", "b"}
 
     def test_substitute(self):
@@ -149,23 +147,20 @@ class TestSimplify:
         assert shape(sr.presentation) == ([("t.e2", "stable")], [])
         assert sr.steps == 4
 
-    def test_single_syllable_relator_removes_protected_generator(self):
+    def test_single_syllable_relator_removes_kept_generator(self):
         # b^1 alone proves b trivial, so even a black generator goes
         p = GroupPresentation((Generator("b", "black"),), (Word((("b", 1),)),))
         sr = simplify(p)
         assert sr.presentation.generators == ()
         assert sr.presentation.relators == ()
 
-    def test_protect_argument(self):
+    def test_boundary_generator_defined_by_relator_goes(self):
         p = GroupPresentation(
             (Generator("a", "black"), Generator("x", "boundary")),
             (Word((("x", 1), ("a", 2))),))
         free = simplify(p)
         assert free.presentation.generator_names() == ("a",)
         assert free.eliminations == (("x", Word((("a", -2),))),)
-        held = simplify(p, protect=frozenset({"x"}))
-        assert held.presentation == p
-        assert held.steps == 0
 
     def test_budget_zero_changes_nothing(self):
         p = natural_presentation(normalize(lens_spine(5)))
@@ -322,13 +317,16 @@ class TestQPresentation:
     def test_infinite_blacks_add_nothing(self):
         g = parse_graph("black b\nedge e w b 3\nwhite w genus -2\n")
         q = q_graph(g)
-        assert isinstance(q.orders["b"], InfiniteOrder)
+        assert isinstance(black_orders(g)["b"], InfiniteOrder)
+        assert q.deleted_blacks == ()
         assert q.presentation == natural_presentation(normalize(g))
         # the branch circle of S2xS1 has order 1: killing it adds the
         # relator b.b but leaves H1 as it was
         g = s2xs1_spine()
         q = q_graph(g)
-        assert q.orders["b"] == FiniteOrder(1, q.orders["b"].certificate)
+        b = black_orders(g)["b"]
+        assert b == FiniteOrder(1, b.certificate)
+        assert q.deleted_blacks == ("b",)
         assert q.abelianization == abelianization(natural_presentation(normalize(g)))
 
     def test_unknown_verdict_abstains(self):

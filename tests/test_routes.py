@@ -86,7 +86,7 @@ def full_matrix_order(pres, word):
         d = apply_transforms(m, ops)
         diag = [d[i, i] if i < d.rows else 0 for i in range(n)]
         v = _column_matrix(ops, n)
-    x = [word.exponent_sum(name) for name in names]
+    x = [sum(e for n, e in word.syllables if n == name) for name in names]
     y = [sum(x[i] * v[i].get(j, 0) for i in range(n)) for j in range(n)]
     order = 1
     for d, c in zip(diag, y):
@@ -178,12 +178,11 @@ def reference_find_elimination(relators, keep):
     return None
 
 
-def reference_simplify(pres, budget=DEFAULT_SIMPLIFY_BUDGET, tracked=(),
-                       protect=frozenset()):
+def reference_simplify(pres, budget=DEFAULT_SIMPLIFY_BUDGET, tracked=()):
     """The simplifier's result, and the ``tracked`` words carried through
     every substitution as it is made."""
     keep = frozenset(g.name for g in pres.generators
-                     if g.role not in ELIMINABLE_ROLES) | frozenset(protect)
+                     if g.role not in ELIMINABLE_ROLES)
     gens = list(pres.generators)
     relators = [r for r in pres.relators if not r.is_empty]
     tracked = list(tracked)
@@ -347,10 +346,9 @@ def test_simplify_matches_rescanning_loop():
         names = p.generator_names()
         tracked = tuple(random_word(rng, names) for _ in range(rng.randint(0, 3))
                         if names)
-        protect = frozenset(n for n in names if rng.random() < 0.2)
         budget = rng.choice((0, 1, 2, 5, DEFAULT_SIMPLIFY_BUDGET))
-        got = simplify(p, budget, protect)
-        want, carried = reference_simplify(p, budget, tracked, protect)
+        got = simplify(p, budget)
+        want, carried = reference_simplify(p, budget, tracked)
         assert got == want
         # words rewritten later match words carried along the way
         assert tuple(rewrite_through(w, got.eliminations) for w in tracked) == carried
