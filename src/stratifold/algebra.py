@@ -611,7 +611,10 @@ class OrderOracle:
             # table over the trivial subgroup can close
             return UnknownOrder(budget)
         if table[0] is None:
-            table[0] = todd_coxeter(self.pres, budget)
+            # shortest relators first: HLT defines fewer cosets when a long
+            # power relator is scanned after the relators that merge them
+            table[0] = todd_coxeter(GroupPresentation(
+                self.pres.generators, tuple(sorted(self.pres.relators, key=Word.length))), budget)
         if isinstance(table[0], CosetTable):
             k = table[0].permutation_order(word)
             return FiniteOrder(k, f"coset enumeration closed with {table[0].cosets} cosets")

@@ -576,6 +576,8 @@ def main(argv=None, stdin=None) -> int:
         _violate(report, "GraphError", str(exc))
     except OSError as exc:
         _violate(report, "IOError", str(exc))
+    except UnicodeError:  # a file that does not decode, or escaped stdin bytes
+        _violate(report, "IOError", "input is not valid UTF-8")
     if args.json:
         out = _to_json(report) + "\n"
     else:

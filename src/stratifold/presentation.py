@@ -2,12 +2,13 @@
 
 The fundamental group of a 2-stratifold has a presentation determined by
 the graph and a spanning tree: one generator per black vertex (the branch
-circle), per boundary circle, per surface loop, and one stable letter per
-edge outside the tree.  This module builds that presentation, the
-one-relator-per-period presentations of F-groups (groups of orientation
-preserving isometries of surfaces with cone points, in the Lyndon-Schupp
-sense), and the bounded Tietze simplifier used both for display and as a
-sound certificate engine.
+circle) and per surface loop, one stable letter per edge outside the
+tree, and one relator per white vertex, in which each boundary circle is
+written as a power of its branch circle.  This module builds that
+presentation, the one-relator-per-period presentations of F-groups
+(groups of orientation preserving isometries of surfaces with cone
+points, in the Lyndon-Schupp sense), and the bounded Tietze simplifier
+used both for display and as a sound certificate engine.
 """
 
 from __future__ import annotations
@@ -166,45 +167,37 @@ def natural_presentation(graph: StratifoldGraph) -> GroupPresentation:
     """Presentation of the fundamental group over the BFS spanning tree.
 
     Generators (in this order): ``b.<black>`` per black vertex;
-    ``s.<edge>`` per boundary circle and ``y.<white>.<j>`` per surface
-    loop, grouped by white vertex; ``t.<edge>`` per non-tree edge.
+    ``y.<white>.<j>`` per surface loop, grouped by white vertex;
+    ``t.<edge>`` per non-tree edge.
 
-    Relators: per white vertex the surface relation s_1...s_p q = 1 with
-    q the genus word; per tree edge with label m > 0 the gluing relation
-    stored as s^-1 b^m; per non-tree edge with label m the conjugation
-    relation stored as t^-1 s t b^-m.
+    Relators: one per white vertex, the surface relation s_1...s_p q = 1
+    with q the genus word and s_i its boundary circles in edge-id order.
+    A boundary circle glued with label m to the branch circle b is b^m
+    when its edge is in the tree and t b^m t^-1 (t its stable letter)
+    when it is not.  This is the presentation with one generator s per
+    boundary circle, defined by the gluing relator s^-1 b^m or
+    t^-1 s t b^-m, after the Tietze moves that substitute each definition
+    into the white's relator and delete s with its relator.
 
     The graph is presented as given: the labels m are those that
     :func:`stratifold.graph.normalize` gives, read off the tree's own walk.
     Requires a connected graph with no label 0 on a tree edge.
     """
     tree, labels = _tree_labels(graph)
-    gens: list[Generator] = []
-    for b in graph.blacks:
-        gens.append(Generator(f"b.{b.id}", "black"))
-    genus_words: dict[str, list] = {}
-    for w in graph.whites:
-        for eid in graph.edges_at_white(w.id):
-            gens.append(Generator(f"s.{eid}", "boundary"))
-        genus_words[w.id], names = _surface_word(f"y.{w.id}.", w.genus)
-        gens += [Generator(n, "surface") for n in names]
-    nontree = [e.id for e in graph.edges if e.id not in tree]
-    for eid in nontree:
-        gens.append(Generator(f"t.{eid}", "stable"))
-
-    relators: list[Word] = []
-    for w in graph.whites:
-        boundary = [(f"s.{eid}", 1) for eid in graph.edges_at_white(w.id)]
-        relators.append(Word(boundary + genus_words[w.id]))
     for eid in sorted(tree):
         if not labels[eid]:
             raise GraphError(f"tree edge {eid} has label 0")
-        e = graph.edge(eid)
-        relators.append(Word(((f"s.{eid}", -1), (f"b.{e.black}", labels[eid]))))
-    for eid in nontree:
-        e = graph.edge(eid)
-        t = f"t.{eid}"
-        relators.append(Word(((t, -1), (f"s.{eid}", 1), (t, 1), (f"b.{e.black}", -labels[eid]))))
+    gens = [Generator(f"b.{b.id}", "black") for b in graph.blacks]
+    relators: list[Word] = []
+    for w in graph.whites:
+        sylls = []
+        for eid in graph.edges_at_white(w.id):
+            circle = (f"b.{graph.edge(eid).black}", labels[eid])
+            sylls += [circle] if eid in tree else [(f"t.{eid}", 1), circle, (f"t.{eid}", -1)]
+        q, names = _surface_word(f"y.{w.id}.", w.genus)
+        gens += [Generator(n, "surface") for n in names]
+        relators.append(Word(sylls + q))
+    gens += [Generator(f"t.{e.id}", "stable") for e in graph.edges if e.id not in tree]
     return GroupPresentation(tuple(gens), tuple(relators))
 
 
@@ -285,8 +278,8 @@ def simplify(pres: GroupPresentation,
     list is returned so words can be rewritten later (:func:`rewrite_through`).
 
     Each step uses the first relator in list order that defines a
-    generator (on graph presentations, the tree relations first) and
-    rewrites only the relators that contain the eliminated generator.
+    generator and rewrites only the relators that contain the eliminated
+    generator.
 
     Only boundary and stable-letter generators are eliminated freely; the
     structural generators (black, surface, period) are removed only when

@@ -1,14 +1,17 @@
 """Shared randomized generators for the test suite.
 
 Everything takes an explicit random.Random so individual tests stay
-reproducible; no module-level state.  Also the dense Smith normal form
-that the sparse diagonalization replaced, kept as a reference.
+reproducible; no module-level state.  Also two references: the dense
+Smith normal form that the sparse diagonalization replaced, and the graph
+presentation with one generator per boundary circle that the substituted
+natural presentation replaced.
 """
 
 from stratifold import (DEFAULT_COSET_BUDGET, AbelianInvariants, BlackVertex,
-                        Edge, IntMatrix, ManifoldExpr, OrderOracle,
-                        StratifoldGraph, Summand, WhiteVertex,
-                        apply_transforms, attachment_white, delta_sum, synth)
+                        Edge, Generator, GroupPresentation, IntMatrix,
+                        ManifoldExpr, OrderOracle, StratifoldGraph, Summand,
+                        WhiteVertex, Word, apply_transforms, attachment_white,
+                        delta_sum, normalize, spanning_tree, synth)
 
 
 def random_valid_graph(rng, max_whites=4, max_blacks=3, max_extra=3):
@@ -59,6 +62,58 @@ def random_valid_graph(rng, max_whites=4, max_blacks=3, max_extra=3):
             new = e.label + bump if e.label > 0 else e.label - bump
             edges[i] = Edge(e.id, e.white, e.black, new)
     return StratifoldGraph(whites, blacks, edges)
+
+
+def boundary_presentation(graph):
+    """The graph presentation before its boundary circles are substituted.
+
+    Generators: ``b.<black>``; per white, ``s.<edge>`` (role boundary) for
+    each of its edges, then its surface loops ``y.<white>.<j>``;
+    ``t.<edge>`` per non-tree edge.  Relators: per white s_1...s_p q with
+    q the genus word; per tree edge, in id order, the gluing relator
+    s^-1 b^m; per non-tree edge t^-1 s t b^-m.  The labels m are
+    normalize's.  natural_presentation is this after the Tietze moves
+    that substitute each s by its gluing relator and delete both.
+    """
+    tree = spanning_tree(graph)
+    label = {e.id: e.label for e in normalize(graph).edges}
+    gens = [Generator(f"b.{b.id}", "black") for b in graph.blacks]
+    relators = []
+    for w in graph.whites:
+        edges = graph.edges_at_white(w.id)
+        gens += [Generator(f"s.{eid}", "boundary") for eid in edges]
+        if w.genus >= 0:
+            loops = [f"y.{w.id}.{j}" for j in range(1, 2 * w.genus + 1)]
+            q = [syl for a, b in zip(loops[::2], loops[1::2])
+                 for syl in ((a, 1), (b, 1), (a, -1), (b, -1))]
+        else:
+            loops = [f"y.{w.id}.{j}" for j in range(1, 1 - w.genus)]
+            q = [(n, 2) for n in loops]
+        gens += [Generator(n, "surface") for n in loops]
+        relators.append(Word([(f"s.{eid}", 1) for eid in edges] + q))
+    nontree = [e for e in graph.edges if e.id not in tree]
+    gens += [Generator(f"t.{e.id}", "stable") for e in nontree]
+    for eid in sorted(tree):
+        relators.append(Word(((f"s.{eid}", -1),
+                              (f"b.{graph.edge(eid).black}", label[eid]))))
+    for e in nontree:
+        t = f"t.{e.id}"
+        relators.append(Word(((t, -1), (f"s.{e.id}", 1), (t, 1),
+                              (f"b.{e.black}", -label[e.id]))))
+    return GroupPresentation(tuple(gens), tuple(relators))
+
+
+def abstaining_graph():
+    """A graph whose order census honestly abstains: its branch circle b
+    has b^2 = 1 from the disk d, so its order is 1 or 2, but b is trivial
+    in H1 (the torus w makes it a commutator) and H1 = Z^3 is infinite, so
+    no certificate and no coset table can decide it.  Not in the F-group
+    family, so no structural obstruction answers for it either."""
+    return StratifoldGraph(
+        [WhiteVertex("w", 1), WhiteVertex("a", 0), WhiteVertex("d", 0)],
+        [BlackVertex("b")],
+        [Edge("e1", "w", "b", 1), Edge("e2", "a", "b", 1),
+         Edge("e3", "a", "b", 1), Edge("e4", "d", "b", 2)])
 
 
 def zero_label_mutation(graph, rng):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import random_valid_graph, relabeled
+from helpers import abstaining_graph, random_valid_graph, relabeled
 from stratifold import (INDETERMINATE, AbelianInvariants, BlackVertex,
                         CosetTable, Edge, Exhausted, FiniteOrder, FSignature,
                         InfiniteOrder, StratifoldGraph, UnknownOrder,
@@ -106,6 +106,13 @@ class TestBlackOrders:
     def test_no_blacks(self):
         assert black_orders(lens_spine(2)) == {}
 
+    def test_coset_fallback_scans_short_relators_first(self):
+        # the first white relator is b1^100; a table scanned in
+        # presentation order needs 10,002 cosets to close, shortest
+        # relators first it needs 301
+        got = black_orders(fgroup_graph(FSignature(0, (100, 2, 2))), budget=2000)
+        assert got["b1"] == FiniteOrder(100, "coset enumeration closed with 200 cosets")
+
     def test_bounding_circle_is_trivial(self):
         got = black_orders(s2xs1_spine())
         assert got["b"].order == 1
@@ -130,8 +137,8 @@ class TestBlackOrders:
         got = black_orders(g)
         assert isinstance(got["b"], InfiniteOrder)
 
-    def test_abstention_on_theta(self):
-        got = black_orders(theta_graph(), budget=100)
+    def test_abstention_on_a_disk_graph(self):
+        got = black_orders(abstaining_graph(), budget=100)
         assert got["b"] == UnknownOrder(100)
 
 
@@ -226,7 +233,7 @@ class TestQGraph:
             abelianization(natural_presentation(closed_surface(1)))
 
     def test_abstains_with_unknown_orders(self):
-        assert q_graph(theta_graph(), budget=100) is INDETERMINATE
+        assert q_graph(abstaining_graph(), budget=100) is INDETERMINATE
 
     def test_reads_the_shared_census(self):
         census = black_orders(lens_spine(5))
@@ -371,10 +378,11 @@ class TestObstructions:
         assert obstructions(s2xs1_spine()) == ()
 
     def test_abstention(self):
-        assert obstructions(theta_graph(), budget=100) is INDETERMINATE
+        assert fgroup_signature_of(abstaining_graph()) is None
+        assert obstructions(abstaining_graph(), budget=100) is INDETERMINATE
 
     def test_indeterminate_is_falsy(self):
-        assert not obstructions(theta_graph(), budget=100)
+        assert not obstructions(abstaining_graph(), budget=100)
 
 
 def test_gcd_table_spot_checks():

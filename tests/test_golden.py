@@ -71,10 +71,9 @@ def test_golden_reports_are_byte_identical():
 def _corpus_inputs():
     import random
 
-    from helpers import fold_synth, random_valid_graph
-    from stratifold import (FSignature, fgroup_graph, natural_presentation,
-                            normalize, parse_expr, serialize_graph,
-                            serialize_presentation)
+    from helpers import boundary_presentation, fold_synth, random_valid_graph
+    from stratifold import (FSignature, fgroup_graph, parse_expr,
+                            serialize_graph, serialize_presentation)
 
     # the spines are left folds of delta_sum, so the stored inputs keep their
     # nested l./r. ids and cover fold-built graphs; the synth cases below
@@ -114,8 +113,10 @@ def _corpus_inputs():
         "rotated": "gen a black\ngen b black\nrel b a b a b a\n",
         "free": "gen a black\n",
         "badrel": "gen a black\nrel b^2\n",
-        "pi1_sum": serialize_presentation(natural_presentation(
-            normalize(fold_synth(parse_expr("L(2) # L(3) # P2xS1"))))),
+        # a graph presentation with boundary generators, which the
+        # presentation format accepts though pi1 no longer prints them
+        "pi1_sum": serialize_presentation(boundary_presentation(
+            fold_synth(parse_expr("L(2) # L(3) # P2xS1")))),
     }
     exprs = {"expr_ok": "L(3) # P2xS1\n", "expr_s3": "S3\n", "expr_bad": "L(x)\n"}
     return graphs, violations, presentations, exprs

@@ -18,7 +18,7 @@ import jsonschema
 import pytest
 
 import stratifold
-from helpers import random_valid_graph
+from helpers import abstaining_graph, random_valid_graph
 from stratifold import (FSignature, ParseError, Summand, Word, fgroup_graph,
                         fgroup_presentation, format_expr, format_word,
                         lens_spine, natural_presentation, normalize,
@@ -250,15 +250,14 @@ class TestCliHappyPaths:
     def test_pi1_prints_presentation_text(self):
         code, out = run(["pi1"], LENS5)
         assert code == 0
-        assert out == ("gen b.b black\ngen s.e boundary\n"
-                       "rel s.e\nrel s.e^-1 b.b^5\n")
+        assert out == "gen b.b black\nrel b.b^5\n"
 
     def test_pi1_simplify(self):
         code, report = run_json(["pi1", "--simplify"], LENS5)
         assert code == 0
         p = report["payload"]
         assert p["simplified"] is True
-        assert p["eliminations"] == 1
+        assert p["eliminations"] == 0
         assert p["exhausted"] is False
         assert p["presentation"]["relators"] == ["b.b^5"]
 
@@ -405,6 +404,22 @@ class TestCliExitCodes:
         assert code == 1
         assert [v["rule"] for v in report["violations"]] == ["IOError"]
 
+    # a file is decoded strictly; stdin may arrive with its undecodable
+    # bytes escaped to lone surrogates, which only encoding rejects
+    @pytest.mark.parametrize("argv, stdin_text", [
+        (["h1", "--in", "@bad"], ""),
+        (["delta", "--in", "@good", "--in2", "@bad", "--w1", "w", "--w2", "w"], ""),
+        (["h1"], "white w genus 0\udcff\n"),
+    ], ids=["in", "in2", "stdin"])
+    def test_undecodable_input_reports_io_error(self, tmp_path, argv, stdin_text):
+        (tmp_path / "bad").write_bytes(b"white w genus 0\xff\n")
+        (tmp_path / "good").write_text(LENS5)
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        code, report = run_json(argv, stdin_text)
+        assert code == 1
+        assert [(v["rule"], v["detail"]) for v in report["violations"]] == \
+            [("IOError", "input is not valid UTF-8")]
+
     def test_domain_error_from_expr(self):
         code, report = run_json(["synth", "--expr", "L(1)"])
         assert code == 1
@@ -416,14 +431,13 @@ class TestCliExitCodes:
         assert [v["rule"] for v in report["violations"]] == ["NoSpine"]
 
     def test_indeterminate_exits_two(self):
-        theta = ("white w genus 1\nblack b\nedge e1 w b 1\n"
-                 "edge e2 w b 1\nedge e3 w b 1\n")
-        code, report = run_json(["order", "--budget", "10"], theta)
+        text = serialize_graph(abstaining_graph())
+        code, report = run_json(["order", "--budget", "10"], text)
         assert code == 2
         assert report["indeterminate"] is True
-        code, report = run_json(["q", "--budget", "10"], theta)
+        code, report = run_json(["q", "--budget", "10"], text)
         assert code == 2
-        code, report = run_json(["obstruct", "--budget", "100"], theta)
+        code, report = run_json(["obstruct", "--budget", "100"], text)
         assert code == 2
 
     def test_tc_exhaustion_exits_two(self):

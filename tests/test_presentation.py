@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_valid_graph
+from helpers import boundary_presentation, random_valid_graph
 from stratifold import (INDETERMINATE, BlackVertex, Edge, FiniteOrder,
                         FSignature, Generator, GraphError, GroupPresentation,
                         InfiniteOrder, StratifoldGraph, WhiteVertex, Word,
@@ -81,9 +81,9 @@ class TestGroupPresentation:
 
 class TestNaturalPresentation:
     def test_lens_graph(self):
+        # the disk's boundary circle wraps the branch circle five times
         p = natural_presentation(normalize(lens_spine(5)))
-        assert shape(p) == ([("b.b", "black"), ("s.e", "boundary")],
-                            ["s.e", "s.e^-1 b.b^5"])
+        assert shape(p) == ([("b.b", "black")], ["b.b^5"])
 
     def test_projective_plane(self):
         # single nonorientable white: one generator, its square
@@ -101,8 +101,10 @@ class TestNaturalPresentation:
         p = natural_presentation(normalize(s2xs1_spine()))
         stable = [g.name for g in p.generators if g.role == "stable"]
         assert stable == ["t.e2"]
-        # conjugation relator is stored as t^-1 s t b^-m
-        assert "t.e2^-1 s.e2 t.e2 b.b^-1" in [format_word(r) for r in p.relators]
+        # the non-tree edge's boundary circle is the conjugate t b^m t^-1,
+        # written inside its white's relator
+        assert shape(p) == ([("b.b", "black"), ("t.e2", "stable")],
+                            ["b.b t.e2 b.b t.e2^-1", "b.b"])
 
     def test_zero_tree_label_raises(self):
         g = StratifoldGraph([WhiteVertex("w", 0)], [BlackVertex("b")],
@@ -129,10 +131,10 @@ class TestNaturalPresentation:
             tree = spanning_tree(g)
             surface = sum(2 * w.genus if w.genus >= 0 else -w.genus
                           for w in g.whites)
-            assert len(p.generators) == (len(g.blacks) + len(g.edges)
-                                         + surface
+            assert len(p.generators) == (len(g.blacks) + surface
                                          + (len(g.edges) - len(tree)))
-            assert len(p.relators) == len(g.whites) + len(g.edges)
+            assert len(p.relators) == len(g.whites)
+            assert not any(gen.role == "boundary" for gen in p.generators)
 
 
 class TestSimplify:
@@ -142,7 +144,7 @@ class TestSimplify:
         assert not sr.exhausted
 
     def test_boundary_and_stable_only(self):
-        sr = simplify(natural_presentation(normalize(s2xs1_spine())))
+        sr = simplify(boundary_presentation(s2xs1_spine()))
         # everything cancels except the stable letter: the group is Z
         assert shape(sr.presentation) == ([("t.e2", "stable")], [])
         assert sr.steps == 4
@@ -163,7 +165,7 @@ class TestSimplify:
         assert free.eliminations == (("x", Word((("a", -2),))),)
 
     def test_budget_zero_changes_nothing(self):
-        p = natural_presentation(normalize(lens_spine(5)))
+        p = boundary_presentation(lens_spine(5))
         sr = simplify(p, budget=0)
         assert sr.exhausted
         assert sr.steps == 0
@@ -179,7 +181,7 @@ class TestSimplify:
             assert again.presentation == once.presentation
 
     def test_rewrite_through_follows_substitutions(self):
-        p = natural_presentation(normalize(lens_spine(5)))
+        p = boundary_presentation(lens_spine(5))
         sr = simplify(p)
         assert rewrite_through(Word((("s.e", 1),)), sr.eliminations).is_empty
         assert format_word(rewrite_through(Word((("b.b", 1),)), sr.eliminations)) == "b.b"

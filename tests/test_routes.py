@@ -13,7 +13,8 @@ word operations against their syllable-by-syllable definitions.  The
 oracle's indexed power bound is checked against a scan of every
 relator, and the Q-surgery's capped edges against a scan per piece.
 The one-pass canonical spine is checked against the left fold of
-delta_sum it replaced.
+delta_sum it replaced, and the natural presentation against the
+presentation with one generator per boundary circle that it substitutes.
 """
 
 import random
@@ -22,9 +23,10 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 import stratifold.algebra
-from helpers import (SPINE_KINDS, apply_dense, fold_synth, prime_power_chain,
-                     random_sparse_matrix, random_unimodular_ops,
-                     random_valid_graph, reference_invariants)
+from helpers import (SPINE_KINDS, apply_dense, boundary_presentation,
+                     fold_synth, prime_power_chain, random_sparse_matrix,
+                     random_unimodular_ops, random_valid_graph,
+                     reference_invariants)
 from stratifold import (GENERATOR_ROLES, INDETERMINATE, CosetTable, Exhausted,
                         FiniteOrder, FSignature, Generator, GroupPresentation,
                         InfiniteOrder, ManifoldExpr, OrderOracle,
@@ -422,6 +424,27 @@ def test_q_abelianization_matches_quotient_presentation():
         assert pres == q.presentation
         assert q.abelianization == abelianization(pres)
         assert q.abelianization == smith_normal_form(relation_matrix(pres))[0]
+
+
+def test_natural_presentation_matches_boundary_generators():
+    # H1 by the dense reference Smith form, and every branch circle's
+    # permutation order where both coset tables close at budget 2000
+    rng = random.Random(1720)
+    closed = 0
+    for _ in range(1000):
+        g = random_valid_graph(rng, max_whites=5, max_blacks=4, max_extra=4)
+        pres = natural_presentation(g), boundary_presentation(g)
+        h1 = [reference_invariants(relation_matrix(p)) for p in pres]
+        assert h1[0] == h1[1]
+        if h1[0].free_rank:
+            continue  # an infinite group has no finite coset table
+        tables = [todd_coxeter(p, budget=2000) for p in pres]
+        if all(isinstance(t, CosetTable) for t in tables):
+            closed += 1
+            assert tables[0].cosets == tables[1].cosets
+            for w in black_words(g):
+                assert tables[0].permutation_order(w) == tables[1].permutation_order(w)
+    assert closed >= 25
 
 
 def test_one_oracle_answers_each_budget_as_a_fresh_one():
