@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
-from .presentation import GroupPresentation, SimplifyResult, Word, rewrite_through, simplify
+from .presentation import GroupPresentation, Word, simplify
 from .verdicts import (FiniteOrder, InfiniteOrder, OrderVerdict, UnknownOrder)
 
 DEFAULT_COSET_BUDGET = 100_000
@@ -239,8 +239,9 @@ def abelianization(group: GroupPresentation | OrderOracle) -> AbelianInvariants:
     """First homology of the presented group, in invariant-factor form,
     from the SNF of the Tietze-simplified (isomorphic) presentation.
 
-    An :class:`OrderOracle` already holds that SNF for its presentation,
-    so its H1 is read off without simplifying or reducing again.
+    An :class:`OrderOracle` already holds the SNF of its reduced
+    presentation (the trivial generators deleted), so its H1 is read off
+    without simplifying or reducing again.
     """
     if isinstance(group, OrderOracle):
         return group._abelian.invariants
@@ -250,7 +251,7 @@ def abelianization(group: GroupPresentation | OrderOracle) -> AbelianInvariants:
 
 class _AbelianImage:
     """Diagonal coordinates for images in the abelianization of a
-    simplified presentation (words rewritten through its eliminations).
+    presentation.
 
     The column operations recorded by the SNF form a unimodular matrix V,
     kept as sparse rows, with (relation matrix) @ V = D diagonal, though
@@ -261,8 +262,7 @@ class _AbelianImage:
     of coordinate j over the relators.
     """
 
-    def __init__(self, sr: SimplifyResult):
-        pres = sr.presentation
+    def __init__(self, pres: GroupPresentation):
         m = relation_matrix(pres)
         inv, ops = smith_normal_form(m)
         self.invariants = inv
@@ -350,8 +350,10 @@ def todd_coxeter(pres: GroupPresentation,
     """HLT-style coset enumeration over the trivial subgroup.
 
     Deterministic: cosets are defined in a fixed order (relators scanned
-    in presentation order at each live coset, then remaining entries
-    filled), so identical inputs give identical tables.  The budget caps
+    shortest first, ties in presentation order, at each live coset, then
+    remaining entries filled), so identical inputs give identical tables.
+    Scanning short relators first defines fewer cosets when a long power
+    relator comes after the relators that merge them.  The budget caps
     the total number of cosets ever defined; exceeding it returns
     ``Exhausted`` rather than an answer.
     """
@@ -362,7 +364,7 @@ def todd_coxeter(pres: GroupPresentation,
     index = {n: i for i, n in enumerate(names)}
     relator_cols = [[2 * index[n] + (e < 0) for n, e in r.syllables
                      for _ in range(abs(e))]
-                    for r in pres.relators if not r.is_empty]
+                    for r in sorted(pres.relators, key=Word.length) if not r.is_empty]
 
     # a definition appends a row, so len(table) counts the cosets defined
     table: list[list[int | None]] = [[None] * ncols]
@@ -464,80 +466,80 @@ def todd_coxeter(pres: GroupPresentation,
 
 # -- element order ----------------------------------------------------------
 
+def _without(word: Word, names) -> Word:
+    """The word with every syllable of a generator in ``names`` deleted."""
+    kept = [s for s in word.syllables if s[0] not in names]
+    return word if len(kept) == len(word.syllables) else Word(kept)
+
+
+def _delete(pres: GroupPresentation, names) -> GroupPresentation:
+    """``pres`` with the generators in ``names`` deleted from the generators
+    and the relators, and the relators left empty dropped: the quotient by
+    those generators, and an isomorphic presentation when each is trivial."""
+    relators = (_without(r, names) for r in pres.relators)
+    return GroupPresentation(tuple([g for g in pres.generators if g.name not in names]),
+                             tuple([r for r in relators if not r.is_empty]))
+
+
 def _power_index(relators: tuple[Word, ...]):
-    """The cyclic relators indexed for the power bound: ``(powers,
-    by_count)``, where ``powers`` maps each generator x to the gcd of the
-    exponents m of its single-syllable relators x^m, and ``by_count``
-    holds every other nontrivial relator, cyclically reduced and with its
-    length, keyed by its syllable count."""
+    """The generators the relators prove trivial, and the power bounds of
+    the others: ``(powers, trivial)``.
+
+    One worklist over the relators: a relator with the trivial generators
+    deleted and cyclically reduced that reads x^m puts |m| into x's gcd in
+    ``powers``.  A gcd of 1 makes x trivial, and every relator that holds
+    x is read again.  Deleting a generator equal to the identity is a
+    Tietze move, and deleting identity factors from a relator leaves a
+    relator up to conjugacy, so every x^m = 1 holds in the group.  The
+    result does not depend on the order of the reads: a relator that reads
+    x^m reads it again after more deletions unless x itself is deleted.
+    """
+    holding: dict[str, list[int]] = {}
+    for i, r in enumerate(relators):
+        for name in r.names():
+            holding.setdefault(name, []).append(i)
     powers: dict[str, int] = {}
-    by_count: dict[int, list[tuple[Word, int]]] = {}
-    for r in relators:
-        rc = r.cyclically_reduced()
+    trivial: set[str] = set()
+    work = list(range(len(relators)))
+    while work:
+        rc = _without(relators[work.pop()], trivial).cyclically_reduced()
         if len(rc.syllables) == 1:
             name, exp = rc.syllables[0]
-            powers[name] = gcd(powers.get(name, 0), abs(exp))
-        elif rc.syllables:
-            by_count.setdefault(len(rc.syllables), []).append((rc, rc.length()))
-    return powers, by_count
+            powers[name] = gcd(powers.get(name, 0), exp)
+            if powers[name] == 1:
+                trivial.add(name)
+                work += holding[name]
+    return powers, frozenset(trivial)
 
 
 def _power_relator_bound(index, image: Word) -> int | None:
     """Sound upper bound on the order of ``image`` from the relators.
 
-    ``index`` is :func:`_power_index` of the simplified (isomorphic)
-    presentation, and ``image`` a word rewritten into it.  A relator equal
-    to w^k as a cyclic word certifies order(w) | k; for a single-syllable
-    image x^e, every power relator x^m certifies order(x^e) | m/gcd(m,e).
-    All such bounds are combined by gcd.  Returns None when no bound is
-    found, 0 when the image is trivial.
-
-    A single-syllable image can equal a power only of a single-syllable
-    relator, and the gcd of those exponents gives the best such bound,
-    so it is one lookup.  An image of s >= 2 syllables is compared only
-    with the relators of k*s syllables and k times its length.
+    ``index`` is :func:`_power_index` of the presentation, and ``image`` a
+    word with its trivial generators deleted.  For an image conjugate to
+    x^e, the power relators x^m certify order(x^e) | m/gcd(m, e), with m
+    their gcd.  Returns 0 when the image is trivial, and None for an image
+    of several syllables or with no power relator.
     """
     w = image.cyclically_reduced()
     if w.is_empty:
         return 0
-    powers, by_count = index
-    s = len(w.syllables)
-    if s == 1:
-        name, exp = w.syllables[0]
-        m = powers.get(name, 0)
-        return m // gcd(m, abs(exp)) if m else None
-    g = 0
-    wlen = w.length()
-    inverse = w.inverse()
-    for count, relators in by_count.items():
-        if count % s:
-            continue
-        k = count // s
-        for rc, rlen in relators:
-            if rlen != k * wlen:
-                continue
-            # both words are cyclically reduced, so a rotation taking one
-            # to the other cuts at a syllable boundary; shifting w^k by a
-            # whole w is no rotation at all
-            for v in (w, inverse):
-                p = v.power(k).syllables
-                if any(rc.syllables == p[i:] + p[:i] for i in range(s)):
-                    g = gcd(g, k)
-                    break
-    return g or None
+    if len(w.syllables) > 1:
+        return None
+    name, exp = w.syllables[0]
+    m = index[0].get(name, 0)
+    return m // gcd(m, abs(exp)) if m else None
 
 
 class OrderOracle:
     """Certificate state for element orders in one presentation.
 
-    The simplified presentation, its abelianization transform and the
-    power-relator index (:func:`_power_index`: per generator the gcd of
-    its power relators, the other relators by syllable count) are built
-    on first need and a coset table only when a question needs one, so a
-    census of many words reuses them.  A word with an eliminated
-    generator is rewritten through the simplifier's eliminations in
-    order (:func:`rewrite_through`); a word with none is its own image.
-    Both bounds read that image.
+    One reduction (:func:`_power_index`) finds the generators the
+    relators prove trivial and the power bound of every other generator;
+    ``reduced`` is the presentation with the trivial generators deleted,
+    and a word's image is the word with them deleted.  The reduction and
+    the SNF of ``reduced`` are built on first need and a coset table only
+    when a question needs one, so a census of many words reuses them.
     The coset budget belongs to each question, and the oracle keeps one
     budget slot, a tuple replaced whole when another budget is asked:
     the latest budget, the verdicts given under it, and a one-item list
@@ -546,9 +548,9 @@ class OrderOracle:
     nothing for this one.  Every verdict is certified:
 
     1. Infinite when the abelianized image has infinite order;
-    2. Finite when a Tietze-derived power bound meets the abelianized
-       lower bound (pinning the order exactly), or when the word's image
-       simplifies to the identity;
+    2. Finite when a power bound meets the abelianized lower bound
+       (pinning the order exactly), or when the word's image is the
+       identity;
     3. Finite via the permutation order on a coset table that closed
        within budget; a table is tried only when the abelianization is
        finite, since an infinite group has no finite table;
@@ -561,25 +563,18 @@ class OrderOracle:
         self._slot: tuple = (None, {}, [None])
 
     @cached_property
-    def simplified(self) -> SimplifyResult:
-        return simplify(self.pres)
-
-    @cached_property
-    def _eliminated(self) -> frozenset[str]:
-        return frozenset([name for name, _ in self.simplified.eliminations])
-
-    @cached_property
     def _index(self):
-        return _power_index(self.simplified.presentation.relators)
+        return _power_index(self.pres.relators)
 
-    def _image(self, word: Word) -> Word:
-        if word.names().isdisjoint(self._eliminated):
-            return word
-        return rewrite_through(word, self.simplified.eliminations)
+    @cached_property
+    def reduced(self) -> GroupPresentation:
+        """The presentation with its trivial generators deleted and the
+        relators left empty dropped; it presents the same group."""
+        return _delete(self.pres, self._index[1])
 
     @cached_property
     def _abelian(self) -> _AbelianImage:
-        return _AbelianImage(self.simplified)
+        return _AbelianImage(self.reduced)
 
     def order(self, word: Word, budget: int = DEFAULT_COSET_BUDGET) -> OrderVerdict:
         bad = word.names() - self._names
@@ -597,7 +592,7 @@ class OrderOracle:
     def _certify(self, word: Word, budget: int, table: list) -> OrderVerdict:
         if word.is_empty:
             return FiniteOrder(1, "empty word")
-        image = self._image(word)
+        image = _without(word, self._index[1])
         lower, witness = self._abelian.order(image)
         if lower is None:
             return InfiniteOrder(witness)
@@ -611,32 +606,15 @@ class OrderOracle:
             # table over the trivial subgroup can close
             return UnknownOrder(budget)
         if table[0] is None:
-            # shortest relators first: HLT defines fewer cosets when a long
-            # power relator is scanned after the relators that merge them
-            table[0] = todd_coxeter(GroupPresentation(
-                self.pres.generators, tuple(sorted(self.pres.relators, key=Word.length))), budget)
+            table[0] = todd_coxeter(self.pres, budget)
         if isinstance(table[0], CosetTable):
             k = table[0].permutation_order(word)
             return FiniteOrder(k, f"coset enumeration closed with {table[0].cosets} cosets")
         return UnknownOrder(budget)
 
-    def quotient_invariants(self, words: tuple[Word, ...]) -> AbelianInvariants:
-        """H1 of the group modulo the normal closure of ``words``.
-
-        H1(G/<<S>>) = H1(G)/<images of S>: the SNF of the simplified
-        presentation's relation rows plus one row per word, each rewritten
-        through the same eliminations, so nothing is simplified again.  An
-        image that is a single generator to the power +-1 is a unit row,
-        so that generator's column is dropped instead.
-        """
-        sp = self.simplified
-        images = [self._image(w) for w in words]
-        dead = {im.syllables[0][0] for im in images
-                if len(im.syllables) == 1 and abs(im.syllables[0][1]) == 1}
-        gens = tuple([g for g in sp.presentation.generators if g.name not in dead])
-        rows = (Word([s for s in r.syllables if s[0] not in dead])
-                for r in sp.presentation.relators + tuple(images))
-        pres = GroupPresentation(gens, tuple([r for r in rows if not r.is_empty]))
-        inv, _ = smith_normal_form(relation_matrix(pres))
+    def quotient_invariants(self, killed) -> AbelianInvariants:
+        """H1 of the group modulo the normal closure of the generators
+        named in ``killed``: the SNF of the reduced presentation with
+        their columns deleted, so nothing is reduced again."""
+        inv, _ = smith_normal_form(relation_matrix(_delete(self.reduced, killed)))
         return inv
-

@@ -90,10 +90,10 @@ def analyze(graph: StratifoldGraph) -> OrderOracle:
     successive calls ask about graphs equal to it (same vertices, genera,
     edges and labels, however the input text was ordered).  Only the
     latest graph's oracle is kept; a different graph replaces it, and
-    ``analyze.cache_clear()`` drops it.  The oracle simplifies on first
-    need (that is also what ``pi1 --simplify`` prints, and
-    ``abelianization(oracle)`` is H1) and keeps its verdicts and coset
-    table for the latest budget.
+    ``analyze.cache_clear()`` drops it.  The oracle deletes the generators
+    its relators prove trivial on first need (that reduced presentation
+    is what ``pi1 --simplify`` prints, and ``abelianization(oracle)`` is
+    its H1) and keeps its verdicts and coset table for the latest budget.
     """
     return OrderOracle(natural_presentation(graph))
 
@@ -110,8 +110,8 @@ def black_orders(graph: StratifoldGraph,
 
     Orders are taken in the fundamental group of the graph as given,
     presented with its labels normalized on the presentation's own walk;
-    one oracle serves the census, so the simplification and any coset
-    table are computed once.  Unknown verdicts are honest abstentions
+    one oracle serves the census, so the reduction and any coset table
+    are computed once.  Unknown verdicts are honest abstentions
     carried by the budget.  Calling again on an equal graph with the
     same budget reads the oracle's kept verdicts; each call returns a
     census of its own.
@@ -193,7 +193,8 @@ def q_graph(graph: StratifoldGraph,
     presentation plus one relator per killed generator (see
     :func:`killed_words`): it presents the quotient of the fundamental
     group by the subgroup generated by all torsion.  Its H1 is read from
-    the oracle's simplified presentation, so nothing is simplified again.
+    the oracle's reduced presentation with the killed generators' columns
+    deleted, so nothing is reduced again.
     """
     oracle = analyze(graph)
     orders = _census(graph, oracle, budget)
@@ -219,7 +220,7 @@ def q_graph(graph: StratifoldGraph,
     base = oracle.pres
     return QResult(deleted, holes, tuple(pieces),
                    GroupPresentation(base.generators, base.relators + killed),
-                   oracle.quotient_invariants(killed))
+                   oracle.quotient_invariants({w.syllables[0][0] for w in killed}))
 
 
 def fgroup_signature_of(graph: StratifoldGraph) -> FSignature | None:

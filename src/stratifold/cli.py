@@ -166,10 +166,10 @@ def _cmd_pi1(args, graph, report):
     pres = oracle.pres
     payload = {"simplified": bool(args.simplify)}
     if args.simplify:
-        result = oracle.simplified
-        pres = result.presentation
-        payload["eliminations"] = len(result.eliminations)
-        payload["exhausted"] = result.exhausted
+        # the reduction has no budget, so it is never exhausted
+        pres = oracle.reduced
+        payload["eliminations"] = len(oracle.pres.generators) - len(pres.generators)
+        payload["exhausted"] = False
     payload["presentation"] = _pres_json(pres)
     report["payload"] = payload
 

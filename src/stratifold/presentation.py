@@ -7,8 +7,10 @@ tree, and one relator per white vertex, in which each boundary circle is
 written as a power of its branch circle.  This module builds that
 presentation, the one-relator-per-period presentations of F-groups
 (groups of orientation preserving isometries of surfaces with cone
-points, in the Lyndon-Schupp sense), and the bounded Tietze simplifier
-used both for display and as a sound certificate engine.
+points, in the Lyndon-Schupp sense), and a bounded Tietze simplifier
+for any presentation.  On a graph presentation the order oracle in the
+algebra module only deletes the generators its relators prove trivial;
+the simplifier is the independent reference that it is checked against.
 """
 
 from __future__ import annotations
@@ -86,13 +88,6 @@ class Word:
 
     def inverse(self) -> "Word":
         return Word(_inverse(self.syllables))
-
-    def power(self, k: int) -> "Word":
-        if len(self.syllables) == 1:
-            name, exp = self.syllables[0]
-            return Word(((name, exp * k),))
-        base = self if k > 0 else self.inverse()
-        return Word(base.syllables * abs(k))
 
     def length(self) -> int:
         return sum(abs(e) for _, e in self.syllables)
@@ -283,8 +278,8 @@ def simplify(pres: GroupPresentation,
 
     Only boundary and stable-letter generators are eliminated freely; the
     structural generators (black, surface, period) are removed only when
-    a relator proves them trivial.  That keeps power relators like b^m
-    visible, which the order certificates in the algebra module depend on.
+    a relator proves them trivial, so power relators like b^m stay
+    visible.  ``abelianization`` of a presentation reads the result.
     """
     keep = frozenset(g.name for g in pres.generators
                      if g.role not in ELIMINABLE_ROLES)

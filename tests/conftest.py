@@ -1,5 +1,5 @@
 """Every test starts with no kept order oracle and no kept graph text, so
-the work a test counts (reads, simplifications, enumerations, power
+the work a test counts (reads, reductions, enumerations, power
 bounds) cannot depend on which tests ran before it."""
 
 import pytest

@@ -103,31 +103,31 @@ class TestInterleavedCommands:
 
 
 @pytest.fixture
-def simplify_calls(monkeypatch):
-    """The presentations the order oracle simplifies, in call order."""
+def reductions(monkeypatch):
+    """The relator tuples the order oracle reduces, in call order."""
     calls = []
-    real = stratifold.algebra.simplify
+    real = stratifold.algebra._power_index
 
-    def counting(pres, *args, **kwargs):
-        calls.append(pres)
-        return real(pres, *args, **kwargs)
+    def counting(relators):
+        calls.append(relators)
+        return real(relators)
 
-    monkeypatch.setattr(stratifold.algebra, "simplify", counting)
+    monkeypatch.setattr(stratifold.algebra, "_power_index", counting)
     return calls
 
 
 class TestSharing:
-    def test_one_simplification_for_every_command(self, simplify_calls):
+    def test_one_simplification_for_every_command(self, reductions):
         text = serialize_graph(synth(parse_expr("L(5) # P2xS1 # S2~xS1")))
         for argv in (["pi1", "--simplify"], ["h1"], ["order"], ["holes"], ["q"],
                      ["obstruct"], ["h1", "--json"]):
             run(argv, text)
-        assert len(simplify_calls) == 1
+        assert len(reductions) == 1
 
-    def test_plain_pi1_simplifies_nothing(self, simplify_calls):
+    def test_plain_pi1_simplifies_nothing(self, reductions):
         code, _ = run(["pi1"], serialize_graph(synth(parse_expr("L(5) # S2xS1"))))
         assert code == 0
-        assert simplify_calls == []
+        assert reductions == []
 
     def test_reshuffled_text_reuses_the_analysis(self):
         text = serialize_graph(synth(parse_expr("L(7) # S2xS1 # P2xS1")))
@@ -159,13 +159,13 @@ class TestSharing:
         assert large != small
         assert all(v == UnknownOrder(80) for v in large.values())
         assert black_orders(g, 80) == large
-        # one oracle, so one simplification and Smith form, serves every
+        # one oracle, so one reduction and Smith form, serves every
         # budget; it keeps only the latest budget's verdicts and coset table
         assert analyze(g) is oracle
         assert oracle._slot[0] == 80
 
     def test_budgets_share_the_simplification_and_smith_form(self, monkeypatch):
-        calls = {"simplify": 0, "smith_normal_form": 0}
+        calls = {"_power_index": 0, "smith_normal_form": 0}
         for name in calls:
             real = getattr(stratifold.algebra, name)
 
@@ -179,7 +179,7 @@ class TestSharing:
                      ["obstruct", "--budget", "10000"]):
             run(argv, text)
         # one SNF for H1 and the census, one for H1 of the torsion quotient
-        assert calls == {"simplify": 1, "smith_normal_form": 2}
+        assert calls == {"_power_index": 1, "smith_normal_form": 2}
 
     def test_obstruct_reuses_the_verdicts_of_order(self, monkeypatch):
         calls = []
@@ -354,8 +354,10 @@ class TestImmutable:
 
     def test_simplification_matches_a_fresh_one(self):
         g = synth(parse_expr("L(4) # S2xS1 # P2xS1"))
-        shared = analyze(g).simplified
-        assert shared == simplify(natural_presentation(normalize(g)))
+        pres = natural_presentation(normalize(g))
+        shared = analyze(g).reduced
+        assert shared == OrderOracle(pres).reduced == simplify(pres).presentation
+        assert len(shared.generators) < len(pres.generators)
 
     def test_copies_and_pickles_round_trip(self):
         g = lens_spine(5)

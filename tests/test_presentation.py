@@ -35,12 +35,6 @@ class TestWord:
         assert w.inverse().syllables == (("b", 1), ("a", -2))
         assert (w * w.inverse()).is_empty
 
-    def test_power(self):
-        w = Word((("a", 1), ("b", 1)))
-        assert w.power(2).syllables == (("a", 1), ("b", 1), ("a", 1), ("b", 1))
-        assert w.power(0).is_empty
-        assert w.power(-1) == w.inverse()
-
     def test_length_and_exponent_sum(self):
         w = Word((("a", 2), ("b", -3)))
         assert w.length() == 5

@@ -1,26 +1,29 @@
 """Independent routes to the same answer must agree.
 
-The abelian invariants and the order certificates are taken on the
-Tietze-simplified presentation; here they are checked against the full,
-unsimplified relation matrix, and the sparse Smith form against the
-dense one with the divisibility fix-up that it replaced.  H1 of the
-torsion quotient, read from the order oracle, is checked against a
-quotient presentation built here.  The order oracle skips coset
-enumeration when H1 is infinite; the premise of that skip is checked
-directly.  The occurrence-aware simplifier is checked against a
+The order oracle deletes the generators its relators prove trivial and
+reads the abelian invariants and the order certificates on what is
+left; here they are checked against the full relation matrix, against
+the route through the Tietze simplifier, and against a reduction that
+rescans every relator until nothing changes.  The sparse Smith form is
+checked against the dense one with the divisibility fix-up that it
+replaced.  H1 of the torsion quotient, read from the order oracle, is
+checked against a quotient presentation built here.  The order oracle
+skips coset enumeration when H1 is infinite; the premise of that skip is
+checked directly.  The occurrence-aware simplifier is checked against a
 reference copy of the rescanning loop it replaced, and the closed-form
-word operations against their syllable-by-syllable definitions.  The
-oracle's indexed power bound is checked against a scan of every
-relator, and the Q-surgery's capped edges against a scan per piece.
+substitution against its syllable-by-syllable definition.  The
+Q-surgery's capped edges are checked against a scan per piece.
 The one-pass canonical spine is checked against the left fold of
 delta_sum it replaced, and the natural presentation against the
 presentation with one generator per boundary circle that it substitutes.
 """
 
 import random
+import sys
 from dataclasses import replace
 from itertools import combinations_with_replacement
 from math import gcd
+from pathlib import Path
 
 import stratifold.algebra
 from helpers import (SPINE_KINDS, apply_dense, boundary_presentation,
@@ -100,19 +103,26 @@ def full_matrix_order(pres, word):
     return order
 
 
-def full_matrix_verdict(pres, word, budget):
+def simplify_route_bound(pres, word):
+    """The power-relator bound of the word rewritten into the simplified
+    presentation."""
+    sr = simplify(pres)
+    return reference_power_bound(sr.presentation.relators,
+                                 rewrite_through(word, sr.eliminations))
+
+
+def full_matrix_verdict(pres, word, budget, bound=simplify_route_bound):
     """(kind, order) of the order certificate with the abelian step taken
-    on the full matrix instead of the simplified one.  It tries a coset
-    table whether or not H1 is finite, so it also checks the oracle's skip
-    of tables that cannot close."""
+    on the full matrix instead of the reduced one, and the upper bound
+    from ``bound(pres, word)``, by default through the simplifier.  It
+    tries a coset table whether or not H1 is finite, so it also checks
+    the oracle's skip of tables that cannot close."""
     if word.is_empty:
         return "finite", 1
     lower = full_matrix_order(pres, word)
     if lower is None:
         return "infinite", None
-    sr = simplify(pres)
-    upper = reference_power_bound(sr.presentation.relators,
-                                  rewrite_through(word, sr.eliminations))
+    upper = bound(pres, word)
     if upper in (0, 1):
         return "finite", 1
     if upper == lower:
@@ -152,6 +162,52 @@ def reference_power_bound(relators, image):
                 g = gcd(g, k)
                 break
     return g or None
+
+
+def rescan_reduction(relators):
+    """``(powers, trivial, scans)``: the generators the relators prove
+    trivial, the power gcds of the others, and the number of scans.  Each
+    scan reads every relator with the trivial generators deleted and
+    cyclically reduced; a generator whose single powers have gcd 1 is
+    trivial, and the scans go on until none is found."""
+    trivial, scans = set(), 0
+    while True:
+        scans += 1
+        powers = {}
+        for r in relators:
+            rc = Word([s for s in r.syllables if s[0] not in trivial]).cyclically_reduced()
+            if len(rc.syllables) == 1:
+                name, exp = rc.syllables[0]
+                powers[name] = gcd(powers.get(name, 0), abs(exp))
+        more = {name for name, m in powers.items() if m == 1}
+        if not more:
+            return powers, trivial, scans
+        trivial |= more
+
+
+def rescan_power_bound(pres, word):
+    """The power bound of the word's image under :func:`rescan_reduction`:
+    0 when it is trivial, m/gcd(m, e) when it is conjugate to x^e with
+    power gcd m, else None."""
+    powers, trivial, _ = rescan_reduction(pres.relators)
+    w = Word([s for s in word.syllables if s[0] not in trivial]).cyclically_reduced()
+    if w.is_empty:
+        return 0
+    if len(w.syllables) > 1:
+        return None
+    name, exp = w.syllables[0]
+    m = powers.get(name, 0)
+    return m // gcd(m, abs(exp)) if m else None
+
+
+def census_graphs():
+    """The benchmark's fixed census of graphs."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [g for g, _ in workloads.census_graphs()]
 
 
 def verdict_key(v):
@@ -288,8 +344,7 @@ def test_diagonal_from_invariants_matches_replay():
         _, ops = smith_normal_form(m)
         d = apply_transforms(m, ops)
         replayed = [d[i, i] if i < d.rows else 0 for i in range(m.cols)]
-        # no eliminations: the image is built on the full matrix itself
-        assert _AbelianImage(simplify(p, budget=0)).diag == replayed
+        assert _AbelianImage(p).diag == replayed
 
 
 def test_oracle_matches_full_matrix_oracle_on_graphs():
@@ -300,44 +355,95 @@ def test_oracle_matches_full_matrix_oracle_on_graphs():
             assert verdict_key(oracle.order(w, 300)) == full_matrix_verdict(p, w, 300)
 
 
+def reduction_graphs():
+    """The census graphs, then 500 random valid graphs."""
+    rng = random.Random(1721)
+    yield from census_graphs()
+    for _ in range(500):
+        yield random_valid_graph(rng, max_whites=5, max_blacks=4, max_extra=4)
+
+
+def test_reduction_contains_the_simplifier_on_graphs():
+    equal = smaller = 0
+    for g in reduction_graphs():
+        p = natural_presentation(g)
+        sr = simplify(p)
+        oracle = OrderOracle(p)
+        trivial = oracle._index[1]
+        eliminated = {name for name, _ in sr.eliminations}
+        assert eliminated <= trivial
+        # on a graph presentation every elimination is of a trivial generator
+        assert all(d.is_empty for _, d in sr.eliminations)
+        if eliminated == trivial:
+            assert oracle.reduced == sr.presentation
+            equal += 1
+        else:
+            smaller += 1
+        assert abelianization(oracle) == reference_invariants(relation_matrix(p))
+    assert equal > 640 and smaller >= 1 and equal + smaller == 651
+
+
+def test_oracle_decides_where_the_simplify_route_decides_on_graphs():
+    decided = 0
+    for g in reduction_graphs():
+        p = natural_presentation(g)
+        oracle = OrderOracle(p)
+        for w in black_words(g):
+            want = full_matrix_verdict(p, w, 300)
+            got = verdict_key(oracle.order(w, 300))
+            if want[0] != "unknown":
+                assert got == want
+                decided += 1
+            else:
+                # the reduction's gcd and cyclic cases may decide more
+                assert got[0] in ("unknown", "finite")
+    assert decided > 950
+
+
 def test_oracle_matches_full_matrix_oracle_on_random_words():
     rng = random.Random(1710)
-    rewritten = 0
+    reduced = 0
     for _ in range(150):
         p = random_presentation(rng)
         oracle = OrderOracle(p)
         names = p.generator_names()
+        _, trivial, _ = rescan_reduction(p.relators)
         for _ in range(4):
             w = random_word(rng, names, max_syllables=3)
-            assert verdict_key(oracle.order(w, 200)) == full_matrix_verdict(p, w, 200)
-            # the image of such a word is a rewrite, not the word itself
-            rewritten += any(name in w.names() and not d.is_empty
-                             for name, d in oracle.simplified.eliminations)
-    assert rewritten >= 30
+            want = full_matrix_verdict(p, w, 200, bound=rescan_power_bound)
+            assert verdict_key(oracle.order(w, 200)) == want
+            # the image of such a word is the word less its trivial letters
+            reduced += not trivial.isdisjoint(w.names())
+    assert reduced >= 70
 
 
 def test_indexed_power_bound_matches_full_scan():
     rng = random.Random(1718)
-    multi = found = 0
+    found = trivial_found = cascades = 0
     for _ in range(400):
         p = random_presentation(rng)
         names = p.generator_names()
-        # powers of random words, rotated and possibly inverted, so that
-        # images of several syllables meet relators they are roots of
+        # powers of random words, rotated and possibly inverted: a relator
+        # of several syllables bounds a power once the deletions leave one
         roots = [random_word(rng, names, max_syllables=3) for _ in range(2)]
         extra = []
         for root in roots:
-            q = root.power(rng.randint(1, 4)).syllables
+            q = naive_power(root, rng.randint(1, 4)).syllables
             i = rng.randrange(len(q) + 1)
-            extra.append(Word(q[i:] + q[:i]).power(rng.choice((1, -1))))
+            extra.append(naive_power(Word(q[i:] + q[:i]), rng.choice((1, -1))))
         relators = p.relators + tuple(extra)
+        powers, trivial, scans = rescan_reduction(relators)
         index = _power_index(relators)
+        assert index[1] == trivial, relators
+        assert {n: m for n, m in index[0].items() if n not in trivial} == powers
         for w in roots + [random_word(rng, names) for _ in range(4)]:
-            got = _power_relator_bound(index, w)
-            assert got == reference_power_bound(relators, w), (relators, w)
-            multi += len(w.cyclically_reduced().syllables) > 1
-            found += len(w.cyclically_reduced().syllables) > 1 and bool(got)
-    assert multi > 800 and found > 200
+            image = Word([s for s in w.syllables if s[0] not in trivial])
+            got = _power_relator_bound(index, image)
+            assert got == rescan_power_bound(GroupPresentation(p.generators, relators), w)
+            found += bool(got)
+        trivial_found += bool(trivial)
+        cascades += scans > 2
+    assert found > 400 and trivial_found > 140 and cascades > 20
 
 
 def test_simplify_matches_rescanning_loop():
@@ -360,8 +466,6 @@ def test_power_and_substitute_match_syllable_definitions():
     rng = random.Random(1712)
     for _ in range(500):
         w = random_word(rng, NAMES[:3])
-        k = rng.randint(-5, 5)
-        assert w.power(k) == naive_power(w, k)
         r = random_word(rng, NAMES[:3], max_syllables=3)
         name = rng.choice(NAMES[:3])
         assert w.substitute(name, r) == naive_substitute(w, name, r)
@@ -465,18 +569,17 @@ def test_one_oracle_answers_each_budget_as_a_fresh_one():
 
 def test_quotient_invariants_match_added_relators():
     rng = random.Random(1716)
+    killed_some = 0
     for _ in range(300):
         p = random_presentation(rng)
-        names = p.generator_names()
-        words = [random_word(rng, names, max_syllables=3)
-                 for _ in range(rng.randint(0, 3))]
-        words += [Word(((n, rng.choice((1, -1, 2))),)) for n in names
-                  if rng.random() < 0.4]
-        rng.shuffle(words)
+        killed = {n for n in p.generator_names() if rng.random() < 0.4}
         oracle = OrderOracle(p)
-        added = GroupPresentation(p.generators, p.relators + tuple(words))
+        units = tuple(Word(((n, 1),)) for n in sorted(killed))
+        added = GroupPresentation(p.generators, p.relators + units)
         want, _ = smith_normal_form(relation_matrix(added))
-        assert oracle.quotient_invariants(tuple(words)) == want
+        assert oracle.quotient_invariants(killed) == want
+        killed_some += bool(killed)
+    assert killed_some > 150
 
 
 def test_capped_edges_match_a_scan_per_piece():
