@@ -99,7 +99,10 @@ class Word:
         return Word(_substitute(self.syllables, name, replacement.syllables))
 
     def cyclically_reduced(self) -> "Word":
-        s = list(self.syllables)
+        s = self.syllables
+        if len(s) < 2 or s[0][0] != s[-1][0]:
+            return self  # already cyclically reduced
+        s = list(s)
         while len(s) > 1 and s[0][0] == s[-1][0]:
             name = s[0][0]
             exp = s[0][1] + s[-1][1]

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, NoSpineError
-from .graph import (BlackVertex, Edge, StratifoldGraph, WhiteVertex,
-                    are_isomorphic, components, is_disk)
+from .graph import (_BLACK, _WHITE, BlackVertex, Edge, StratifoldGraph,
+                    WhiteVertex, _bfs, is_disk)
 from .verdicts import Sentinel
 
 SUMMAND_KINDS = ("lens", "p2xs1", "s2xs1", "s2~xs1", "s3")
@@ -164,8 +164,8 @@ def attachment_white(graph: StratifoldGraph) -> str:
 
 
 # the summands without a parameter that have a spine, and their spines,
-# built once: synth shares them (graphs are immutable) and recognize
-# compares against them
+# built once: synth shares them (graphs are immutable) and recognize's
+# key table is read off them
 _PRIMITIVE_SPINES = {"s2xs1": s2xs1_spine(), "s2~xs1": s2xs1_twisted_spine(),
                      "p2xs1": p2xs1_spine()}
 
@@ -215,59 +215,100 @@ def synth(expr: ManifoldExpr) -> StratifoldGraph:
                    for i, g in enumerate(graphs) if i])
 
 
-def _junction_blacks(graph: StratifoldGraph) -> list[tuple[str, str]]:
-    """(black id, disk white id) for every delta-sum junction: a black
-    vertex with exactly three degree-1 edges, exactly one of them to a
-    disk, the other two to distinct non-disk whites."""
-    out = []
+def _junctions(graph: StratifoldGraph) -> set[tuple[str, str]]:
+    """Vertex keys of every delta-sum junction and its disk.  A junction
+    is a black vertex with exactly three degree-1 edges, exactly one of
+    them to a disk, the other two to distinct non-disk whites."""
+    star, edge, white = graph._star, graph._edge_by_id, graph._white_by_id
+    dead = set()
     for b in graph.blacks:
-        eids = graph.edges_at_black(b.id)
-        if len(eids) != 3:
+        ends = [edge[eid] for eid in star[(_BLACK, b.id)]]
+        if len(ends) != 3 or any(abs(e.label) != 1 for e in ends):
             continue
-        edges = [graph.edge(eid) for eid in eids]
-        if any(abs(e.label) != 1 for e in edges):
-            continue
-        disks = [e.white for e in edges if is_disk(graph, e.white)]
-        others = [e.white for e in edges if not is_disk(graph, e.white)]
-        if len(disks) == 1 and len(set(others)) == 2:
-            out.append((b.id, disks[0]))
-    return out
+        disks = [e.white for e in ends if white[e.white].genus == 0
+                 and len(star[(_WHITE, e.white)]) == 1]
+        if len(disks) == 1 and len({e.white for e in ends}) == 3:
+            dead |= {(_BLACK, b.id), (_WHITE, disks[0])}
+    return dead
 
 
-def _match_piece(piece: StratifoldGraph) -> Summand | None:
-    if len(piece.blacks) == 0:
-        if are_isomorphic(piece, lens_spine(2)):
-            return Summand("lens", 2)
-        return None
-    if len(piece.blacks) == 1 and len(piece.whites) == 1 and len(piece.edges) == 1:
-        q = abs(piece.edges[0].label)
-        if q >= 3 and are_isomorphic(piece, lens_spine(q)):
+def _piece_key(graph: StratifoldGraph, whites, blacks: int, dead=()) -> tuple:
+    """The black count and the sorted (genus, labels) of the given whites.
+
+    A white's labels are read at its edges to blacks not in ``dead`` and
+    put in a form the moves fix: the larger of the sorted labels and the
+    sorted negated labels at an orientable white (M2 negates them all),
+    the sorted absolute values at a nonorientable one (M3 negates one).
+    """
+    edge = graph._edge_by_id
+    out = []
+    for wid in whites:
+        genus = graph._white_by_id[wid].genus
+        labels = [edge[eid].label for eid in graph._star[(_WHITE, wid)]
+                  if (_BLACK, edge[eid].black) not in dead]
+        if genus < 0:
+            labels = sorted(map(abs, labels))
+        else:
+            labels = max(sorted(labels), sorted([-m for m in labels]))
+        out.append((genus, tuple(labels)))
+    return blacks, tuple(sorted(out))
+
+
+# piece key -> summand, for the parameterless primitives and L(2)
+_PIECE_SUMMANDS = {
+    _piece_key(g, [w.id for w in g.whites], len(g.blacks)): summand
+    for summand, g in [(Summand(kind), g) for kind, g in _PRIMITIVE_SPINES.items()]
+    + [(Summand("lens", 2), lens_spine(2))]}
+
+
+def _summand(key: tuple) -> Summand | None:
+    match key:
+        case (1, ((0, (q,)),)) if q >= 3:  # a disk on a degree-q circle
             return Summand("lens", q)
-        return None
-    for kind, spine in _PRIMITIVE_SPINES.items():
-        if are_isomorphic(piece, spine):
-            return Summand(kind)
-    return None
+    return _PIECE_SUMMANDS.get(key)
 
 
 def recognize(graph: StratifoldGraph) -> ManifoldExpr | Sentinel:
-    """Invert synth on its image.
+    """Invert synth on its image, in one linear pass.
 
     Removes every delta-sum junction (black vertex, its three edges, and
-    its disk) simultaneously, splits the rest into connected pieces, and
-    matches each piece against the primitive spines up to move-class
-    isomorphism.  Any unmatched piece, or a graph with no pieces, yields
-    NOT_CANONICAL; the verdict is about this recognizer's image, not a
-    homeomorphism claim.
+    its disk) simultaneously and walks each connected piece of the rest.
+    A piece with more than one black or more than two whites matches no
+    primitive spine; any other piece is looked up by its key, the black
+    count and the sorted (genus, labels) of its whites, with an
+    orientable white's labels counted up to negating them all and a
+    nonorientable white's up to sign.  L(q >= 3) is read off its one
+    label; the other primitives and L(2) are in a table.  Any unmatched
+    piece, or a graph with no pieces, yields NOT_CANONICAL; the verdict
+    is about this recognizer's image, not a homeomorphism claim.
+
+    On a piece with at most one black, equal keys mean exactly
+    move-class isomorphism (:func:`are_isomorphic`).  With no black the
+    piece is one white without edges, known by its genus.  With one
+    black b, every edge at a white w joins w to b, so all of w's edges
+    lie in one parallel class, and any vertex bijection is a
+    genus-preserving bijection of the whites, with b to b, that carries
+    each white's edges onto the other's.  M1 at b negates every label,
+    which is M2 at each orientable white and M3 at each edge of the
+    nonorientable ones, so the moves act on each white's labels alone:
+    all of them negated together (M2) at an orientable white, each one
+    separately (M3) at a nonorientable one.  Two pieces are therefore
+    move-isomorphic exactly when their whites pair off with equal genus
+    and labels equal up to those moves, which is equality of the keys.
     """
-    junctions = _junction_blacks(graph)
-    pieces = components(graph, {d for _, d in junctions}, {b for b, _ in junctions})
-    if not pieces or not all(piece.whites for piece in pieces):
-        return NOT_CANONICAL
+    dead = _junctions(graph)
+    seen = set(dead)
     summands = []
-    for piece in pieces:
-        matched = _match_piece(piece)
-        if matched is None:
+    for v in graph._star:  # every vertex key
+        if v in seen:
+            continue
+        piece = [v] + [u for u, _ in _bfs(graph, v, seen)]
+        whites = [vid for kind, vid in piece if kind == _WHITE]
+        blacks = len(piece) - len(whites)
+        if blacks > 1 or len(whites) > 2:
             return NOT_CANONICAL
-        summands.append(matched)
-    return ManifoldExpr(summands)
+        summand = _summand(_piece_key(graph, whites, blacks, dead))
+        if summand is None:
+            return NOT_CANONICAL
+        summands.append(summand)
+    return ManifoldExpr(summands) if summands else NOT_CANONICAL

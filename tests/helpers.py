@@ -151,6 +151,27 @@ def relabeled(graph, prefix):
          for e in graph.edges])
 
 
+def disguised(g, rng):
+    """Move-isomorphic copy: shuffled fresh ids and random moves M1-M3."""
+    names = [f"v{i}" for i in range(len(g.whites) + len(g.blacks))]
+    rng.shuffle(names)
+    wid = {w.id: names.pop() for w in g.whites}
+    bid = {b.id: names.pop() for b in g.blacks}
+    sign = {v: rng.choice((1, -1)) for v in [*wid.values(), *bid.values()]}
+    eids = [f"x{i}" for i in range(len(g.edges))]
+    rng.shuffle(eids)
+    genus = {w.id: w.genus for w in g.whites}
+
+    def label(e):
+        if genus[e.white] < 0:
+            return e.label * sign[bid[e.black]] * rng.choice((1, -1))
+        return e.label * sign[bid[e.black]] * sign[wid[e.white]]
+    return StratifoldGraph(
+        [WhiteVertex(wid[w.id], w.genus) for w in g.whites],
+        [BlackVertex(bid[b.id]) for b in g.blacks],
+        [Edge(x, wid[e.white], bid[e.black], label(e)) for x, e in zip(eids, g.edges)])
+
+
 def fold_synth(expr):
     """Left fold of delta_sum over the sorted summands, attaching at
     attachment_white on both sides: synth's graph, but with delta_sum's

@@ -6,8 +6,9 @@ from itertools import permutations, product
 
 import pytest
 
-from helpers import (cycle_rank, isolate_mutation, random_valid_graph,
-                     relabeled, starve_black_mutation, zero_label_mutation)
+from helpers import (cycle_rank, disguised, isolate_mutation,
+                     random_valid_graph, relabeled, starve_black_mutation,
+                     zero_label_mutation)
 from stratifold import (BlackVertex, Edge, GraphError, ManifoldExpr,
                         StratifoldGraph, Summand, WhiteVertex, are_isomorphic,
                         cw_euler, delta_sum, euler_characteristic, lens_spine,
@@ -348,27 +349,6 @@ def small_graph(rng, nw, nb, ne):
     return StratifoldGraph(whites, blacks, [
         Edge(f"e{i}", rng.choice(whites).id, rng.choice(blacks).id,
              rng.choice((1, -1)) * rng.randint(1, 2)) for i in range(ne)])
-
-
-def disguised(g, rng):
-    """Move-isomorphic copy: shuffled fresh ids and random moves M1-M3."""
-    names = [f"v{i}" for i in range(len(g.whites) + len(g.blacks))]
-    rng.shuffle(names)
-    wid = {w.id: names.pop() for w in g.whites}
-    bid = {b.id: names.pop() for b in g.blacks}
-    sign = {v: rng.choice((1, -1)) for v in [*wid.values(), *bid.values()]}
-    eids = [f"x{i}" for i in range(len(g.edges))]
-    rng.shuffle(eids)
-    genus = {w.id: w.genus for w in g.whites}
-
-    def label(e):
-        if genus[e.white] < 0:
-            return e.label * sign[bid[e.black]] * rng.choice((1, -1))
-        return e.label * sign[bid[e.black]] * sign[wid[e.white]]
-    return StratifoldGraph(
-        [WhiteVertex(wid[w.id], w.genus) for w in g.whites],
-        [BlackVertex(bid[b.id]) for b in g.blacks],
-        [Edge(x, wid[e.white], bid[e.black], label(e)) for x, e in zip(eids, g.edges)])
 
 
 class TestIsomorphism:

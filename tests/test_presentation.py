@@ -14,6 +14,20 @@ from stratifold import (INDETERMINATE, BlackVertex, Edge, FiniteOrder,
                         rewrite_through, s2xs1_spine, simplify, spanning_tree)
 
 
+def reference_cyclically_reduced(word):
+    """The loop Word.cyclically_reduced runs on a word whose first and
+    last syllables share a generator, here run on every word."""
+    s = list(word.syllables)
+    while len(s) > 1 and s[0][0] == s[-1][0]:
+        name = s[0][0]
+        exp = s[0][1] + s[-1][1]
+        s = s[1:-1]
+        if exp:
+            s.append((name, exp))
+            s = list(Word(tuple(s)).syllables)
+    return Word(tuple(s))
+
+
 def shape(pres):
     return ([(g.name, g.role) for g in pres.generators],
             [format_word(r) for r in pres.relators])
@@ -52,6 +66,26 @@ class TestWord:
     def test_cyclic_reduction(self):
         w = Word((("a", -1), ("b", 2), ("a", 1)))
         assert format_word(w.cyclically_reduced()) == "b^2"
+
+    def test_cyclically_reduced_word_is_returned_itself(self):
+        for w in (Word(), Word((("a", 3),)), Word((("a", 1), ("b", -2))),
+                  Word((("a", 1), ("b", 1), ("a", 1), ("c", 2)))):
+            assert w.cyclically_reduced() is w
+
+    def test_cyclic_reduction_matches_the_reference_loop(self):
+        rng = random.Random(309)
+        wrapping = 0
+        for _ in range(3000):
+            syllables = [(rng.choice("abc"), rng.choice((-2, -1, 1, 2)))
+                         for _ in range(rng.randint(0, 6))]
+            if syllables and rng.random() < 0.5:  # conjugate, so it wraps
+                name, exp = rng.choice("abc"), rng.choice((-1, 1, 2))
+                syllables = [(name, exp)] + syllables + [(name, -exp)]
+            w = Word(tuple(syllables))
+            s = w.syllables
+            wrapping += len(s) > 1 and s[0][0] == s[-1][0]
+            assert w.cyclically_reduced() == reference_cyclically_reduced(w)
+        assert wrapping > 1000
 
 
 class TestGroupPresentation:

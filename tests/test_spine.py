@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from helpers import (PRIMITIVE_SUMMANDS, SPINE_KINDS, random_expr_summands,
-                     relabeled, word_order)
-from stratifold import (INDETERMINATE, NOT_CANONICAL, DomainError, FiniteOrder,
-                        GraphError, ManifoldExpr, NoSpineError, Sentinel,
-                        StratifoldGraph, Summand,
+from helpers import (PRIMITIVE_SUMMANDS, SPINE_KINDS, disguised,
+                     random_expr_summands, relabeled, word_order)
+from stratifold import (INDETERMINATE, NOT_CANONICAL, BlackVertex, DomainError,
+                        Edge, FiniteOrder, GraphError, ManifoldExpr,
+                        NoSpineError, Sentinel, StratifoldGraph, Summand,
                         WhiteVertex, Word, abelianization, attachment_white,
                         black_orders, cw_euler, delta_sum,
                         euler_characteristic, lens_spine,
                         natural_presentation, normalize, obstructions,
-                        p2xs1_spine, recognize, s2xs1_spine,
+                        p2xs1_spine, parse_expr, recognize, s2xs1_spine,
                         s2xs1_twisted_spine, serialize_graph, synth, validate)
 
 
@@ -188,6 +188,13 @@ class TestSynth:
             synth(ManifoldExpr([Summand("lens", 3), Summand("s3")]))
 
 
+def flipped(graph, eid):
+    """The graph with the label of edge eid negated."""
+    return StratifoldGraph(graph.whites, graph.blacks, [
+        Edge(e.id, e.white, e.black, -e.label) if e.id == eid else e
+        for e in graph.edges])
+
+
 class TestRecognize:
     def test_primitives(self):
         for q in range(2, 8):
@@ -208,8 +215,45 @@ class TestRecognize:
             e = ManifoldExpr(random_expr_summands(rng))
             assert recognize(relabeled(synth(e), "x_")) == e
 
+    def test_round_trip_survives_moves(self):
+        # fresh ids, M1 at random blacks, M2 at random orientable whites
+        # and M3 at single labels of nonorientable whites
+        rng = random.Random(207)
+        for _ in range(40):
+            e = ManifoldExpr(random_expr_summands(rng))
+            assert recognize(disguised(synth(e), rng)) == e
+
+    def test_one_annulus_flip_twists_the_bundle(self):
+        # e1 and e2 are the annulus edges of a bundle spine
+        for text, annulus, twisted in (
+                ("S2xS1", "e2", "S2~xS1"), ("S2~xS1", "e2", "S2xS1"),
+                ("S2~xS1", "e1", "S2xS1"),
+                ("L(3) # S2xS1 # S2xS1", "s2.e1", "L(3) # S2xS1 # S2~xS1"),
+                ("L(2) # S2~xS1", "s1.e2", "L(2) # S2xS1")):
+            g = synth(parse_expr(text))
+            assert str(recognize(flipped(g, annulus))) == twisted
+
+    def test_annulus_flip_on_p2xs1_is_not_canonical(self):
+        for text, annulus in (("P2xS1", "e2"), ("L(5) # P2xS1", "s1.e3")):
+            assert recognize(flipped(synth(parse_expr(text)), annulus)) \
+                is NOT_CANONICAL
+
+    def test_pieces_of_no_primitive_shape_are_not_canonical(self):
+        two_blacks = StratifoldGraph(
+            [WhiteVertex("w", 0)], [BlackVertex("b1"), BlackVertex("b2")],
+            [Edge("e1", "w", "b1", 3), Edge("e2", "w", "b2", 3)])
+        three_whites = StratifoldGraph(
+            list(s2xs1_spine().whites) + [WhiteVertex("wx", 0)],
+            s2xs1_spine().blacks,
+            list(s2xs1_spine().edges) + [Edge("e4", "wx", "b", 1)])
+        for piece in (two_blacks, three_whites):
+            assert recognize(piece) is NOT_CANONICAL
+            g = delta_sum(lens_spine(3), "w", piece, attachment_white(piece))
+            assert validate(g) == []
+            assert recognize(g) is NOT_CANONICAL
+
     def test_rejects_non_canonical_graphs(self):
-        from stratifold import BlackVertex, Edge, fgroup_graph, FSignature
+        from stratifold import fgroup_graph, FSignature
         theta = StratifoldGraph(
             [WhiteVertex("w", 1)], [BlackVertex("b")],
             [Edge("e1", "w", "b", 1), Edge("e2", "w", "b", 1),
