@@ -555,6 +555,11 @@ class OrderOracle:
        within budget; a table is tried only when the abelianization is
        finite, since an infinite group has no finite table;
     4. otherwise Unknown(budget): abstention, never a guess.
+
+    On a graph presentation the analysis layer asks the oracle for orders
+    only when some white is a disk: without one, every branch circle has
+    infinite order by the graph alone, and the torsion quotient's H1 is
+    read from the graph (``stratifold.analysis``).
     """
 
     def __init__(self, pres: GroupPresentation):
@@ -611,10 +616,3 @@ class OrderOracle:
             k = table[0].permutation_order(word)
             return FiniteOrder(k, f"coset enumeration closed with {table[0].cosets} cosets")
         return UnknownOrder(budget)
-
-    def quotient_invariants(self, killed) -> AbelianInvariants:
-        """H1 of the group modulo the normal closure of the generators
-        named in ``killed``: the SNF of the reduced presentation with
-        their columns deleted, so nothing is reduced again."""
-        inv, _ = smith_normal_form(relation_matrix(_delete(self.reduced, killed)))
-        return inv

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .algebra import DEFAULT_COSET_BUDGET, AbelianInvariants, OrderOracle
-from .graph import StratifoldGraph, are_isomorphic, components
+from .algebra import (DEFAULT_COSET_BUDGET, AbelianInvariants, IntMatrix,
+                      OrderOracle, smith_normal_form)
+from .graph import (StratifoldGraph, _tree_labels, are_isomorphic, components,
+                    is_disk)
 from .presentation import (FSignature, GroupPresentation, Word, fgroup_graph,
                            killed_words, natural_presentation)
 from .verdicts import (INDETERMINATE, FiniteOrder, InfiniteOrder,
@@ -98,8 +100,18 @@ def analyze(graph: StratifoldGraph) -> OrderOracle:
     return OrderOracle(natural_presentation(graph))
 
 
-def _census(graph: StratifoldGraph, oracle: OrderOracle,
-            budget: int) -> dict[str, OrderVerdict]:
+# the witness of every branch circle in a graph whose edge maps all inject
+_EMBEDDED = InfiniteOrder("no white is a disk, so every vertex group embeds")
+
+
+def _census(graph: StratifoldGraph, budget: int) -> dict[str, OrderVerdict]:
+    # every edge map injective: no disk white and no label 0 (see
+    # black_orders); the walk raises GraphError on an empty or disconnected
+    # graph, as natural_presentation does, and is kept for the surgery
+    if (not any(is_disk(graph, w.id) for w in graph.whites)
+            and all(_tree_labels(graph)[1].values())):
+        return dict.fromkeys([b.id for b in graph.blacks], _EMBEDDED)
+    oracle = analyze(graph)
     return {b.id: oracle.order(Word(((f"b.{b.id}", 1),)), budget)
             for b in graph.blacks}
 
@@ -108,15 +120,27 @@ def black_orders(graph: StratifoldGraph,
                  budget: int = DEFAULT_COSET_BUDGET) -> dict[str, OrderVerdict]:
     """Certified order of every branch-circle generator b.<id>.
 
-    Orders are taken in the fundamental group of the graph as given,
-    presented with its labels normalized on the presentation's own walk;
-    one oracle serves the census, so the reduction and any coset table
-    are computed once.  Unknown verdicts are honest abstentions
-    carried by the budget.  Calling again on an equal graph with the
-    same budget reads the oracle's kept verdicts; each call returns a
-    census of its own.
+    Orders are taken in the fundamental group of the graph as given.
+    When no white is a disk (and no label is 0), every branch circle has
+    infinite order, read off the graph alone: the group is the
+    fundamental group of a graph of groups over the graph (van Kampen),
+    with the surface group of each white, Z = <b> at each black, and an
+    edge group Z = <s> that maps to b^m at the black and to the boundary
+    circle s at the white.  b -> b^m is injective for m != 0, and a
+    boundary circle of a compact surface other than the disk is a
+    nontrivial element of its free fundamental group, so it has infinite
+    order.  With every edge map injective, every vertex group embeds
+    (Serre, *Trees*, 1980, section I.5), and so does each <b>.
+
+    A graph with a disk white goes to the graph's order oracle
+    (:func:`analyze`), which presents it with its labels normalized on
+    the presentation's own walk; one oracle serves the census, so the
+    reduction and any coset table are computed once.  Unknown verdicts
+    are honest abstentions carried by the budget.  Calling again on an
+    equal graph with the same budget reads the oracle's kept verdicts;
+    each call returns a census of its own.
     """
-    return _census(graph, analyze(graph), budget)
+    return _census(graph, budget)
 
 
 def white_holes(graph: StratifoldGraph,
@@ -181,23 +205,54 @@ class QResult:
     abelianization: AbelianInvariants
 
 
-def q_graph(graph: StratifoldGraph,
-            budget: int = DEFAULT_COSET_BUDGET) -> QResult | Sentinel:
-    """Delete the open stars of finite-order black vertices and the white
-    holes; split what survives into components.
+def _quotient_h1(graph: StratifoldGraph, dead_blacks,
+                 holes) -> AbelianInvariants:
+    """H1 of the torsion quotient, read from the graph as Z^f + coker M.
 
-    The orders are the census :func:`black_orders` returns for this graph
-    and budget.  Returns INDETERMINATE when any order verdict is Unknown.
-    Surviving singleton white vertices are closed surfaces (all their
-    boundaries are capped).  The result's presentation is the graph
-    presentation plus one relator per killed generator (see
-    :func:`killed_words`): it presents the quotient of the fundamental
-    group by the subgroup generated by all torsion.  Its H1 is read from
-    the oracle's reduced presentation with the killed generators' columns
-    deleted, so nothing is reduced again.
+    Abelianize :func:`natural_presentation`.  A white's relator is
+    s_1...s_p q, and each boundary circle s is b^m on a tree edge or
+    t b^m t^-1 on a non-tree edge, so either way it abelianizes to m*b,
+    and the relator to the sum of m*b over the white's edges plus the
+    image of q.  A stable letter t then occurs in no abelianized relator
+    and is free, and so are the 2g loops of an orientable white, whose q
+    abelianizes to 0.  A nonorientable white's q = y_1^2...y_h^2 reads
+    2(y_1 + ... + y_h); the unimodular change of basis y_1' = y_1 + ... +
+    y_h leaves one column holding a 2 in that white's row and h - 1 free
+    letters.  The surgery adds b = 1 for each dead black and y = 1 for
+    each loop of a hole, which deletes those columns; a hole has genus
+    -1, so it loses its 2 and no free letter.
+
+    So M has one row per white, one column per surviving black holding
+    the sum of the signed labels of each (white, black) pair, and one
+    column holding a 2 per nonorientable white that is not a hole; f is
+    the number of non-tree edges plus 2g per orientable white plus
+    |g| - 1 per nonorientable white that is not a hole.  The genus enters
+    only as a number, and M is diagonalized by :func:`smith_normal_form`.
     """
-    oracle = analyze(graph)
-    orders = _census(graph, oracle, budget)
+    tree, labels = _tree_labels(graph)
+    col = {b.id: j for j, b in enumerate(b for b in graph.blacks
+                                         if b.id not in dead_blacks)}
+    twos = [w for w in graph.whites if w.genus < 0 and w.id not in holes]
+    ncols = len(col) + len(twos)
+    row = {w.id: i for i, w in enumerate(graph.whites)}
+    entries = [0] * (len(row) * ncols)
+    for e in graph.edges:
+        if e.black in col:
+            entries[row[e.white] * ncols + col[e.black]] += labels[e.id]
+    for j, w in enumerate(twos, len(col)):
+        entries[row[w.id] * ncols + j] = 2
+    free = (len(graph.edges) - len(tree)
+            + sum(2 * w.genus for w in graph.whites if w.genus > 0)
+            + sum(-w.genus - 1 for w in twos))
+    inv, _ = smith_normal_form(IntMatrix(len(row), ncols, tuple(entries)))
+    return AbelianInvariants(free + inv.free_rank, inv.torsion)
+
+
+def _surgery(graph: StratifoldGraph, budget: int):
+    """The Q-surgery without the quotient presentation: ``(deleted_blacks,
+    white_holes, components, abelianization)`` as :class:`QResult` holds
+    them, or INDETERMINATE when an order verdict is Unknown."""
+    orders = _census(graph, budget)
     if any(isinstance(v, UnknownOrder) for v in orders.values()):
         return INDETERMINATE
     holes = tuple(sorted(white_holes(graph, orders)))
@@ -216,11 +271,32 @@ def q_graph(graph: StratifoldGraph,
         closed = sub.whites[0].genus if (len(sub.whites) == 1
                                          and not sub.blacks) else None
         pieces.append(QComponent(sub, capped, closed))
-    killed = killed_words(graph, deleted, holes)
-    base = oracle.pres
-    return QResult(deleted, holes, tuple(pieces),
-                   GroupPresentation(base.generators, base.relators + killed),
-                   oracle.quotient_invariants({w.syllables[0][0] for w in killed}))
+    return deleted, holes, tuple(pieces), _quotient_h1(graph, dead_blacks, holes)
+
+
+def q_graph(graph: StratifoldGraph,
+            budget: int = DEFAULT_COSET_BUDGET) -> QResult | Sentinel:
+    """Delete the open stars of finite-order black vertices and the white
+    holes; split what survives into components.
+
+    The orders are the census :func:`black_orders` returns for this graph
+    and budget.  Returns INDETERMINATE when any order verdict is Unknown.
+    Surviving singleton white vertices are closed surfaces (all their
+    boundaries are capped).  The result's presentation is the graph
+    presentation plus one relator per killed generator (see
+    :func:`killed_words`): it presents the quotient of the fundamental
+    group by the subgroup generated by all torsion.  Its H1 is read from
+    the graph, not from that presentation (see :func:`_quotient_h1`).
+    """
+    surgery = _surgery(graph, budget)
+    if surgery is INDETERMINATE:
+        return INDETERMINATE
+    deleted, holes, pieces, ab = surgery
+    base = analyze(graph).pres
+    return QResult(deleted, holes, pieces,
+                   GroupPresentation(base.generators,
+                                     base.relators + killed_words(graph, deleted, holes)),
+                   ab)
 
 
 def fgroup_signature_of(graph: StratifoldGraph) -> FSignature | None:
@@ -272,6 +348,10 @@ def obstructions(graph: StratifoldGraph,
     The structural test needs no order census, so a certified rejection
     is returned even when the census is INDETERMINATE; the answer is
     INDETERMINATE only when the census abstains and nothing else rejects.
+    The suite runs the surgery of :func:`q_graph` but builds no
+    presentation: the quotient's H1 comes from the graph, and a graph with
+    no disk white needs no order oracle either, so its genus enters only
+    as a number.
     """
     structural = []
     sig = fgroup_signature_of(graph)
@@ -283,23 +363,23 @@ def obstructions(graph: StratifoldGraph,
                 f"F-group of genus {sig.genus} with periods {sig.periods}"
                 " is infinite and not a surface group"))
 
-    q = q_graph(graph, budget)
-    if q is INDETERMINATE:
+    surgery = _surgery(graph, budget)
+    if surgery is INDETERMINATE:
         return tuple(structural) if structural else INDETERMINATE
 
     found = []
-    ab = q.abelianization
+    _, _, pieces, ab = surgery
     if ab.torsion:
         found.append(Obstruction(
             "QTorsion",
             f"abelianization of the torsion quotient has torsion {ab.torsion}"))
-    for c in q.components:
+    for c in pieces:
         if c.closed_surface_genus == -1:
             wid = c.graph.whites[0].id
             found.append(Obstruction(
                 "QTorsion",
                 f"component {wid} survives as a closed projective plane"))
-    for c in q.components:
+    for c in pieces:
         g = c.closed_surface_genus
         if g is not None and (g >= 1 or g <= -2):
             wid = c.graph.whites[0].id

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import GraphError
@@ -367,9 +368,14 @@ def spanning_tree(graph: StratifoldGraph) -> frozenset[str]:
     return _tree_labels(graph)[0]
 
 
+@lru_cache(maxsize=1)
 def _tree_labels(graph: StratifoldGraph) -> tuple[frozenset[str], dict[str, int]]:
     """The :func:`spanning_tree` of a connected graph and every edge's
-    :func:`normalize`d label (edge id -> label), from one walk."""
+    :func:`normalize`d label (edge id -> label), from one walk.
+
+    The latest graph's walk is kept, so the natural presentation and the
+    analysis layer's graph matrix of one graph share it; callers only
+    read the returned dict."""
     nverts = len(graph.whites) + len(graph.blacks)
     if nverts == 0:
         raise GraphError("empty graph has no spanning tree")

@@ -1,11 +1,16 @@
 """F-group classification, order census, Q-surgery, obstruction suite."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import stratifold
 from helpers import abstaining_graph, random_valid_graph, relabeled
 from stratifold import (INDETERMINATE, AbelianInvariants, BlackVertex,
                         CosetTable, Edge, Exhausted, FiniteOrder, FSignature,
@@ -166,13 +171,26 @@ class TestWhiteHoles:
         assert white_holes(g, black_orders(g)) == frozenset()
 
     def test_unknown_neighbor_abstains(self):
+        # b^2 = 1 from the disk d, but H1 is infinite and b is trivial in
+        # it, so the census abstains and so must the projective plane m
+        a = abstaining_graph()
+        g = StratifoldGraph(a.whites + (WhiteVertex("m", -1),), a.blacks,
+                            a.edges + (Edge("e5", "m", "b", 1),))
+        orders = black_orders(g, budget=100)
+        assert orders["b"] == UnknownOrder(100)
+        assert white_holes(g, orders) is INDETERMINATE
+
+    def test_no_disk_neighbor_is_infinite(self):
+        # without a disk white every vertex group embeds, so b has
+        # infinite order and the projective plane w2 is not a hole
         g = StratifoldGraph(
             [WhiteVertex("w", 1), WhiteVertex("w2", -1)], [BlackVertex("b")],
             [Edge("e1", "w", "b", 1), Edge("e2", "w", "b", 1),
              Edge("e3", "w", "b", 1), Edge("e4", "w2", "b", 1)])
         orders = black_orders(g, budget=100)
-        assert orders["b"] == UnknownOrder(100)
-        assert white_holes(g, orders) is INDETERMINATE
+        assert orders["b"] == InfiniteOrder(
+            "no white is a disk, so every vertex group embeds")
+        assert white_holes(g, orders) == frozenset()
 
     def test_unknown_elsewhere_still_definite(self):
         # the genus-1 white is not a hole candidate, so an unknown verdict
@@ -389,3 +407,38 @@ def test_gcd_table_spot_checks():
     # orders for two-period spherical signatures are plain gcds
     for a, b in ((4, 6), (5, 7), (6, 9)):
         assert classify_fgroup(FSignature(0, (a, b))).order == math.gcd(a, b)
+
+
+def test_order_and_obstruct_on_a_huge_genus_build_no_presentation():
+    # one child process whose address space is capped at 1 GB: presenting
+    # a closed surface of genus 10^18 would need 2 * 10^18 generators
+    code = """if True:
+        import contextlib, io, json, resource, sys, time
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from stratifold.cli import main
+        for genus in (10**18, -10**18):
+            for command in ("order", "obstruct"):
+                out = io.StringIO()
+                start = time.perf_counter()
+                with contextlib.redirect_stdout(out):
+                    code = main([command, "--json"],
+                                stdin=io.StringIO(f"white w genus {genus}\\n"))
+                seconds = time.perf_counter() - start
+                report = json.loads(out.getvalue())
+                kinds = sorted(o["kind"] for o in report["obstructions"])
+                print(json.dumps([command, genus, code, seconds, kinds]))
+        """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stratifold.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=20, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    runs = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(c, g) for c, g, *_ in runs] == [
+        ("order", 10**18), ("obstruct", 10**18),
+        ("order", -10**18), ("obstruct", -10**18)]
+    assert all(seconds < 1 for *_, seconds, _ in runs)
+    # a surface group other than those of S^2 and RP^2 is not free, and a
+    # nonorientable one's torsion quotient is itself, with 2-torsion in H1
+    assert [(code, kinds) for _, _, code, _, kinds in runs] == [
+        (0, []), (3, ["NonFreeSurfaceComponent"]),
+        (0, []), (3, ["NonFreeSurfaceComponent", "QTorsion"])]
