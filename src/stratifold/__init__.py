@@ -29,8 +29,8 @@ from .presentation import (GENERATOR_ROLES, FSignature, Generator,
 from .spine import (NOT_CANONICAL, SUMMAND_KINDS, ManifoldExpr, Summand,
                     attachment_white, delta_sum, lens_spine, p2xs1_spine,
                     recognize, s2xs1_spine, s2xs1_twisted_spine, synth)
-from .verdicts import (INDETERMINATE, FiniteOrder, InfiniteOrder,
-                       OrderVerdict, Sentinel, UnknownOrder)
+from .verdicts import (FiniteOrder, InfiniteOrder, OrderVerdict, Sentinel,
+                       UnknownOrder)
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "AbelianInvariants", "BlackVertex", "CosetTable", "DEFAULT_COSET_BUDGET",
     "DomainError", "Edge", "Exhausted", "FCLASS_KINDS", "FClass",
     "FSignature", "FiniteOrder", "GENERATOR_ROLES", "Generator", "GraphError",
-    "GroupPresentation", "INDETERMINATE", "InfiniteOrder", "IntMatrix",
+    "GroupPresentation", "InfiniteOrder", "IntMatrix",
     "ManifoldExpr", "NOT_CANONICAL", "NoSpineError", "Obstruction",
     "OrderOracle", "OrderVerdict", "ParseError", "QComponent",
     "QResult", "SUMMAND_KINDS", "Sentinel", "SimplifyResult",

@@ -538,14 +538,10 @@ class OrderOracle:
     relators prove trivial and the power bound of every other generator;
     ``reduced`` is the presentation with the trivial generators deleted,
     and a word's image is the word with them deleted.  The reduction and
-    the SNF of ``reduced`` are built on first need and a coset table only
-    when a question needs one, so a census of many words reuses them.
-    The coset budget belongs to each question, and the oracle keeps one
-    budget slot, a tuple replaced whole when another budget is asked:
-    the latest budget, the verdicts given under it, and a one-item list
-    that holds the coset table once one is built.  A question reads the
-    slot once, so another question that replaces it meanwhile changes
-    nothing for this one.  Every verdict is certified:
+    the SNF of ``reduced`` are built on first need and shared by every
+    question; each question that needs a coset table enumerates its own,
+    under its own budget, and nothing else is kept.  Every verdict is
+    certified:
 
     1. Infinite when the abelianized image has infinite order;
     2. Finite when a power bound meets the abelianized lower bound
@@ -556,16 +552,14 @@ class OrderOracle:
        finite, since an infinite group has no finite table;
     4. otherwise Unknown(budget): abstention, never a guess.
 
-    On a graph presentation the analysis layer asks the oracle for orders
-    only when some white is a disk: without one, every branch circle has
-    infinite order by the graph alone, and the torsion quotient's H1 is
-    read from the graph (``stratifold.analysis``).
+    The oracle serves bare presentations.  The order of a branch circle
+    of a graph needs none: ``stratifold.analysis.black_orders`` reads it
+    off the graph exactly.
     """
 
     def __init__(self, pres: GroupPresentation):
         self.pres = pres
         self._names = frozenset(pres.generator_names())
-        self._slot: tuple = (None, {}, [None])
 
     @cached_property
     def _index(self):
@@ -585,16 +579,6 @@ class OrderOracle:
         bad = word.names() - self._names
         if bad:
             raise ValueError(f"word uses undeclared generators {sorted(bad)}")
-        slot = self._slot  # read once: a question asked meanwhile may replace it
-        if slot[0] != budget:
-            slot = self._slot = budget, {}, [None]
-        _, verdicts, table = slot
-        verdict = verdicts.get(word)
-        if verdict is None:
-            verdict = verdicts[word] = self._certify(word, budget, table)
-        return verdict
-
-    def _certify(self, word: Word, budget: int, table: list) -> OrderVerdict:
         if word.is_empty:
             return FiniteOrder(1, "empty word")
         image = _without(word, self._index[1])
@@ -610,9 +594,8 @@ class OrderOracle:
             # H1 has a free summand: the group is infinite, so no coset
             # table over the trivial subgroup can close
             return UnknownOrder(budget)
-        if table[0] is None:
-            table[0] = todd_coxeter(self.pres, budget)
-        if isinstance(table[0], CosetTable):
-            k = table[0].permutation_order(word)
-            return FiniteOrder(k, f"coset enumeration closed with {table[0].cosets} cosets")
+        table = todd_coxeter(self.pres, budget)
+        if isinstance(table, CosetTable):
+            k = table.permutation_order(word)
+            return FiniteOrder(k, f"coset enumeration closed with {table.cosets} cosets")
         return UnknownOrder(budget)

@@ -4,25 +4,23 @@ The pipeline: certify the order of each branch-circle generator, find the
 white holes, perform the Q-surgery (delete the open stars of finite-order
 black vertices and the white holes), and test the quotient against
 properties every closed-3-manifold group in the classification must have.
-Every rejection is certified; an empty obstruction list means only "no
-obstruction found", never "realizable".  Budget exhaustion surfaces as
-INDETERMINATE rather than a verdict.
+Every order is exact and read off the graph, with no budget; every
+rejection is certified, and an empty obstruction list means only "no
+obstruction found", never "realizable".
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .algebra import (DEFAULT_COSET_BUDGET, AbelianInvariants, IntMatrix,
-                      OrderOracle, smith_normal_form)
-from .graph import (StratifoldGraph, _tree_labels, are_isomorphic, components,
-                    is_disk)
-from .presentation import (FSignature, GroupPresentation, Word, fgroup_graph,
+from .algebra import AbelianInvariants, IntMatrix, OrderOracle, smith_normal_form
+from .graph import StratifoldGraph, _tree_labels, are_isomorphic, components
+from .presentation import (FSignature, GroupPresentation, fgroup_graph,
                            killed_words, natural_presentation)
-from .verdicts import (INDETERMINATE, FiniteOrder, InfiniteOrder,
-                       OrderVerdict, Sentinel, UnknownOrder)
+from .verdicts import FiniteOrder, InfiniteOrder, OrderVerdict
 
 FCLASS_KINDS = ("finite-cyclic", "finite-noncyclic", "infinite")
 
@@ -93,88 +91,148 @@ def analyze(graph: StratifoldGraph) -> OrderOracle:
     edges and labels, however the input text was ordered).  Only the
     latest graph's oracle is kept; a different graph replaces it, and
     ``analyze.cache_clear()`` drops it.  The oracle deletes the generators
-    its relators prove trivial on first need (that reduced presentation
+    its relators prove trivial on first need: that reduced presentation
     is what ``pi1 --simplify`` prints, and ``abelianization(oracle)`` is
-    its H1) and keeps its verdicts and coset table for the latest budget.
+    its H1.  The order census does not use it (see :func:`black_orders`).
     """
     return OrderOracle(natural_presentation(graph))
 
 
-# the witness of every branch circle in a graph whose edge maps all inject
-_EMBEDDED = InfiniteOrder("no white is a disk, so every vertex group embeds")
+# the witness of every branch circle the fold leaves of infinite order
+_EMBEDDED = InfiniteOrder("the folded graph of groups has injective edge maps,"
+                          " so every vertex group embeds")
 
 
-def _census(graph: StratifoldGraph, budget: int) -> dict[str, OrderVerdict]:
-    # every edge map injective: no disk white and no label 0 (see
-    # black_orders); the walk raises GraphError on an empty or disconnected
-    # graph, as natural_presentation does, and is kept for the surgery
-    if (not any(is_disk(graph, w.id) for w in graph.whites)
-            and all(_tree_labels(graph)[1].values())):
-        return dict.fromkeys([b.id for b in graph.blacks], _EMBEDDED)
-    oracle = analyze(graph)
-    return {b.id: oracle.order(Word(((f"b.{b.id}", 1),)), budget)
-            for b in graph.blacks}
+@lru_cache(maxsize=1)
+def _fold(graph: StratifoldGraph) -> dict[str, OrderVerdict]:
+    """The census of :func:`black_orders`, kept for the latest graph; the
+    caller must not change the returned dict."""
+    _, labels = _tree_labels(graph)
+    n = dict.fromkeys([b.id for b in graph.blacks], 0)
+    steps: dict[str, list[str]] = {}
+
+    def nonzero(wid):
+        return sum(1 for eid in graph.edges_at_white(wid) if labels[eid])
+
+    # while every n_b is 0, a rule applies only at a genus-0 white with at
+    # most one boundary circle, that is one edge of nonzero label
+    work = deque([w.id for w in graph.whites if w.genus == 0 and nonzero(w.id) <= 1])
+    queued = set(work)
+    while work:
+        wid = work.popleft()
+        queued.discard(wid)
+        bounds, cones = [], []  # (black, |m|), (black, |m|, k_e)
+        for eid in graph.edges_at_white(wid):
+            e, m = graph.edge(eid), abs(labels[eid])
+            k = n[e.black] // gcd(n[e.black], m) if m else 1
+            if k == 0:
+                bounds.append((e.black, m))
+            elif k > 1:
+                cones.append((e.black, m, k))
+        if len(bounds) + len(cones) > 2 or len(bounds) > 1:
+            continue
+        if bounds:  # D(c), and a disk for c = 1
+            (b, m), c = bounds[0], cones[0][2] if cones else 1
+            lower = [(b, m * c, f"disk {wid} with label {m}" if c == 1 else
+                      f"disk {wid} with cone point {c} and label {m}")]
+        elif len(cones) == 2:  # a spindle when p != q, else nothing to do
+            (_, _, p), (_, _, q) = cones
+            lower = [(b, m * gcd(p, q), f"spindle {wid} with cone points {p}"
+                      f" and {q} and label {m}") for b, m, _ in cones]
+        else:  # a teardrop, or a sphere with no cone point
+            lower = [(b, m, f"teardrop {wid} with cone point {k} and label {m}")
+                     for b, m, k in cones]
+        for b, j, step in lower:
+            if n[b] == gcd(n[b], j):
+                continue
+            n[b] = gcd(n[b], j)
+            steps.setdefault(b, []).append(step)
+            for eid in graph.edges_at_black(b):
+                w = graph.edge(eid).white
+                if w not in queued and graph.white(w).genus == 0:
+                    queued.add(w)
+                    work.append(w)
+    return {b: FiniteOrder(k, ", then ".join(steps[b])) if k else _EMBEDDED
+            for b, k in n.items()}
 
 
-def black_orders(graph: StratifoldGraph,
-                 budget: int = DEFAULT_COSET_BUDGET) -> dict[str, OrderVerdict]:
-    """Certified order of every branch-circle generator b.<id>.
+def black_orders(graph: StratifoldGraph) -> dict[str, OrderVerdict]:
+    """Exact order of every branch-circle generator b.<id>, read off the
+    graph by folding its graph of groups; no verdict is ``UnknownOrder``.
 
-    Orders are taken in the fundamental group of the graph as given.
-    When no white is a disk (and no label is 0), every branch circle has
-    infinite order, read off the graph alone: the group is the
-    fundamental group of a graph of groups over the graph (van Kampen),
-    with the surface group of each white, Z = <b> at each black, and an
+    Orders are taken in the fundamental group of the graph as given.  By
+    van Kampen it is the fundamental group of a graph of groups over the
+    graph: the surface group of each white, Z = <b> at each black, and an
     edge group Z = <s> that maps to b^m at the black and to the boundary
-    circle s at the white.  b -> b^m is injective for m != 0, and a
-    boundary circle of a compact surface other than the disk is a
-    nontrivial element of its free fundamental group, so it has infinite
-    order.  With every edge map injective, every vertex group embeds
-    (Serre, *Trees*, 1980, section I.5), and so does each <b>.
+    circle s at the white.  The walk of the labels raises GraphError on
+    an empty or disconnected graph, as :func:`natural_presentation` does.
 
-    A graph with a disk white goes to the graph's order oracle
-    (:func:`analyze`), which presents it with its labels normalized on
-    the presentation's own walk; one oracle serves the census, so the
-    reduction and any coset table are computed once.  Unknown verdicts
-    are honest abstentions carried by the budget.  Calling again on an
-    equal graph with the same budget reads the oracle's kept verdicts;
-    each call returns a census of its own.
+    The fold keeps a number n_b for each black, with b^(n_b) = 1 in the
+    group, and 0 meaning none is known yet; each starts at 0.  An edge e
+    with label m at b then has k_e, the order of b^m in Z/n_b:
+    n_b / gcd(n_b, m), so 0 (infinite) when n_b = 0, and 1 when m = 0.
+    Adding s_e^(k_e) = 1 at the white (it holds, as s_e is conjugate to
+    b^m) caps that boundary circle when k_e = 1 and makes it a cone point
+    of order k_e when k_e >= 2, so each white becomes a 2-orbifold.  In
+    such an orbifold a cone point has exactly its order and a boundary
+    circle infinite order, except in three genus-0 cases; each proves
+    b^j = 1 for some j, and the fold sets n_b := gcd(n_b, j):
+
+    * no boundary and one cone point (a teardrop): the group is trivial,
+      so j = m on the cone point's edge (a sphere with no cone point has
+      only capped edges, for which n_b already divides m);
+    * no boundary and two cone points p != q (a spindle): the group is
+      Z/gcd(p, q), and j = m gcd(p, q) on each cone point's edge;
+    * one boundary circle and at most one cone point, of order c (D(c),
+      a disk when c = 1): the group is Z/c, generated by the boundary
+      circle, so j = m c on the boundary edge.
+
+    Every other white is an orbifold with boundary, whose group is a free
+    product of cyclic groups in which the cone points are free factors
+    and a boundary circle is not a power of one of them, or a closed
+    orbifold that is good, a quotient of S^2, E^2 or H^2, in which a cone
+    point has exactly its order (Scott, "The geometries of 3-manifolds",
+    Bull. LMS 15, 1983, section 2); the teardrop and the spindle are the
+    bad ones.  Each n_b only moves down in the divisibility order, so the
+    fold ends.  Then no rule applies: the group is that of the graph of
+    groups with Z/n_b at each black, the orbifold group at each white and
+    Z/k_e at each edge, whose edge maps all inject.  So every vertex group
+    embeds (Serre, *Trees*, 1980, section I.5), and b has order exactly
+    n_b, or infinite order when n_b = 0.
+
+    A rule applies only at a genus-0 white next to a black whose n_b
+    dropped, or, while every n_b is 0, at a white with one boundary
+    circle, so the worklist starts from those whites (the disk whites of
+    a valid graph) and takes a white again only when an n_b next to it
+    drops.  A finite verdict's witness lists the steps that lowered n_b.
+    The census of the latest graph is kept, so ``obstructions`` after
+    ``black_orders`` on an equal graph folds it once; each call returns a
+    census of its own.
     """
-    return _census(graph, budget)
+    return dict(_fold(graph))
 
 
 def white_holes(graph: StratifoldGraph,
-                orders: dict[str, OrderVerdict]) -> frozenset[str] | Sentinel:
+                orders: dict[str, OrderVerdict]) -> frozenset[str]:
     """White vertices of genus -1 all of whose black neighbors have finite
     order, at most one of order > 1 (order 1 counts as finite).
 
-    Per-vertex logic is maximally definite: an infinite-order neighbor or
-    two certified orders > 1 settle "not a hole" even when other verdicts
-    are Unknown; only a genuinely undecidable vertex makes the whole
-    answer INDETERMINATE.
+    ``orders`` holds a decided verdict for every black next to a white of
+    genus -1, as :func:`black_orders` gives; a missing or undecided one
+    raises ValueError rather than guess.
     """
-    undecided = False
     holes = set()
     for w in graph.whites:
         if w.genus != -1:
             continue
-        neighbors = {graph.edge(eid).black for eid in graph.edges_at_white(w.id)}
-        for b in neighbors:
-            if b not in orders:
-                raise ValueError(f"no order verdict for black vertex {b}")
-        verdicts = [orders[b] for b in sorted(neighbors)]
-        if any(isinstance(v, InfiniteOrder) for v in verdicts):
-            continue
-        big = sum(1 for v in verdicts
-                  if isinstance(v, FiniteOrder) and v.order > 1)
-        if big >= 2:
-            continue
-        if any(isinstance(v, UnknownOrder) for v in verdicts):
-            undecided = True
-            continue
-        holes.add(w.id)
-    if undecided:
-        return INDETERMINATE
+        verdicts = []
+        for b in {graph.edge(eid).black for eid in graph.edges_at_white(w.id)}:
+            if not isinstance(orders.get(b), (FiniteOrder, InfiniteOrder)):
+                raise ValueError(f"no decided order verdict for black vertex {b}")
+            verdicts.append(orders[b])
+        if (all(isinstance(v, FiniteOrder) for v in verdicts)
+                and sum(v.order > 1 for v in verdicts) <= 1):
+            holes.add(w.id)
     return frozenset(holes)
 
 
@@ -248,13 +306,12 @@ def _quotient_h1(graph: StratifoldGraph, dead_blacks,
     return AbelianInvariants(free + inv.free_rank, inv.torsion)
 
 
-def _surgery(graph: StratifoldGraph, budget: int):
+def _surgery(graph: StratifoldGraph):
     """The Q-surgery without the quotient presentation: ``(deleted_blacks,
     white_holes, components, abelianization)`` as :class:`QResult` holds
-    them, or INDETERMINATE when an order verdict is Unknown."""
-    orders = _census(graph, budget)
-    if any(isinstance(v, UnknownOrder) for v in orders.values()):
-        return INDETERMINATE
+    them.  A surgery that deletes nothing hands on the graph itself as its
+    one piece: the graph is connected, or :func:`_tree_labels` raised."""
+    orders = _fold(graph)
     holes = tuple(sorted(white_holes(graph, orders)))
     deleted = tuple(sorted(b for b, v in orders.items() if isinstance(v, FiniteOrder)))
     dead_blacks = frozenset(deleted)
@@ -265,7 +322,8 @@ def _surgery(graph: StratifoldGraph, budget: int):
         if e.black in dead_blacks:
             capped_at.setdefault(e.white, []).append(e.id)
     pieces = []
-    for sub in components(graph, holes, dead_blacks):
+    for sub in (components(graph, holes, dead_blacks) if deleted or holes
+                else [graph]):
         capped = tuple(sorted(eid for w in sub.whites
                               for eid in capped_at.get(w.id, ())))
         closed = sub.whites[0].genus if (len(sub.whites) == 1
@@ -274,13 +332,11 @@ def _surgery(graph: StratifoldGraph, budget: int):
     return deleted, holes, tuple(pieces), _quotient_h1(graph, dead_blacks, holes)
 
 
-def q_graph(graph: StratifoldGraph,
-            budget: int = DEFAULT_COSET_BUDGET) -> QResult | Sentinel:
+def q_graph(graph: StratifoldGraph) -> QResult:
     """Delete the open stars of finite-order black vertices and the white
     holes; split what survives into components.
 
-    The orders are the census :func:`black_orders` returns for this graph
-    and budget.  Returns INDETERMINATE when any order verdict is Unknown.
+    The orders are the census :func:`black_orders` returns for this graph.
     Surviving singleton white vertices are closed surfaces (all their
     boundaries are capped).  The result's presentation is the graph
     presentation plus one relator per killed generator (see
@@ -288,10 +344,7 @@ def q_graph(graph: StratifoldGraph,
     group by the subgroup generated by all torsion.  Its H1 is read from
     the graph, not from that presentation (see :func:`_quotient_h1`).
     """
-    surgery = _surgery(graph, budget)
-    if surgery is INDETERMINATE:
-        return INDETERMINATE
-    deleted, holes, pieces, ab = surgery
+    deleted, holes, pieces, ab = _surgery(graph)
     base = analyze(graph).pres
     return QResult(deleted, holes, pieces,
                    GroupPresentation(base.generators,
@@ -332,8 +385,7 @@ class Obstruction:
     witness: str
 
 
-def obstructions(graph: StratifoldGraph,
-                 budget: int = DEFAULT_COSET_BUDGET) -> tuple[Obstruction, ...] | Sentinel:
+def obstructions(graph: StratifoldGraph) -> tuple[Obstruction, ...]:
     """Sound, one-sided rejection suite for closed-3-manifold groups.
 
     QTorsion: the quotient by all torsion must be torsion free (it is in
@@ -345,13 +397,10 @@ def obstructions(graph: StratifoldGraph,
     F-group family whose group is infinite with cone points violates
     "cyclic or a surface group".
 
-    The structural test needs no order census, so a certified rejection
-    is returned even when the census is INDETERMINATE; the answer is
-    INDETERMINATE only when the census abstains and nothing else rejects.
-    The suite runs the surgery of :func:`q_graph` but builds no
-    presentation: the quotient's H1 comes from the graph, and a graph with
-    no disk white needs no order oracle either, so its genus enters only
-    as a number.
+    The suite runs the surgery of :func:`q_graph` on the census of
+    :func:`black_orders` but builds no presentation and no order oracle:
+    the orders and the quotient's H1 both come from the graph, so a genus
+    enters only as a number.
     """
     structural = []
     sig = fgroup_signature_of(graph)
@@ -363,12 +412,8 @@ def obstructions(graph: StratifoldGraph,
                 f"F-group of genus {sig.genus} with periods {sig.periods}"
                 " is infinite and not a surface group"))
 
-    surgery = _surgery(graph, budget)
-    if surgery is INDETERMINATE:
-        return tuple(structural) if structural else INDETERMINATE
-
     found = []
-    _, _, pieces, ab = surgery
+    _, _, pieces, ab = _surgery(graph)
     if ab.torsion:
         found.append(Obstruction(
             "QTorsion",

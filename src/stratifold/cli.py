@@ -2,8 +2,8 @@
 
 Every run emits a single report (with --json exactly ``json.dumps(report,
 indent=2, sort_keys=True)``, readable text otherwise).  Exit codes: 0
-success, 1 invalid input, 2 a budget ran out before a certified answer, 3
-obstructions found.  The exit code and all output are a function of the
+success, 1 invalid input, 2 the coset budget of ``tc`` ran out before its
+table closed (no other command abstains), 3 obstructions found.  The exit code and all output are a function of the
 report, so runs are reproducible.  An argv naming a command is parsed by
 that command's parser alone, with the program parser's errors.
 
@@ -32,7 +32,7 @@ from .formats import serialize_graph
 from .graph import StratifoldGraph, Violation, euler_characteristic, validate
 from .presentation import simplify  # noqa: F401  (bench/test_bench.py checks it is traced here)
 from .spine import NOT_CANONICAL, delta_sum, recognize, synth
-from .verdicts import INDETERMINATE, FiniteOrder, InfiniteOrder, UnknownOrder
+from .verdicts import FiniteOrder
 
 SCHEMA_VERSION = "1"
 
@@ -127,9 +127,7 @@ def _checked_graph(text: str, report: dict, note: str = ""):
 def _verdict_json(v) -> dict:
     if isinstance(v, FiniteOrder):
         return {"kind": "finite", "order": v.order, "certificate": v.certificate}
-    if isinstance(v, InfiniteOrder):
-        return {"kind": "infinite", "certificate": v.certificate}
-    return {"kind": "unknown", "budget": v.budget}
+    return {"kind": "infinite", "certificate": v.certificate}
 
 
 def _pres_json(pres) -> dict:
@@ -149,8 +147,9 @@ def _ab_json(ab) -> dict:
 # graph receive it parsed and validated; the others receive the input texts.
 # Every graph text is read through _read_graph, which keeps the latest
 # text with its graph and violations, so successive commands on one text
-# parse and validate it once.  pi1, h1, order, holes, q and obstruct reach
-# the graph's group through analysis.analyze.
+# parse and validate it once.  pi1, h1 and q reach the graph's presentation
+# through analysis.analyze; order, holes, q and obstruct read the orders
+# off the graph.  Those four accept --budget and use none.
 
 
 def _cmd_validate(args, inputs, report):
@@ -183,20 +182,14 @@ def _cmd_euler(args, graph, report):
     report["payload"] = {"euler_characteristic": euler_characteristic(graph)}
 
 
-def _census(args, graph, report):
+def _cmd_order(args, graph, report):
     """Run the order census and report it as the payload; returns the orders."""
-    orders = black_orders(graph, args.budget)
+    orders = black_orders(graph)
     report["payload"] = {
         "budget": args.budget,
         "orders": {bid: _verdict_json(v) for bid, v in sorted(orders.items())},
     }
     return orders
-
-
-def _cmd_order(args, graph, report):
-    orders = _census(args, graph, report)
-    report["indeterminate"] = any(isinstance(v, UnknownOrder)
-                                  for v in orders.values())
 
 
 def _cmd_fclass(args, graph, report):
@@ -218,19 +211,13 @@ def _cmd_fclass(args, graph, report):
 
 
 def _cmd_holes(args, graph, report):
-    holes = white_holes(graph, _census(args, graph, report))
-    if holes is INDETERMINATE:
-        report["indeterminate"] = True
-    else:
-        report["payload"]["white_holes"] = sorted(holes)
+    holes = white_holes(graph, _cmd_order(args, graph, report))
+    report["payload"]["white_holes"] = sorted(holes)
 
 
 def _cmd_q(args, graph, report):
-    _census(args, graph, report)
-    result = q_graph(graph, args.budget)
-    if result is INDETERMINATE:
-        report["indeterminate"] = True
-        return
+    _cmd_order(args, graph, report)
+    result = q_graph(graph)
     payload = report["payload"]
     payload["deleted_blacks"] = list(result.deleted_blacks)
     payload["white_holes"] = list(result.white_holes)
@@ -251,10 +238,7 @@ def _cmd_q(args, graph, report):
 
 def _cmd_obstruct(args, graph, report):
     report["payload"] = {"budget": args.budget}
-    found = obstructions(graph, args.budget)
-    if found is INDETERMINATE:
-        report["indeterminate"] = True
-        return
+    found = obstructions(graph)
     report["obstructions"] = [{"kind": o.kind, "witness": o.witness} for o in found]
 
 
@@ -337,10 +321,8 @@ def _render_order(report):
         v = orders[bid]
         if v["kind"] == "finite":
             lines.append(f"{bid}: finite order {v['order']} ({v['certificate']})")
-        elif v["kind"] == "infinite":
-            lines.append(f"{bid}: infinite ({v['certificate']})")
         else:
-            lines.append(f"{bid}: unknown (budget {v['budget']})")
+            lines.append(f"{bid}: infinite ({v['certificate']})")
     return lines
 
 
@@ -352,16 +334,11 @@ def _render_fclass(report):
 
 
 def _render_holes(report):
-    p = report["payload"]
-    if "white_holes" not in p:
-        return []
-    return ["white holes: " + (" ".join(p["white_holes"]) or "(none)")]
+    return ["white holes: " + (" ".join(report["payload"]["white_holes"]) or "(none)")]
 
 
 def _render_q(report):
     p = report["payload"]
-    if "components" not in p:
-        return []
     lines = [
         "deleted blacks: " + (" ".join(p["deleted_blacks"]) or "(none)"),
         "white holes: " + (" ".join(p["white_holes"]) or "(none)"),
@@ -380,9 +357,7 @@ def _render_q(report):
 
 
 def _render_obstruct(report):
-    if report["obstructions"] or report["indeterminate"]:
-        return []
-    return ["no obstruction found"]
+    return [] if report["obstructions"] else ["no obstruction found"]
 
 
 def _render_graph(report):
@@ -442,8 +417,9 @@ def _in(help_text: str):
 
 _IN = _in("input file (default: stdin; '-' for stdin)")
 _BUDGET = ("--budget", {"type": _positive_int, "default": DEFAULT_COSET_BUDGET,
-                        "metavar": "N", "help": "coset limit for enumeration "
-                                                f"(default {DEFAULT_COSET_BUDGET})"})
+                        "metavar": "N",
+                        "help": "coset limit for enumeration (default "
+                                f"{DEFAULT_COSET_BUDGET}); only tc uses it"})
 
 
 @dataclass(frozen=True)

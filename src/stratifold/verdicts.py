@@ -1,10 +1,10 @@
-"""Three-valued outcomes for procedures that may abstain.
+"""Outcomes of procedures that may abstain, and the falsy sentinel.
 
-Element-order queries and everything built on them answer with a verdict
-rather than a bare number: the computation either certifies a finite
-order, certifies that the order is infinite, or runs out of budget and
-says so.  Abstention is a first-class result and propagates through the
-analysis layer as the shared ``INDETERMINATE`` sentinel.
+An element-order query on a presentation answers with a verdict rather
+than a bare number: the computation either certifies a finite order,
+certifies that the order is infinite, or runs out of budget and says so.
+Abstention is a first-class result there.  The order census of a graph
+is exact (``stratifold.analysis.black_orders``), so it never abstains.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ class Sentinel:
 
     def __bool__(self):
         return False
-
-
-# an analysis that could not be certified in budget
-INDETERMINATE = Sentinel("INDETERMINATE")
 
 
 @dataclass(frozen=True)

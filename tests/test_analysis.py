@@ -12,14 +12,16 @@ import pytest
 
 import stratifold
 from helpers import abstaining_graph, random_valid_graph, relabeled
-from stratifold import (INDETERMINATE, AbelianInvariants, BlackVertex,
+from stratifold import (AbelianInvariants, BlackVertex,
                         CosetTable, Edge, Exhausted, FiniteOrder, FSignature,
-                        InfiniteOrder, StratifoldGraph, UnknownOrder,
-                        WhiteVertex, abelianization, are_isomorphic, black_orders,
+                        GraphError, InfiniteOrder, OrderOracle,
+                        StratifoldGraph, UnknownOrder, WhiteVertex, Word,
+                        abelianization, are_isomorphic, black_orders,
                         classify_fgroup, fgroup_graph, fgroup_presentation,
                         fgroup_signature_of, lens_spine, natural_presentation,
                         obstructions, p2xs1_spine, q_graph, s2xs1_spine,
                         todd_coxeter, white_holes)
+from stratifold.analysis import _EMBEDDED
 
 
 def theta_graph(genus=1):
@@ -114,9 +116,11 @@ class TestBlackOrders:
     def test_coset_fallback_scans_short_relators_first(self):
         # the first white relator is b1^100; a table scanned in
         # presentation order needs 10,002 cosets to close, shortest
-        # relators first it needs 301
-        got = black_orders(fgroup_graph(FSignature(0, (100, 2, 2))), budget=2000)
-        assert got["b1"] == FiniteOrder(100, "coset enumeration closed with 200 cosets")
+        # relators first it needs 301.  The fold reads the order off d1
+        g = fgroup_graph(FSignature(0, (100, 2, 2)))
+        got = OrderOracle(natural_presentation(g)).order(Word((("b.b1", 1),)), 2000)
+        assert got == FiniteOrder(100, "coset enumeration closed with 200 cosets")
+        assert black_orders(g)["b1"] == FiniteOrder(100, "disk d1 with label 100")
 
     def test_bounding_circle_is_trivial(self):
         got = black_orders(s2xs1_spine())
@@ -143,8 +147,120 @@ class TestBlackOrders:
         assert isinstance(got["b"], InfiniteOrder)
 
     def test_abstention_on_a_disk_graph(self):
-        got = black_orders(abstaining_graph(), budget=100)
-        assert got["b"] == UnknownOrder(100)
+        # the oracle abstains on the presentation; the fold decides: the
+        # disk d gives b^2 = 1, and the sphere a is left with two cone
+        # points of order 2, a good orbifold
+        g = abstaining_graph()
+        b = Word((("b.b", 1),))
+        assert OrderOracle(natural_presentation(g)).order(b, 100) == UnknownOrder(100)
+        assert black_orders(g) == {"b": FiniteOrder(2, "disk d with label 2")}
+        assert [o.kind for o in obstructions(g)] == ["NonFreeSurfaceComponent"]
+
+
+class TestFold:
+    """One graph per rule of the fold, each checked against a closed
+    coset table of its natural presentation where the group is finite."""
+
+    @staticmethod
+    def table_orders(g):
+        table = todd_coxeter(natural_presentation(g), 20_000)
+        assert isinstance(table, CosetTable)
+        return {b.id: table.permutation_order(Word(((f"b.{b.id}", 1),)))
+                for b in g.blacks}
+
+    def test_teardrop(self):
+        # the disk d makes b a cone point of order 3 on the sphere w, a
+        # teardrop, whose group is trivial: b^2 = 1 there, so b = 1
+        g = StratifoldGraph(
+            [WhiteVertex("d", 0), WhiteVertex("w", 0)], [BlackVertex("b")],
+            [Edge("e1", "d", "b", 3), Edge("e2", "w", "b", 2)])
+        got = black_orders(g)
+        assert got == {"b": FiniteOrder(1, "disk d with label 3, then"
+                                           " teardrop w with cone point 3 and label 2")}
+        assert self.table_orders(g) == {"b": 1}
+
+    def test_spindle(self):
+        # cone points 2 and 3 on the sphere w, a spindle whose group is
+        # Z/gcd(2, 3) = 1, so both branch circles are trivial
+        g = fgroup_graph(FSignature(0, (2, 3)))
+        got = black_orders(g)
+        assert got["b1"] == FiniteOrder(
+            1, "disk d1 with label 2, then spindle w0 with cone points 2 and 3 and label 1")
+        assert {b: v.order for b, v in got.items()} == self.table_orders(g) == {"b1": 1, "b2": 1}
+        # with cone points 4 and 6 each cone element has order gcd = 2
+        g = fgroup_graph(FSignature(0, (4, 6)))
+        assert {b: v.order for b, v in black_orders(g).items()} == \
+            self.table_orders(g) == {"b1": 2, "b2": 2}
+
+    def test_equal_cone_points_are_good(self):
+        # S^2(3, 3) has group Z/3, in which each cone point has order 3
+        g = fgroup_graph(FSignature(0, (3, 3)))
+        assert {b: v.order for b, v in black_orders(g).items()} == \
+            self.table_orders(g) == {"b1": 3, "b2": 3}
+
+    def test_disk_with_a_cone_point(self):
+        # the disk d makes b a cone point of order 2 on the disk w, whose
+        # boundary edge to c then says c^(3 * 2) = 1: D(2) has group Z/2
+        g = StratifoldGraph(
+            [WhiteVertex("d", 0), WhiteVertex("w", 0), WhiteVertex("t", 1)],
+            [BlackVertex("b"), BlackVertex("c")],
+            [Edge("e1", "d", "b", 2), Edge("e2", "w", "b", 1),
+             Edge("e3", "w", "c", 3), Edge("e4", "t", "b", 1),
+             Edge("e5", "t", "c", 1)])
+        got = black_orders(g)
+        assert got == {
+            "b": FiniteOrder(2, "disk d with label 2"),
+            "c": FiniteOrder(6, "disk w with cone point 2 and label 3")}
+        # the torus t leaves H1 infinite, so no coset table closes, but
+        # the oracle's abelianized image agrees where it decides
+        oracle = OrderOracle(natural_presentation(g))
+        assert oracle.order(Word((("b.b", 1),)), 300) == \
+            FiniteOrder(2, "power relator bound 2 meets abelianized image has order 2")
+
+    def test_cascade_through_two_blacks(self):
+        # a path d - b - w - c - u - a.  The disk d gives b^2 = 1; the
+        # sphere w is then D(2) with its boundary edge to c, so c^6 = 1;
+        # the sphere u is then D(3) with its boundary edge to a, so a^3 = 1
+        # (a meets one sheet: invalid, but the fold does not mind).  The
+        # group is Z/6, generated by c, with b = c^-3 and a = c^-2
+        g = StratifoldGraph(
+            [WhiteVertex("d", 0), WhiteVertex("u", 0), WhiteVertex("w", 0)],
+            [BlackVertex("a"), BlackVertex("b"), BlackVertex("c")],
+            [Edge("e1", "d", "b", 2), Edge("e2", "w", "b", 1),
+             Edge("e3", "w", "c", 3), Edge("e4", "u", "c", 2),
+             Edge("e5", "u", "a", 1)])
+        assert black_orders(g) == {
+            "a": FiniteOrder(3, "disk u with cone point 3 and label 1"),
+            "b": FiniteOrder(2, "disk d with label 2"),
+            "c": FiniteOrder(6, "disk w with cone point 2 and label 3")}
+        assert self.table_orders(g) == {"a": 3, "b": 2, "c": 6}
+
+    def test_no_disk_white_is_infinite(self):
+        got = black_orders(theta_graph())
+        assert got == {"b": _EMBEDDED}
+
+    def test_label_zero_caps_the_circle(self):
+        # invalid, but reachable through the library: b^0 = 1 says
+        # nothing about b, so the edge is capped (k_e = 1) and w is a disk
+        # with its one boundary edge to c
+        g = StratifoldGraph(
+            [WhiteVertex("w", 0), WhiteVertex("t", 1)],
+            [BlackVertex("b"), BlackVertex("c")],
+            [Edge("e1", "w", "b", 0), Edge("e2", "w", "c", 4),
+             Edge("e3", "t", "b", 3), Edge("e4", "t", "c", 1)])
+        assert black_orders(g) == {"b": _EMBEDDED,
+                                   "c": FiniteOrder(4, "disk w with label 4")}
+        lone = StratifoldGraph([WhiteVertex("w", 0)], [BlackVertex("b")],
+                               [Edge("e", "w", "b", 0)])
+        assert black_orders(lone) == {"b": _EMBEDDED}
+
+    def test_empty_or_disconnected_graph_raises(self):
+        apart = StratifoldGraph(
+            [WhiteVertex("w", 0), WhiteVertex("x", 0)], [BlackVertex("b")],
+            [Edge("e", "w", "b", 3)])
+        for g in (StratifoldGraph([], [], []), apart):
+            with pytest.raises(GraphError):
+                black_orders(g)
 
 
 class TestWhiteHoles:
@@ -172,13 +288,17 @@ class TestWhiteHoles:
 
     def test_unknown_neighbor_abstains(self):
         # b^2 = 1 from the disk d, but H1 is infinite and b is trivial in
-        # it, so the census abstains and so must the projective plane m
+        # it, so the oracle abstains on the presentation; white_holes does
+        # not guess from that verdict, and the fold decides order 2, so
+        # the projective plane m is a hole
         a = abstaining_graph()
         g = StratifoldGraph(a.whites + (WhiteVertex("m", -1),), a.blacks,
                             a.edges + (Edge("e5", "m", "b", 1),))
-        orders = black_orders(g, budget=100)
-        assert orders["b"] == UnknownOrder(100)
-        assert white_holes(g, orders) is INDETERMINATE
+        with pytest.raises(ValueError):
+            white_holes(g, {"b": UnknownOrder(100)})
+        orders = black_orders(g)
+        assert orders["b"].order == 2
+        assert white_holes(g, orders) == frozenset({"m"})
 
     def test_no_disk_neighbor_is_infinite(self):
         # without a disk white every vertex group embeds, so b has
@@ -187,9 +307,10 @@ class TestWhiteHoles:
             [WhiteVertex("w", 1), WhiteVertex("w2", -1)], [BlackVertex("b")],
             [Edge("e1", "w", "b", 1), Edge("e2", "w", "b", 1),
              Edge("e3", "w", "b", 1), Edge("e4", "w2", "b", 1)])
-        orders = black_orders(g, budget=100)
+        orders = black_orders(g)
         assert orders["b"] == InfiniteOrder(
-            "no white is a disk, so every vertex group embeds")
+            "the folded graph of groups has injective edge maps,"
+            " so every vertex group embeds")
         assert white_holes(g, orders) == frozenset()
 
     def test_unknown_elsewhere_still_definite(self):
@@ -250,13 +371,25 @@ class TestQGraph:
         assert abelianization(q.presentation) == \
             abelianization(natural_presentation(closed_surface(1)))
 
-    def test_abstains_with_unknown_orders(self):
-        assert q_graph(abstaining_graph(), budget=100) is INDETERMINATE
+    def test_decides_where_the_oracle_abstains(self):
+        # the oracle's abstention on this graph is not the census:
+        # the fold deletes b (order 2) and the torus w survives closed
+        q = q_graph(abstaining_graph())
+        assert q.deleted_blacks == ("b",)
+        assert [c.closed_surface_genus for c in q.components] == [0, 0, 1]
 
     def test_reads_the_shared_census(self):
         census = black_orders(lens_spine(5))
         assert census == {"b": FiniteOrder(5, census["b"].certificate)}
         assert q_graph(lens_spine(5)).deleted_blacks == ("b",)
+
+    def test_surgery_that_deletes_nothing_hands_on_the_graph(self):
+        # no disk white, so no black is finite, and no white is a hole
+        for g in (theta_graph(), closed_surface(2)):
+            q = q_graph(g)
+            assert (q.deleted_blacks, q.white_holes) == ((), ())
+            assert [c.graph for c in q.components] == [g]
+            assert q.components[0].graph is g
 
     def test_abelianization_is_computed_once(self):
         q = q_graph(s2xs1_spine())
@@ -267,10 +400,8 @@ class TestQGraph:
         rng = random.Random(606)
         for _ in range(25):
             g = random_valid_graph(rng)
-            q = q_graph(g, budget=400)
-            if q is INDETERMINATE:
-                continue
-            finite = {b for b, v in black_orders(g, 400).items()
+            q = q_graph(g)
+            finite = {b for b, v in black_orders(g).items()
                       if isinstance(v, FiniteOrder)}
             assert set(q.deleted_blacks) == finite
             survivors = {b.id for c in q.components for b in c.graph.blacks}
@@ -367,10 +498,16 @@ class TestObstructions:
         assert kinds == {"QTorsion", "InfiniteNonSurfaceFGroup"}
 
     def test_structural_rejection_survives_census_abstention(self):
+        # the oracle abstains on the (2,3,7) presentation at any budget
+        # that fits here; the fold decides the census, and only the
+        # structural test rejects
+        g = fgroup_graph(FSignature(0, (2, 3, 7)))
+        oracle = OrderOracle(natural_presentation(g))
         for budget in (200, 500):
-            got = obstructions(fgroup_graph(FSignature(0, (2, 3, 7))),
-                               budget=budget)
-            assert [o.kind for o in got] == ["InfiniteNonSurfaceFGroup"]
+            assert oracle.order(Word((("b.b1", 1),)), budget) == UnknownOrder(budget)
+        assert {b: v.order for b, v in black_orders(g).items()} == \
+            {"b1": 2, "b2": 3, "b3": 7}
+        assert [o.kind for o in obstructions(g)] == ["InfiniteNonSurfaceFGroup"]
 
     def test_closed_higher_genus_surface(self):
         got = obstructions(closed_surface(2))
@@ -396,11 +533,13 @@ class TestObstructions:
         assert obstructions(s2xs1_spine()) == ()
 
     def test_abstention(self):
+        # the graph the oracle abstains on is rejected: the fold deletes
+        # b, and the torus w survives as a closed surface
         assert fgroup_signature_of(abstaining_graph()) is None
-        assert obstructions(abstaining_graph(), budget=100) is INDETERMINATE
-
-    def test_indeterminate_is_falsy(self):
-        assert not obstructions(abstaining_graph(), budget=100)
+        got = obstructions(abstaining_graph())
+        assert [o.kind for o in got] == ["NonFreeSurfaceComponent"]
+        assert got[0].witness == ("component w is a closed surface of genus 1,"
+                                  " whose group is not free")
 
 
 def test_gcd_table_spot_checks():

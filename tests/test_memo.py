@@ -1,5 +1,5 @@
-"""The per-graph order oracle that successive calls on one graph share, and
-the CLI's read of the latest graph text."""
+"""The per-graph order oracle and order census that successive calls on one
+graph share, and the CLI's read of the latest graph text."""
 
 import contextlib
 import copy
@@ -22,7 +22,7 @@ from stratifold import (FSignature, OrderOracle, UnknownOrder, Word,
                         obstructions, parse_expr, parse_graph, q_graph,
                         serialize_graph, serialize_presentation, simplify,
                         synth)
-from stratifold.analysis import analyze
+from stratifold.analysis import _fold, analyze
 from stratifold.cli import COMMANDS, main
 
 BUDGET = "2000"
@@ -145,24 +145,29 @@ class TestSharing:
         assert early >= 1
         g1, g2 = parse_graph(text), parse_graph("\n".join(lines) + "\n")
         assert g1 is not g2
-        census = black_orders(g1, 500)
+        census = black_orders(g1)
         assert analyze(g2) is analyze(g1)
-        assert black_orders(g2, 500) == census
+        assert _fold(g2) is _fold(g1)
+        assert black_orders(g2) == census
 
-    def test_another_budget_builds_another_census(self):
+    def test_budget_changes_no_census(self):
+        # a bare presentation's oracle abstains under either budget; the
+        # census of the graph has no budget, and each call returns a copy
+        # of the one fold kept for the graph
         g = fgroup_graph(FSignature(0, (2, 3, 7)))
-        small = black_orders(g, 50)
-        assert all(v == UnknownOrder(50) for v in small.values())
-        oracle = analyze(g)
-        assert oracle._slot[0] == 50
-        large = black_orders(g, 80)
-        assert large != small
-        assert all(v == UnknownOrder(80) for v in large.values())
-        assert black_orders(g, 80) == large
-        # one oracle, so one reduction and Smith form, serves every
-        # budget; it keeps only the latest budget's verdicts and coset table
-        assert analyze(g) is oracle
-        assert oracle._slot[0] == 80
+        oracle = OrderOracle(natural_presentation(g))
+        for budget in (50, 80):
+            assert oracle.order(Word((("b.b3", 1),)), budget) == UnknownOrder(budget)
+        census = black_orders(g)
+        assert {b: v.order for b, v in census.items()} == {"b1": 2, "b2": 3, "b3": 7}
+        again = black_orders(g)
+        assert again == census and again is not census
+        assert _fold.cache_info().misses == 1
+        reports = [json.loads(run(["order", "--json", "--budget", budget],
+                                  serialize_graph(g))[1])["payload"]["orders"]
+                   for budget in ("50", "80")]
+        assert reports[0] == reports[1]
+        assert _fold.cache_info().misses == 1
 
     def test_budgets_share_the_simplification_and_smith_form(self, monkeypatch):
         calls = {"_power_index": 0, "smith_normal_form": 0}
@@ -184,62 +189,46 @@ class TestSharing:
         # one SNF for H1 and the census, one for H1 of the torsion quotient
         assert calls == {"_power_index": 1, "smith_normal_form": 2}
 
-    def test_obstruct_reuses_the_verdicts_of_order(self, monkeypatch):
-        calls = []
-        real = stratifold.algebra._power_relator_bound
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(stratifold.algebra, "_power_relator_bound", counting)
+    def test_obstruct_reuses_the_verdicts_of_order(self):
         text = serialize_graph(synth(parse_expr("L(5) # P2xS1 # S2~xS1 # L(3)")))
         run(["order", "--budget", "300"], text)
-        after_order = len(calls)
-        assert after_order > 0
+        assert _fold.cache_info().misses == 1
         run(["obstruct", "--budget", "300"], text)
-        assert len(calls) <= after_order
+        assert _fold.cache_info().misses == 1
+        assert _fold.cache_info().hits >= 1
+        # neither builds a presentation or an oracle
+        assert analyze.cache_info().currsize == 0
 
     def test_other_graph_releases_the_analysis(self):
         a, b = lens_spine(5), synth(parse_expr("L(3) # S2xS1"))
-        q = q_graph(a, 300)
-        assert obstructions(a, 300) == ()
-        # a census is a plain dict, which cannot be weak-referenced
-        refs = [weakref.ref(x) for x in (analyze(a), q)]
+        q = q_graph(a)
+        assert obstructions(a) == ()
+        # a census is a plain dict, which cannot be weak-referenced, but
+        # the verdicts the kept fold holds can
+        refs = [weakref.ref(x) for x in (analyze(a), q, black_orders(a)["b"])]
         del q
-        black_orders(b, 300)
+        q_graph(b)
         gc.collect()
-        assert [r() for r in refs] == [None] * 2
+        assert [r() for r in refs] == [None] * 3
 
-    def test_new_budget_releases_the_old_census(self):
-        g = fgroup_graph(FSignature(0, (2, 3, 7)))
-        black_orders(g, 60)
-        old = weakref.ref(analyze(g)._slot[2][0])
-        black_orders(g, 70)
-        gc.collect()
-        assert old() is None
+    def test_oracle_keeps_no_coset_table(self, monkeypatch):
+        # each question enumerates its own table and keeps nothing of it
+        tables = []
+        real = stratifold.algebra.todd_coxeter
 
-    def test_budget_replaced_during_the_lookup(self):
-        # a question at another budget replaces the oracle's budget slot
-        # while this one looks its word up; this one still answers under
-        # its own budget, not with the other budget's coset table
+        def keeping(*args, **kwargs):
+            table = real(*args, **kwargs)
+            tables.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(stratifold.algebra, "todd_coxeter", keeping)
         oracle = OrderOracle(natural_presentation(fgroup_graph(FSignature(0, (2, 3, 5)))))
-        b1, b2 = Word((("b.b1", 1),)), Word((("b.b2", 1),))
-
-        class Meddling(Word):
-            armed = True
-
-            def __hash__(self):
-                if Meddling.armed:
-                    Meddling.armed = False
-                    oracle.order(b2, 2000)
-                return Word.__hash__(self)
-
-        fresh = OrderOracle(oracle.pres).order(b1, 50)
-        assert fresh == UnknownOrder(50)
-        assert oracle.order(Meddling(b1.syllables), 50) == fresh
-        assert not Meddling.armed
-        assert oracle.order(b2, 2000).certificate == "coset enumeration closed with 60 cosets"
+        b1 = Word((("b.b1", 1),))
+        assert oracle.order(b1, 50) == UnknownOrder(50)
+        assert oracle.order(b1, 2000).certificate == "coset enumeration closed with 60 cosets"
+        gc.collect()
+        assert len(tables) == 2
+        assert [r() for r in tables] == [None, None]
 
     def test_slot_replaced_during_the_check(self, monkeypatch):
         # another caller asks about another graph while this call builds
@@ -364,8 +353,8 @@ class TestImmutable:
 
     def test_copies_and_pickles_round_trip(self):
         g = lens_spine(5)
-        census = black_orders(g, 300)
-        q = q_graph(g, 300)
+        census = black_orders(g)
+        q = q_graph(g)
         for x in (g, census, q):
             for twin in (copy.copy(x), copy.deepcopy(x),
                          pickle.loads(pickle.dumps(x))):

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from helpers import boundary_presentation, random_valid_graph
-from stratifold import (INDETERMINATE, BlackVertex, Edge, FiniteOrder,
+from helpers import boundary_presentation, random_valid_graph, word_order
+from stratifold import (BlackVertex, Edge, FiniteOrder,
                         FSignature, Generator, GraphError, GroupPresentation,
-                        InfiniteOrder, StratifoldGraph, WhiteVertex, Word,
+                        InfiniteOrder, StratifoldGraph, UnknownOrder,
+                        WhiteVertex, Word,
                         abelianization, black_orders, fgroup_graph,
                         fgroup_presentation, format_word, lens_spine,
                         natural_presentation, normalize, parse_graph, q_graph,
@@ -360,5 +361,12 @@ class TestQPresentation:
         assert q.abelianization == abelianization(natural_presentation(normalize(g)))
 
     def test_unknown_verdict_abstains(self):
+        # an Unknown verdict is the oracle's, on a bare presentation; the
+        # surgery reads the fold and kills all three branch circles
         g = fgroup_graph(FSignature(0, (2, 3, 7)))
-        assert q_graph(g, budget=50) is INDETERMINATE
+        base = natural_presentation(normalize(g))
+        assert word_order(base, Word((("b.b1", 1),)), 50) == UnknownOrder(50)
+        q = q_graph(g)
+        assert q.deleted_blacks == ("b1", "b2", "b3")
+        assert [format_word(r) for r in q.presentation.relators[len(base.relators):]] == \
+            ["b.b1", "b.b2", "b.b3"]

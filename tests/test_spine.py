@@ -6,7 +6,7 @@ import pytest
 
 from helpers import (PRIMITIVE_SUMMANDS, SPINE_KINDS, disguised,
                      random_expr_summands, relabeled, word_order)
-from stratifold import (INDETERMINATE, NOT_CANONICAL, BlackVertex, DomainError,
+from stratifold import (NOT_CANONICAL, BlackVertex, DomainError,
                         Edge, FiniteOrder, GraphError, ManifoldExpr,
                         NoSpineError, Sentinel, StratifoldGraph, Summand,
                         WhiteVertex, Word, abelianization, attachment_white,
@@ -267,14 +267,14 @@ class TestRecognize:
         assert bool(recognize(lens_spine(3)))
 
     def test_sentinels_share_one_class(self):
-        assert type(NOT_CANONICAL) is type(INDETERMINATE) is Sentinel
-        assert NOT_CANONICAL is not INDETERMINATE
-        assert (repr(NOT_CANONICAL), repr(INDETERMINATE)) == \
-            ("NOT_CANONICAL", "INDETERMINATE")
-        assert not INDETERMINATE
+        other = Sentinel("OTHER")
+        assert type(NOT_CANONICAL) is type(other) is Sentinel
+        assert NOT_CANONICAL is not other
+        assert (repr(NOT_CANONICAL), repr(other)) == ("NOT_CANONICAL", "OTHER")
+        assert not other
 
     def test_recognized_sums_pass_obstructions(self):
         rng = random.Random(206)
         for _ in range(6):
             e = ManifoldExpr(random_expr_summands(rng, max_summands=3))
-            assert obstructions(synth(e), budget=2000) == ()
+            assert obstructions(synth(e)) == ()
