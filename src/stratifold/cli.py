@@ -186,7 +186,6 @@ def _cmd_order(args, graph, report):
     """Run the order census and report it as the payload; returns the orders."""
     orders = black_orders(graph)
     report["payload"] = {
-        "budget": args.budget,
         "orders": {bid: _verdict_json(v) for bid, v in sorted(orders.items())},
     }
     return orders
@@ -237,7 +236,6 @@ def _cmd_q(args, graph, report):
 
 
 def _cmd_obstruct(args, graph, report):
-    report["payload"] = {"budget": args.budget}
     found = obstructions(graph)
     report["obstructions"] = [{"kind": o.kind, "witness": o.witness} for o in found]
 

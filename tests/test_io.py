@@ -441,6 +441,7 @@ class TestCliExitCodes:
                            (["obstruct"], 3)):
             code, report = run_json(argv + ["--budget", "10"], text)
             assert (code, report["indeterminate"]) == (want, False)
+            assert "budget" not in report["payload"]
 
     def test_tc_exhaustion_exits_two(self):
         klein = "gen a black\ngen b black\nrel a^-1 b a b\n"

@@ -163,8 +163,7 @@ class TestSharing:
         again = black_orders(g)
         assert again == census and again is not census
         assert _fold.cache_info().misses == 1
-        reports = [json.loads(run(["order", "--json", "--budget", budget],
-                                  serialize_graph(g))[1])["payload"]["orders"]
+        reports = [run(["order", "--json", "--budget", budget], serialize_graph(g))
                    for budget in ("50", "80")]
         assert reports[0] == reports[1]
         assert _fold.cache_info().misses == 1
