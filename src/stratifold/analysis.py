@@ -110,43 +110,36 @@ def _fold(graph: StratifoldGraph) -> dict[str, OrderVerdict]:
     _, labels = _tree_labels(graph)
     n = dict.fromkeys([b.id for b in graph.blacks], 0)
     steps: dict[str, list[str]] = {}
-
-    def nonzero(wid):
-        return sum(1 for eid in graph.edges_at_white(wid) if labels[eid])
-
     # while every n_b is 0, a rule applies only at a genus-0 white with at
-    # most one boundary circle, that is one edge of nonzero label
-    work = deque([w.id for w in graph.whites if w.genus == 0 and nonzero(w.id) <= 1])
+    # most one edge of nonzero label: a disk, in a valid graph
+    work = deque([w.id for w in graph.whites if w.genus == 0 and
+                  sum(1 for eid in graph.edges_at_white(w.id) if labels[eid]) <= 1])
     queued = set(work)
     while work:
         wid = work.popleft()
         queued.discard(wid)
-        bounds, cones = [], []  # (black, |m|), (black, |m|, k_e)
+        bounds, cones = [], []  # (black, |m|, k_e) of each edge not capped
         for eid in graph.edges_at_white(wid):
-            e, m = graph.edge(eid), abs(labels[eid])
-            k = n[e.black] // gcd(n[e.black], m) if m else 1
-            if k == 0:
-                bounds.append((e.black, m))
-            elif k > 1:
-                cones.append((e.black, m, k))
-        if len(bounds) + len(cones) > 2 or len(bounds) > 1:
+            b, m = graph.edge(eid).black, abs(labels[eid])
+            k = n[b] // gcd(n[b], m) if m else 1
+            if k != 1:
+                (cones if k else bounds).append((b, m, k))
+        c = [k for _, _, k in cones]
+        if not 0 < len(bounds) + len(c) <= 2 or len(bounds) > 1:
             continue
-        if bounds:  # D(c), and a disk for c = 1
-            (b, m), c = bounds[0], cones[0][2] if cones else 1
-            lower = [(b, m * c, f"disk {wid} with label {m}" if c == 1 else
-                      f"disk {wid} with cone point {c} and label {m}")]
-        elif len(cones) == 2:  # a spindle when p != q, else nothing to do
-            (_, _, p), (_, _, q) = cones
-            lower = [(b, m * gcd(p, q), f"spindle {wid} with cone points {p}"
-                      f" and {q} and label {m}") for b, m, _ in cones]
-        else:  # a teardrop, or a sphere with no cone point
-            lower = [(b, m, f"teardrop {wid} with cone point {k} and label {m}")
-                     for b, m, k in cones]
-        for b, j, step in lower:
-            if n[b] == gcd(n[b], j):
+        # b^(m * factor) = 1 for each (b, m) in edges
+        if bounds:
+            edges, factor, shape = bounds, c[0] if c else 1, f"D({c[0]})" if c else "disk"
+        elif len(c) == 2:  # a spindle, or S^2(p, p), where nothing drops
+            edges, factor, shape = cones, gcd(*c), f"spindle({c[0]}, {c[1]})"
+        else:
+            edges, factor, shape = cones, 1, f"teardrop({c[0]})"
+        for b, m, _ in edges:
+            lowered = gcd(n[b], m * factor)
+            if lowered == n[b]:
                 continue
-            n[b] = gcd(n[b], j)
-            steps.setdefault(b, []).append(step)
+            n[b] = lowered
+            steps.setdefault(b, []).append(f"{shape} {wid} with label {m}")
             for eid in graph.edges_at_black(b):
                 w = graph.edge(eid).white
                 if w not in queued and graph.white(w).genus == 0:
@@ -161,53 +154,48 @@ def black_orders(graph: StratifoldGraph) -> dict[str, OrderVerdict]:
     graph by folding its graph of groups; no verdict is ``UnknownOrder``.
 
     Orders are taken in the fundamental group of the graph as given.  By
-    van Kampen it is the fundamental group of a graph of groups over the
-    graph: the surface group of each white, Z = <b> at each black, and an
-    edge group Z = <s> that maps to b^m at the black and to the boundary
-    circle s at the white.  The walk of the labels raises GraphError on
-    an empty or disconnected graph, as :func:`natural_presentation` does.
+    van Kampen it is that of a graph of groups over the graph: the
+    surface group at each white, Z = <b> at each black, and at each edge
+    Z = <s>, mapped to b^m at the black and to the boundary circle s at
+    the white.  The labels' walk raises GraphError on an empty or
+    disconnected graph, as :func:`natural_presentation` does.
 
-    The fold keeps a number n_b for each black, with b^(n_b) = 1 in the
-    group, and 0 meaning none is known yet; each starts at 0.  An edge e
-    with label m at b then has k_e, the order of b^m in Z/n_b:
-    n_b / gcd(n_b, m), so 0 (infinite) when n_b = 0, and 1 when m = 0.
-    Adding s_e^(k_e) = 1 at the white (it holds, as s_e is conjugate to
-    b^m) caps that boundary circle when k_e = 1 and makes it a cone point
-    of order k_e when k_e >= 2, so each white becomes a 2-orbifold.  In
-    such an orbifold a cone point has exactly its order and a boundary
-    circle infinite order, except in three genus-0 cases; each proves
-    b^j = 1 for some j, and the fold sets n_b := gcd(n_b, j):
+    The fold keeps an n_b with b^(n_b) = 1 for each black, 0 meaning none
+    is known; each starts at 0.  An edge with label m at b then has k_e =
+    n_b / gcd(n_b, m), the order of b^m in Z/n_b (0, infinite, when n_b
+    = 0; 1 when m = 0).  As s is conjugate to b^m, s^(k_e) = 1 holds at
+    the white: the boundary circle is capped when k_e = 1 and becomes a
+    cone point of order k_e when k_e >= 2, so each white is a 2-orbifold.
+    Its cone points have exactly their orders and its boundary circles
+    infinite order, except in three genus-0 cases, each of which proves
+    some b^j = 1 and sets n_b := gcd(n_b, j):
 
-    * no boundary and one cone point (a teardrop): the group is trivial,
-      so j = m on the cone point's edge (a sphere with no cone point has
-      only capped edges, for which n_b already divides m);
-    * no boundary and two cone points p != q (a spindle): the group is
-      Z/gcd(p, q), and j = m gcd(p, q) on each cone point's edge;
-    * one boundary circle and at most one cone point, of order c (D(c),
-      a disk when c = 1): the group is Z/c, generated by the boundary
+    * a teardrop (no boundary, one cone point): its group is trivial, so
+      j = m on the cone point's edge;
+    * a spindle (no boundary, cone points p != q): its group is
+      Z/gcd(p, q), so j = m gcd(p, q) on each cone point's edge;
+    * D(c) (one boundary circle and at most one cone point, of order c;
+      a disk when c = 1): its group is Z/c, generated by the boundary
       circle, so j = m c on the boundary edge.
 
-    Every other white is an orbifold with boundary, whose group is a free
-    product of cyclic groups in which the cone points are free factors
-    and a boundary circle is not a power of one of them, or a closed
-    orbifold that is good, a quotient of S^2, E^2 or H^2, in which a cone
-    point has exactly its order (Scott, "The geometries of 3-manifolds",
-    Bull. LMS 15, 1983, section 2); the teardrop and the spindle are the
-    bad ones.  Each n_b only moves down in the divisibility order, so the
-    fold ends.  Then no rule applies: the group is that of the graph of
+    Any other orbifold with boundary has a free product of cyclic groups
+    as its group, with the cone points as free factors and no boundary
+    circle of finite order; any other closed one is good, a quotient of
+    S^2, E^2 or H^2, where a cone point has exactly its order (Scott,
+    "The geometries of 3-manifolds", Bull. LMS 15, 1983, section 2).
+    Each n_b only moves down in the divisibility order, so the fold ends,
+    with no rule left to apply.  The group is then that of the graph of
     groups with Z/n_b at each black, the orbifold group at each white and
-    Z/k_e at each edge, whose edge maps all inject.  So every vertex group
+    Z/k_e at each edge, whose edge maps all inject; so every vertex group
     embeds (Serre, *Trees*, 1980, section I.5), and b has order exactly
     n_b, or infinite order when n_b = 0.
 
-    A rule applies only at a genus-0 white next to a black whose n_b
-    dropped, or, while every n_b is 0, at a white with one boundary
-    circle, so the worklist starts from those whites (the disk whites of
-    a valid graph) and takes a white again only when an n_b next to it
-    drops.  A finite verdict's witness lists the steps that lowered n_b.
-    The census of the latest graph is kept, so ``obstructions`` after
-    ``black_orders`` on an equal graph folds it once; each call returns a
-    census of its own.
+    The worklist starts from the whites with one boundary circle while
+    every n_b is 0, and takes a genus-0 white again only when an n_b next
+    to it drops.  A finite verdict's witness lists the steps that lowered
+    its n_b.  The census of the latest graph is kept, so ``obstructions``
+    after ``black_orders`` on an equal graph folds it once; each call
+    returns a census of its own.
     """
     return dict(_fold(graph))
 

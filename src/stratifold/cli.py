@@ -452,7 +452,7 @@ _COMMANDS = {
                    _cmd_h1, _render_h1),
     "euler": _Command("Euler characteristic of the 2-complex",
                       _cmd_euler, _render_euler),
-    "order": _Command("certified order of every branch-circle generator",
+    "order": _Command("exact order of every branch-circle generator",
                       _cmd_order, _render_order, options=(_IN, _BUDGET)),
     "fclass": _Command("classify the F-group of a one-center family graph",
                        _cmd_fclass, _render_fclass),

@@ -176,7 +176,7 @@ class TestFold:
             [Edge("e1", "d", "b", 3), Edge("e2", "w", "b", 2)])
         got = black_orders(g)
         assert got == {"b": FiniteOrder(1, "disk d with label 3, then"
-                                           " teardrop w with cone point 3 and label 2")}
+                                           " teardrop(3) w with label 2")}
         assert self.table_orders(g) == {"b": 1}
 
     def test_spindle(self):
@@ -185,7 +185,7 @@ class TestFold:
         g = fgroup_graph(FSignature(0, (2, 3)))
         got = black_orders(g)
         assert got["b1"] == FiniteOrder(
-            1, "disk d1 with label 2, then spindle w0 with cone points 2 and 3 and label 1")
+            1, "disk d1 with label 2, then spindle(2, 3) w0 with label 1")
         assert {b: v.order for b, v in got.items()} == self.table_orders(g) == {"b1": 1, "b2": 1}
         # with cone points 4 and 6 each cone element has order gcd = 2
         g = fgroup_graph(FSignature(0, (4, 6)))
@@ -210,7 +210,7 @@ class TestFold:
         got = black_orders(g)
         assert got == {
             "b": FiniteOrder(2, "disk d with label 2"),
-            "c": FiniteOrder(6, "disk w with cone point 2 and label 3")}
+            "c": FiniteOrder(6, "D(2) w with label 3")}
         # the torus t leaves H1 infinite, so no coset table closes, but
         # the oracle's abelianized image agrees where it decides
         oracle = OrderOracle(natural_presentation(g))
@@ -230,9 +230,9 @@ class TestFold:
              Edge("e3", "w", "c", 3), Edge("e4", "u", "c", 2),
              Edge("e5", "u", "a", 1)])
         assert black_orders(g) == {
-            "a": FiniteOrder(3, "disk u with cone point 3 and label 1"),
+            "a": FiniteOrder(3, "D(3) u with label 1"),
             "b": FiniteOrder(2, "disk d with label 2"),
-            "c": FiniteOrder(6, "disk w with cone point 2 and label 3")}
+            "c": FiniteOrder(6, "D(2) w with label 3")}
         assert self.table_orders(g) == {"a": 3, "b": 2, "c": 6}
 
     def test_no_disk_white_is_infinite(self):
