@@ -3,8 +3,9 @@
 Every run emits a single report (with --json exactly ``json.dumps(report,
 indent=2, sort_keys=True)``, readable text otherwise).  Exit codes: 0
 success, 1 invalid input, 2 the coset budget of ``tc`` ran out before its
-table closed (no other command abstains), 3 obstructions found.  The exit code and all output are a function of the
-report, so runs are reproducible.  An argv naming a command is parsed by
+table closed (no other command abstains), 3 obstructions found.  The exit
+code and all output are a function of the report, so runs are
+reproducible.  An argv naming a command is parsed by
 that command's parser alone, with the program parser's errors.
 
 The constructive commands (pi1, synth, delta) print exactly their

@@ -104,11 +104,14 @@ def boundary_presentation(graph):
 
 
 def abstaining_graph():
-    """A graph whose order census honestly abstains: its branch circle b
-    has b^2 = 1 from the disk d, so its order is 1 or 2, but b is trivial
-    in H1 (the torus w makes it a commutator) and H1 = Z^3 is infinite, so
-    no certificate and no coset table can decide it.  Not in the F-group
-    family, so no structural obstruction answers for it either."""
+    """A graph whose natural presentation the order oracle honestly
+    abstains on: its branch circle b has b^2 = 1 from the disk d, so its
+    order is 1 or 2, but b is trivial in H1 (the torus w makes it a
+    commutator) and H1 = Z^3 is infinite, so no abelian certificate and
+    no coset table can decide it.  The fold decides it: the sphere a is
+    left with two cone points of order 2, a good orbifold, so b has order
+    2.  Not in the F-group family, so no structural obstruction answers
+    for it."""
     return StratifoldGraph(
         [WhiteVertex("w", 1), WhiteVertex("a", 0), WhiteVertex("d", 0)],
         [BlackVertex("b")],

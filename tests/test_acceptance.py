@@ -80,9 +80,6 @@ def test_criterion_03_projective_q_quotient():
     failures = []
     for periods in period_sets:
         q = q_graph(fgroup_graph(FSignature(-1, periods)))
-        if not q:
-            failures.append(f"{periods}: census abstained")
-            continue
         ab = abelianization(q.presentation)
         if q.white_holes != ():
             failures.append(f"{periods}: holes {q.white_holes}")

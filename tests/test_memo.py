@@ -185,7 +185,8 @@ class TestSharing:
         for argv in (["h1"], ["order", "--budget", "10000"],
                      ["obstruct", "--budget", "10000"]):
             run(argv, text)
-        # one SNF for H1 and the census, one for H1 of the torsion quotient
+        # one SNF for H1, one for H1 of the torsion quotient; the census
+        # needs none
         assert calls == {"_power_index": 1, "smith_normal_form": 2}
 
     def test_obstruct_reuses_the_verdicts_of_order(self):

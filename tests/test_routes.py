@@ -8,9 +8,9 @@ rescans every relator until nothing changes.  The sparse Smith form is
 checked against the dense one with the divisibility fix-up that it
 replaced.  H1 of the torsion quotient, read from a matrix of the graph,
 is checked against a quotient presentation built here and against the
-natural presentation with random generators killed; the order census
-read off a graph with no disk white is checked against the presentation
-oracle.  The order oracle skips coset enumeration when H1 is infinite;
+natural presentation with random generators killed; the order census,
+folded from the graph, is checked against the presentation oracle and
+against coset tables.  The order oracle skips coset enumeration when H1 is infinite;
 the premise of that skip is checked directly.  The occurrence-aware
 simplifier is checked against a reference copy of the rescanning loop it
 replaced, and the closed-form substitution against its
@@ -491,7 +491,7 @@ def test_free_abelianization_never_closes():
         assert isinstance(todd_coxeter(p, budget=2000), Exhausted)
 
 
-def test_oracle_skips_enumeration_when_abelianization_is_free(monkeypatch):
+def test_census_skips_enumeration_when_abelianization_is_free(monkeypatch):
     calls = []
     enumerate_ = stratifold.algebra.todd_coxeter
 
@@ -596,7 +596,7 @@ def test_graph_quotient_h1_matches_the_presentation():
     assert killed_some > 300 and holes_some > 100
 
 
-def test_fold_matches_the_oracle_and_coset_tables():
+def test_census_from_the_graph_matches_the_presentation_oracle():
     # labels widened by factors 1, 2, 3 and 5, so cone points of several
     # orders meet.  The fold is exact: it equals the presentation oracle
     # wherever the oracle decides, and the permutation order wherever a
