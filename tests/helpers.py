@@ -4,8 +4,12 @@ Everything takes an explicit random.Random so individual tests stay
 reproducible; no module-level state.  Also two references: the dense
 Smith normal form that the sparse diagonalization replaced, and the graph
 presentation with one generator per boundary circle that the substituted
-natural presentation replaced.
+natural presentation replaced.  And a search for homomorphisms to small
+symmetric groups, which bound element orders from below.
 """
+
+import functools
+import itertools
 
 from stratifold import (DEFAULT_COSET_BUDGET, AbelianInvariants, BlackVertex,
                         Edge, Generator, GroupPresentation, IntMatrix,
@@ -402,3 +406,115 @@ def random_expr_summands(rng, max_summands=5):
             out.append(rng.choice((Summand("s2xs1"), Summand("s2~xs1"),
                                    Summand("p2xs1"))))
     return tuple(out)
+
+
+# -- homomorphisms to symmetric groups ---------------------------------------
+# A permutation of range(n) is the tuple of its images.  If a hom sends b to
+# a permutation of order k, then k divides the order of b in the group.
+
+
+def perm_mul(p, q):
+    """p, then q."""
+    return tuple(map(q.__getitem__, p))
+
+
+@functools.lru_cache(maxsize=None)
+def perm_pow(p, e):
+    if e < 0:
+        inv = [0] * len(p)
+        for i, j in enumerate(p):
+            inv[j] = i
+        p, e = tuple(inv), -e
+    out = tuple(range(len(p)))
+    while e:
+        if e & 1:
+            out = perm_mul(out, p)
+        p, e = perm_mul(p, p), e >> 1
+    return out
+
+
+def perm_order(p):
+    one, q, k = tuple(range(len(p))), p, 1
+    while q != one:
+        q, k = perm_mul(q, p), k + 1
+    return k
+
+
+def cycle_type_permutations(degree):
+    """One permutation of each cycle type on ``degree`` points.  Up to
+    conjugacy, every homomorphism sends a given generator to one of them."""
+    def partitions(n, top):
+        if n == 0:
+            yield ()
+        for i in range(min(n, top), 0, -1):
+            for rest in partitions(n - i, i):
+                yield (i,) + rest
+    for part in partitions(degree, degree):
+        p, start = [], 0
+        for c in part:
+            p += [start + (i + 1) % c for i in range(c)]
+            start += c
+        yield tuple(p)
+
+
+class SearchSpent(Exception):
+    """The homomorphism search tried its budget of candidates."""
+
+
+def symmetric_image(pres, fixed, degree, budget, rng):
+    """A homomorphism from ``pres`` to the symmetric group on ``degree``
+    points sending each generator named in ``fixed`` to its permutation:
+    a dict of generator name -> permutation, or None when there is none.
+
+    Depth first: the relator with the fewest generators left is completed
+    next, and a relator is checked as soon as its last generator is set.
+    The candidates are tried in an order shuffled by ``rng``, so a search
+    that raises SearchSpent after ``budget`` candidates can be retried.
+    """
+    relators = [r.syllables for r in pres.relators if r.syllables]
+    order, done = list(fixed), set(fixed)
+    while True:
+        left = [[n for n in dict.fromkeys(n for n, _ in r) if n not in done]
+                for r in relators]
+        left = [names for names in left if names]
+        if not left:
+            break
+        for n in min(left, key=len):
+            order.append(n)
+            done.add(n)
+    order += [g.name for g in pres.generators if g.name not in done]
+    depth = {n: i for i, n in enumerate(order)}
+    closing = [[] for _ in order]
+    for r in relators:
+        closing[max(depth[n] for n, _ in r)].append(r)
+    one = tuple(range(degree))
+    elements = list(itertools.permutations(range(degree)))
+    rng.shuffle(elements)
+    image = dict(fixed)
+    spent = 0
+
+    def holds(d):
+        for r in closing[d]:
+            v = one
+            for n, e in r:
+                v = perm_mul(v, perm_pow(image[n], e))
+            if v != one:
+                return False
+        return True
+
+    def extend(d):
+        nonlocal spent
+        if d == len(order):
+            return True
+        name = order[d]
+        candidates = [fixed[name]] if name in fixed else elements
+        for p in candidates:
+            spent += 1
+            if spent > budget:
+                raise SearchSpent
+            image[name] = p
+            if holds(d) and extend(d + 1):
+                return True
+        return False
+
+    return dict(image) if extend(0) else None

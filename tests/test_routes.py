@@ -10,8 +10,10 @@ replaced.  H1 of the torsion quotient, read from a matrix of the graph,
 is checked against a quotient presentation built here and against the
 natural presentation with random generators killed; the order census,
 folded from the graph, is checked against the presentation oracle and
-against coset tables.  The order oracle skips coset enumeration when H1 is infinite;
-the premise of that skip is checked directly.  The occurrence-aware
+against coset tables, and each finite order it gives is reached from
+below by the image in H1 and by homomorphisms to small symmetric groups.
+The order oracle skips coset enumeration when H1 is infinite; the
+premise of that skip is checked directly.  The occurrence-aware
 simplifier is checked against a reference copy of the rescanning loop it
 replaced, and the closed-form substitution against its
 syllable-by-syllable definition.  The
@@ -27,14 +29,16 @@ import random
 import sys
 from dataclasses import replace
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import stratifold.algebra
-from helpers import (SPINE_KINDS, apply_dense, boundary_presentation,
-                     disguised, fold_synth, prime_power_chain,
+from helpers import (SPINE_KINDS, SearchSpent, apply_dense,
+                     boundary_presentation, cycle_type_permutations,
+                     disguised, fold_synth, perm_order, prime_power_chain,
                      random_sparse_matrix, random_unimodular_ops,
-                     random_valid_graph, reference_invariants)
+                     random_valid_graph, reference_invariants,
+                     symmetric_image)
 from stratifold import (GENERATOR_ROLES, BlackVertex,
                         CosetTable, Edge, Exhausted, FiniteOrder, FSignature,
                         Generator, GroupPresentation, InfiniteOrder, IntMatrix,
@@ -628,6 +632,78 @@ def test_census_from_the_graph_matches_the_presentation_oracle():
     # at seed 1722: 3,015 oracle verdicts agree, the fold decides 1,482
     # abstentions, and 82 tables close
     assert decided > 2500 and new > 1200 and closed > 70
+
+
+def h1_image_order(pres, word):
+    """Order of the word's image in H1, 0 when infinite, by the dense
+    reference Smith form of the presentation with and without the word."""
+    full = reference_invariants(relation_matrix(pres))
+    cut = reference_invariants(relation_matrix(
+        GroupPresentation(pres.generators, pres.relators + (word,))))
+    if cut.free_rank != full.free_rank:
+        return 0
+    return prod(full.torsion) // prod(cut.torsion)
+
+
+def reach_from_below(pres, name, n, reached, finite, rng, rounds=10):
+    """The lcm of ``reached`` and the orders of the generator's images
+    under homomorphisms to S_2 .. S_6 that the search finds, until it
+    comes to ``n``.  Each homomorphism found must send every black b of
+    ``finite`` to a permutation whose order divides n_b."""
+    missing = set()  # cycle types that no homomorphism sends the generator to
+    for _ in range(rounds):
+        for degree in range(2, 7):
+            for p in cycle_type_permutations(degree):
+                k = perm_order(p)
+                if reached == n:
+                    return reached
+                if n % k or reached % k == 0 or p in missing:
+                    continue
+                try:
+                    image = symmetric_image(pres, {name: p}, degree, 1000, rng)
+                except SearchSpent:
+                    continue
+                if image is None:
+                    missing.add(p)
+                    continue
+                for b, m in finite.items():
+                    assert m % perm_order(image[f"b.{b}"]) == 0, (b, m, image)
+                reached = lcm(reached, k)
+    return reached
+
+
+def test_finite_orders_are_reached_from_below():
+    # the fold proves b^(n_b) = 1; here n_b is reached from below by
+    # routes that share nothing with the fold or the oracle.  The orders
+    # of b's images in H1 and in symmetric groups each divide the order
+    # of b, so their lcm must come to n_b.  The graphs have the shape of
+    # the benchmark's census, where many finite orders are trivial in H1,
+    # mostly in infinite groups, so that neither H1 nor a coset table
+    # checks them.  A graph with an order above 6 is skipped, as S_6 has
+    # no element of that order
+    rng, search = random.Random(1723), random.Random(1724)
+    finite_total = above_one = trivial_in_h1 = skipped = 0
+    for _ in range(2000):
+        g = random_valid_graph(rng, max_whites=3, max_blacks=3, max_extra=3)
+        census = black_orders(g)
+        finite = {b: v.order for b, v in census.items() if isinstance(v, FiniteOrder)}
+        if max(finite.values(), default=1) > 6:
+            skipped += 1
+            continue
+        pres = natural_presentation(g)
+        for b, n in finite.items():
+            name = f"b.{b}"
+            reached = h1_image_order(pres, Word(((name, 1),)))
+            assert reached and n % reached == 0, (b, census[b], reached)
+            trivial_in_h1 += reached == 1 < n
+            reached = reach_from_below(pres, name, n, reached, finite, search)
+            assert reached == n, (b, census[b], reached, g)
+        finite_total += len(finite)
+        above_one += sum(n > 1 for n in finite.values())
+    # at seed 1723: 206 finite orders, 139 of them above 1 and 40 of those
+    # trivial in H1; 3 graphs skipped
+    assert finite_total > 180 and above_one > 120 and trivial_in_h1 > 30
+    assert skipped < 10
 
 
 def test_capped_edges_match_a_scan_per_piece():
