@@ -295,15 +295,33 @@ def _quotient_h1(graph: StratifoldGraph, dead_blacks,
 
 
 def _surgery(graph: StratifoldGraph):
-    """The Q-surgery without the quotient presentation: ``(deleted_blacks,
-    white_holes, components, abelianization)`` as :class:`QResult` holds
-    them.  A surgery that deletes nothing hands on the graph itself as its
-    one piece: the graph is connected, or :func:`_tree_labels` raised."""
+    """What the Q-surgery deletes and the quotient's H1: ``(dead_blacks,
+    holes, abelianization)``, the blacks of finite order and the white
+    holes as frozensets of ids, on the census of :func:`black_orders`."""
     orders = _fold(graph)
-    holes = tuple(sorted(white_holes(graph, orders)))
-    deleted = tuple(sorted(b for b, v in orders.items() if isinstance(v, FiniteOrder)))
-    dead_blacks = frozenset(deleted)
+    dead_blacks = frozenset(b for b, v in orders.items() if isinstance(v, FiniteOrder))
+    holes = white_holes(graph, orders)
+    return dead_blacks, holes, _quotient_h1(graph, dead_blacks, holes)
 
+
+def q_graph(graph: StratifoldGraph) -> QResult:
+    """Delete the open stars of finite-order black vertices and the white
+    holes; split what survives into components.
+
+    The orders are the census :func:`black_orders` returns for this graph.
+    Surviving singleton white vertices are closed surfaces (all their
+    boundaries are capped).  A surgery that deletes nothing hands on the
+    graph itself as its one piece: the graph is connected, or
+    :func:`_tree_labels` raised.  The result's presentation is the graph
+    presentation plus one relator per killed generator (see
+    :func:`killed_words`): it presents the quotient of the fundamental
+    group by the subgroup generated by all torsion.  Its H1 is read from
+    the graph, not from that presentation (see :func:`_quotient_h1`);
+    :func:`obstructions` reads the same H1 and closed surfaces without
+    building the pieces.
+    """
+    dead_blacks, hole_set, ab = _surgery(graph)
+    deleted, holes = tuple(sorted(dead_blacks)), tuple(sorted(hole_set))
     # the capped edges of each white, found in one pass over the edges
     capped_at: dict[str, list[str]] = {}
     for e in graph.edges:
@@ -317,24 +335,8 @@ def _surgery(graph: StratifoldGraph):
         closed = sub.whites[0].genus if (len(sub.whites) == 1
                                          and not sub.blacks) else None
         pieces.append(QComponent(sub, capped, closed))
-    return deleted, holes, tuple(pieces), _quotient_h1(graph, dead_blacks, holes)
-
-
-def q_graph(graph: StratifoldGraph) -> QResult:
-    """Delete the open stars of finite-order black vertices and the white
-    holes; split what survives into components.
-
-    The orders are the census :func:`black_orders` returns for this graph.
-    Surviving singleton white vertices are closed surfaces (all their
-    boundaries are capped).  The result's presentation is the graph
-    presentation plus one relator per killed generator (see
-    :func:`killed_words`): it presents the quotient of the fundamental
-    group by the subgroup generated by all torsion.  Its H1 is read from
-    the graph, not from that presentation (see :func:`_quotient_h1`).
-    """
-    deleted, holes, pieces, ab = _surgery(graph)
     base = analyze(graph).pres
-    return QResult(deleted, holes, pieces,
+    return QResult(deleted, holes, tuple(pieces),
                    GroupPresentation(base.generators,
                                      base.relators + killed_words(graph, deleted, holes)),
                    ab)
@@ -385,10 +387,19 @@ def obstructions(graph: StratifoldGraph) -> tuple[Obstruction, ...]:
     F-group family whose group is infinite with cone points violates
     "cyclic or a surface group".
 
-    The suite runs the surgery of :func:`q_graph` on the census of
-    :func:`black_orders` but builds no presentation and no order oracle:
-    the orders and the quotient's H1 both come from the graph, so a genus
-    enters only as a number.
+    The suite reads the surgery of :func:`q_graph` off the census of
+    :func:`black_orders`, and builds no presentation, no order oracle and
+    no piece graph: the quotient's H1 comes from the graph's matrix (see
+    :func:`_quotient_h1`), so a genus enters only as a number.  The
+    closed surfaces that survive are the whites that are not holes and
+    whose every edge ends at a deleted black.  For whites meet only
+    through blacks, so a piece of the surgered graph with no black is one
+    white, and its boundary circles are all capped exactly when every
+    edge at it ends at a deleted black; a white with an edge to a
+    surviving black shares its piece with that black.  So these whites
+    are the pieces :func:`q_graph` reports as closed surfaces, and they
+    are taken in id order, the order of ``graph.whites``, which is how
+    :func:`components` sorts pieces of a single white.
     """
     structural = []
     sig = fgroup_signature_of(graph)
@@ -401,23 +412,23 @@ def obstructions(graph: StratifoldGraph) -> tuple[Obstruction, ...]:
                 " is infinite and not a surface group"))
 
     found = []
-    _, _, pieces, ab = _surgery(graph)
+    dead_blacks, holes, ab = _surgery(graph)
     if ab.torsion:
         found.append(Obstruction(
             "QTorsion",
             f"abelianization of the torsion quotient has torsion {ab.torsion}"))
-    for c in pieces:
-        if c.closed_surface_genus == -1:
-            wid = c.graph.whites[0].id
+    # the whites that keep an edge share a piece with a surviving black
+    kept = {e.white for e in graph.edges if e.black not in dead_blacks}
+    closed = [w for w in graph.whites if w.id not in kept and w.id not in holes]
+    for w in closed:
+        if w.genus == -1:
             found.append(Obstruction(
                 "QTorsion",
-                f"component {wid} survives as a closed projective plane"))
-    for c in pieces:
-        g = c.closed_surface_genus
-        if g is not None and (g >= 1 or g <= -2):
-            wid = c.graph.whites[0].id
+                f"component {w.id} survives as a closed projective plane"))
+    for w in closed:
+        if w.genus >= 1 or w.genus <= -2:
             found.append(Obstruction(
                 "NonFreeSurfaceComponent",
-                f"component {wid} is a closed surface of genus {g},"
+                f"component {w.id} is a closed surface of genus {w.genus},"
                 " whose group is not free"))
     return tuple(found) + tuple(structural)

@@ -18,6 +18,8 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 # a word syllable: a name (no whitespace, '^' or '#') with an optional exponent
 _SYLLABLE_RE = re.compile(r"^(?P<name>[^\s^#]+)(?:\^(?P<exp>[+-]?\d+))?$")
 _LENS_RE = re.compile(r"^L\(\s*(?P<q>[+-]?\d+)\s*\)$")
+# a character that would split or end a token of the text formats
+_UNWRITABLE_RE = re.compile(r"[\s#]")
 
 _EXPR_NAMES = {str(Summand(k)): k for k in SUMMAND_KINDS if k != "lens"}
 
@@ -37,7 +39,7 @@ def _parse_int(token: str, num: int, what: str) -> int:
 
 
 def _check_token(token: str, what: str):
-    if not token or re.search(r"[\s#]", token):
+    if not token or _UNWRITABLE_RE.search(token):
         raise ParseError(f"{what} {token!r} is not representable in the text format")
 
 

@@ -17,7 +17,9 @@ premise of that skip is checked directly.  The occurrence-aware
 simplifier is checked against a reference copy of the rescanning loop it
 replaced, and the closed-form substitution against its
 syllable-by-syllable definition.  The
-Q-surgery's capped edges are checked against a scan per piece.
+Q-surgery's capped edges are checked against a scan per piece, and the
+obstruction suite, which reads the surgery off the fold, against the
+pieces and the H1 that q_graph reports.
 The one-pass canonical spine is checked against the left fold of
 delta_sum it replaced, and the natural presentation against the
 presentation with one generator per boundary circle that it substitutes.
@@ -32,7 +34,10 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm, prod
 from pathlib import Path
 
+import pytest
+
 import stratifold.algebra
+import stratifold.analysis
 from helpers import (SPINE_KINDS, SearchSpent, apply_dense,
                      boundary_presentation, cycle_type_permutations,
                      disguised, fold_synth, perm_order, prime_power_chain,
@@ -42,13 +47,14 @@ from helpers import (SPINE_KINDS, SearchSpent, apply_dense,
 from stratifold import (GENERATOR_ROLES, BlackVertex,
                         CosetTable, Edge, Exhausted, FiniteOrder, FSignature,
                         Generator, GroupPresentation, InfiniteOrder, IntMatrix,
-                        ManifoldExpr, OrderOracle, SimplifyResult,
-                        StratifoldGraph, UnknownOrder, WhiteVertex, Word,
-                        abelianization, apply_transforms, are_isomorphic,
-                        black_orders, fgroup_graph, fgroup_presentation,
-                        natural_presentation, normalize, parse_expr, q_graph,
-                        relation_matrix, rewrite_through, simplify,
-                        smith_normal_form, synth, todd_coxeter)
+                        ManifoldExpr, Obstruction, OrderOracle,
+                        SimplifyResult, StratifoldGraph, UnknownOrder,
+                        WhiteVertex, Word, abelianization, apply_transforms,
+                        are_isomorphic, black_orders, fgroup_graph,
+                        fgroup_presentation, natural_presentation, normalize,
+                        obstructions, parse_expr, q_graph, relation_matrix,
+                        rewrite_through, simplify, smith_normal_form, synth,
+                        todd_coxeter)
 from stratifold.algebra import (_AbelianImage, _chain, _column_matrix,
                                 _power_index, _power_relator_bound)
 from stratifold.analysis import _quotient_h1
@@ -795,3 +801,56 @@ def test_piece_key_is_move_class_isomorphism_on_one_black_graphs():
         assert (key(g) == key(h)) == want, (g.edges, h.edges)
         isomorphic += want
     assert 380 <= isomorphic <= 450  # 396 of 600 at seed 7
+
+
+def q_route_obstructions(q):
+    """The obstructions that the pieces and the abelianization of the
+    q_graph result ``q`` give, in the order obstructions lists them."""
+    found = []
+    if q.abelianization.torsion:
+        found.append(Obstruction(
+            "QTorsion", "abelianization of the torsion quotient has torsion"
+            f" {q.abelianization.torsion}"))
+    surfaces = [(c.graph.whites[0].id, c.closed_surface_genus)
+                for c in q.components if c.closed_surface_genus is not None]
+    found += [Obstruction("QTorsion", f"component {wid} survives as a closed"
+                          " projective plane") for wid, g in surfaces if g == -1]
+    found += [Obstruction("NonFreeSurfaceComponent", f"component {wid} is a"
+                          f" closed surface of genus {g}, whose group is not free")
+              for wid, g in surfaces if g >= 1 or g <= -2]
+    return found
+
+
+def test_obstructions_match_the_q_route():
+    graphs = census_graphs()
+    for seed in (5, 17):
+        rng = random.Random(seed)
+        graphs += [random_valid_graph(rng, max_whites=5, max_blacks=4, max_extra=4)
+                   for _ in range(1500)]
+    capped_surfaces = rejected = 0
+    for g in graphs:
+        got, q = obstructions(g), q_graph(g)
+        structural = [o for o in got if o.kind == "InfiniteNonSurfaceFGroup"]
+        assert list(got) == q_route_obstructions(q) + structural, g
+        capped_surfaces += sum(c.closed_surface_genus is not None and bool(c.capped)
+                               for c in q.components)
+        rejected += any(o.kind != "InfiniteNonSurfaceFGroup" for o in got)
+    # 151 census graphs and 3,000 random ones: 1,371 closed surfaces with
+    # capped edges, and 2,206 graphs the surgery rejects
+    assert capped_surfaces > 1200 and rejected > 2000, (capped_surfaces, rejected)
+
+
+def test_obstructions_build_no_piece_graph(monkeypatch):
+    g = synth(parse_expr("L(3) # P2xS1 # S2xS1"))
+    assert q_graph(g).deleted_blacks
+
+    class PieceGraphBuilt(Exception):
+        pass
+
+    def refuse(*args):
+        raise PieceGraphBuilt
+
+    monkeypatch.setattr(stratifold.analysis, "components", refuse)
+    assert obstructions(g) == ()
+    with pytest.raises(PieceGraphBuilt):
+        q_graph(g)
