@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
-from .presentation import GroupPresentation, Word, simplify
+from .presentation import GroupPresentation, Word, _reduce, simplify
 from .verdicts import (FiniteOrder, InfiniteOrder, OrderVerdict, UnknownOrder)
 
 DEFAULT_COSET_BUDGET = 100_000
@@ -126,42 +126,106 @@ def apply_transforms(m: IntMatrix, transforms) -> IntMatrix:
     return IntMatrix.from_rows(rows) if rows else IntMatrix(0, m.cols, ())
 
 
+def _place_lone(a: list[dict[int, int]], cols: int, ops: list) -> int:
+    """Put every entry that is alone in its row and its column onto the
+    leading diagonal, made nonnegative, in row order; returns how many.
+
+    A column that only rows of one entry hold is first brought down to
+    one such row by Euclid's row moves among them, which touch no other
+    row.  The moves are appended to ``ops`` as ``add_row``, ``swap_rows``,
+    ``swap_cols`` and ``negate_row`` ops that replay to the same matrix,
+    but the columns are relabelled once for all of them.  One pass over
+    the nonzero entries finds the columns, and a matrix without a row of
+    one entry is not read at all.
+    """
+    if 1 not in map(len, a):
+        return 0
+    # column -> the rows that hold it as their only entry
+    alone: dict[int, list[int]] = {}
+    shared: set[int] = set()
+    for i, row in enumerate(a):
+        if len(row) == 1:
+            for j in row:
+                alone.setdefault(j, []).append(i)
+        else:
+            shared.update(row)
+    lone = []
+    for j, held in alone.items():
+        if j in shared:
+            continue
+        while len(held) > 1:
+            held.sort(key=lambda i: abs(a[i][j]))
+            p = held[0]
+            for r in held[1:]:
+                q, x = divmod(a[r][j], a[p][j])
+                ops.append(("add_row", r, p, -q))
+                a[r] = {j: x} if x else {}
+            held = [i for i in held if a[i]]
+        lone.append((held[0], j, a[held[0]][j]))
+    if not lone:
+        return 0
+    lone.sort()
+    col_at = list(range(cols))
+    col_pos = col_at[:]
+    for t, (i, j, v) in enumerate(lone):
+        # the lone rows come in row order, so row i has not moved yet
+        if i != t:
+            ops.append(("swap_rows", t, i))
+            a[t], a[i] = a[i], a[t]
+        p = col_pos[j]
+        if p != t:
+            ops.append(("swap_cols", t, p))
+            col_at[t], col_at[p] = j, col_at[t]
+            col_pos[j], col_pos[col_at[p]] = t, p
+        if v < 0:
+            ops.append(("negate_row", t))
+        a[t] = {t: abs(v)}
+    k = len(lone)
+    # a lone column holds nothing else, so the other rows keep off them
+    a[k:] = [{col_pos[c]: v for c, v in row.items()} for row in a[k:]]
+    return k
+
+
 def _diagonalize(a: list[dict[int, int]], cols: int) -> list[tuple]:
     """Diagonalize sparse rows with unimodular row/column moves; returns
     the op list.
 
-    Pivot choice: the nonzero entry of smallest absolute value in the
-    remaining submatrix, ties broken by (row, col).  The pivot clears its
-    column, then its row, and a remainder re-picks the pivot.  The pivot
-    search and the moves read only nonzero entries, plus one membership
-    test per row for a column.  The diagonal reached is nonnegative but
-    need not be a divisibility chain.
+    The entries alone in their row and column are placed first
+    (:func:`_place_lone`), so a matrix that is diagonal up to the order of
+    its rows and columns, like the reduced relation matrix of a canonical
+    spine, takes no pivot step.  Then, pivot choice: the nonzero
+    entry of smallest absolute value in the remaining submatrix, ties
+    broken by (row, col).  The pivot clears its column, then its row, and
+    a remainder re-picks the pivot.  The pivot search and the moves read
+    only nonzero entries, plus one membership test per row for a column.
+    The diagonal reached is nonnegative but need not be a divisibility
+    chain.
     """
-    ops = []
-
-    def record(op):
-        ops.append(op)
-        _apply(a, op)
-
+    ops: list[tuple] = []
+    t = _place_lone(a, cols, ops)
     rows = len(a)
-    t = 0
-    while t < min(rows, cols):
-        best = None
+    last = min(rows, cols)
+    while t < last:
+        # rows are scanned in order, so a later row never wins a tie
+        least, pi, pj = 0, t, t
         for i in range(t, rows):
             for j, v in a[i].items():
-                if best is None or (abs(v), i, j) < best:
-                    best = (abs(v), i, j)
-            if best is not None and best[0] == 1:
+                v = abs(v)
+                if not least or v < least or (v == least and i == pi and j < pj):
+                    least, pi, pj = v, i, j
+            if least == 1:
                 break  # a unit: no later row can win the tie
-        if best is None:
+        if not least:
             break
-        _, pi, pj = best
         if pi != t:
-            record(("swap_rows", t, pi))
+            ops.append(("swap_rows", t, pi))
+            a[t], a[pi] = a[pi], a[t]
         if pj != t:
-            record(("swap_cols", t, pj))
+            ops.append(("swap_cols", t, pj))
+            _apply(a, ops[-1])
         if a[t][t] < 0:
-            record(("negate_row", t))
+            ops.append(("negate_row", t))
+            a[t] = {c: -v for c, v in a[t].items()}
         pivot = a[t][t]
         dirty = False
         # rows above t hold nothing in column t
@@ -169,14 +233,24 @@ def _diagonalize(a: list[dict[int, int]], cols: int) -> list[tuple]:
             if t in a[i]:
                 q = a[i][t] // pivot
                 if q:
-                    record(("add_row", i, t, -q))
+                    ops.append(("add_row", i, t, -q))
+                    _apply(a, ops[-1])
                 dirty = dirty or t in a[i]
         if not dirty:
-            for j in sorted(a[t].keys() - {t}):
-                q = a[t][j] // pivot
+            # column t now holds the pivot alone, so a column move changes
+            # row t alone: its entry drops to the remainder
+            row = a[t]
+            for j in sorted(row):
+                if j == t:
+                    continue
+                q, r = divmod(row[j], pivot)
                 if q:
-                    record(("add_col", j, t, -q))
-                dirty = dirty or j in a[t]
+                    ops.append(("add_col", j, t, -q))
+                    if r:
+                        row[j] = r
+                    else:
+                        del row[j]
+                dirty = dirty or r != 0
         if not dirty:
             t += 1
     return ops
@@ -239,12 +313,12 @@ def abelianization(group: GroupPresentation | OrderOracle) -> AbelianInvariants:
     """First homology of the presented group, in invariant-factor form,
     from the SNF of the Tietze-simplified (isomorphic) presentation.
 
-    An :class:`OrderOracle` already holds the SNF of its reduced
+    An :class:`OrderOracle` keeps the Smith invariants of its reduced
     presentation (the trivial generators deleted), so its H1 is read off
-    without simplifying or reducing again.
+    those alone: no simplifying, and no column matrix V.
     """
     if isinstance(group, OrderOracle):
-        return group._abelian.invariants
+        return group.invariants
     inv, _ = smith_normal_form(relation_matrix(simplify(group).presentation))
     return inv
 
@@ -264,8 +338,7 @@ class _AbelianImage:
 
     def __init__(self, pres: GroupPresentation):
         m = relation_matrix(pres)
-        inv, ops = smith_normal_form(m)
-        self.invariants = inv
+        _, ops = smith_normal_form(m)
         # generator name -> its row of V
         self.rows = dict(zip(pres.generator_names(), _column_matrix(ops, m.cols)))
         self.diag = [0] * m.cols
@@ -481,6 +554,18 @@ def _delete(pres: GroupPresentation, names) -> GroupPresentation:
                              tuple([r for r in relators if not r.is_empty]))
 
 
+def _cyclic_core(syllables, names) -> tuple:
+    """Reduced syllables with those of the generators in ``names`` deleted,
+    then freely and cyclically reduced."""
+    kept = [s for s in syllables if s[0] not in names]
+    s = syllables if len(kept) == len(syllables) else _reduce(kept)
+    while len(s) > 1 and s[0][0] == s[-1][0]:
+        # the merged syllable lands next to one of another name
+        exp = s[0][1] + s[-1][1]
+        s = s[1:-1] + ((s[0][0], exp),) if exp else s[1:-1]
+    return s
+
+
 def _power_index(relators: tuple[Word, ...]):
     """The generators the relators prove trivial, and the power bounds of
     the others: ``(powers, trivial)``.
@@ -488,27 +573,38 @@ def _power_index(relators: tuple[Word, ...]):
     One worklist over the relators: a relator with the trivial generators
     deleted and cyclically reduced that reads x^m puts |m| into x's gcd in
     ``powers``.  A gcd of 1 makes x trivial, and every relator that holds
-    x is read again.  Deleting a generator equal to the identity is a
-    Tietze move, and deleting identity factors from a relator leaves a
-    relator up to conjugacy, so every x^m = 1 holds in the group.  The
-    result does not depend on the order of the reads: a relator that reads
-    x^m reads it again after more deletions unless x itself is deleted.
+    x goes back on the list unless it is on it already, unread since x
+    turned trivial; so each relator is read once, and once more after the
+    last of its generators turns trivial.  Deleting a generator equal to
+    the identity is a Tietze move, and deleting identity factors from a
+    relator leaves a relator up to conjugacy, so every x^m = 1 holds in
+    the group.  The result does not depend on the order of the reads: a
+    relator that reads x^m reads it again after more deletions unless x
+    itself is deleted, and every relator is read after its last deletion.
     """
+    words = [r.syllables for r in relators]
     holding: dict[str, list[int]] = {}
-    for i, r in enumerate(relators):
-        for name in r.names():
+    for i, s in enumerate(words):
+        # a name twice in a relator lists it twice; ``queued`` skips the copy
+        for name, _ in s:
             holding.setdefault(name, []).append(i)
     powers: dict[str, int] = {}
     trivial: set[str] = set()
-    work = list(range(len(relators)))
+    work = deque(range(len(words)))
+    queued = set(work)
     while work:
-        rc = _without(relators[work.pop()], trivial).cyclically_reduced()
-        if len(rc.syllables) == 1:
-            name, exp = rc.syllables[0]
+        i = work.popleft()
+        queued.discard(i)
+        s = _cyclic_core(words[i], trivial)
+        if len(s) == 1:
+            name, exp = s[0]
             powers[name] = gcd(powers.get(name, 0), exp)
             if powers[name] == 1:
                 trivial.add(name)
-                work += holding[name]
+                for j in holding[name]:
+                    if j not in queued:
+                        queued.add(j)
+                        work.append(j)
     return powers, frozenset(trivial)
 
 
@@ -537,11 +633,15 @@ class OrderOracle:
     One reduction (:func:`_power_index`) finds the generators the
     relators prove trivial and the power bound of every other generator;
     ``reduced`` is the presentation with the trivial generators deleted,
-    and a word's image is the word with them deleted.  The reduction and
-    the SNF of ``reduced`` are built on first need and shared by every
-    question; each question that needs a coset table enumerates its own,
-    under its own budget, and nothing else is kept.  Every verdict is
-    certified:
+    and a word's image is the word with them deleted.  The reduction,
+    ``reduced`` and ``invariants`` (the Smith invariants of ``reduced``,
+    the H1 that :func:`abelianization` reads) are built on first need and
+    shared by every question.  The diagonal coordinates of the images
+    (:class:`_AbelianImage`, with the column matrix V) are built only when
+    :meth:`order` first asks, so H1 alone builds neither; an oracle asked
+    both diagonalizes ``reduced`` twice.  Each question that needs a coset
+    table enumerates its own, under its own budget, and nothing else is
+    kept.  Every verdict is certified:
 
     1. Infinite when the abelianized image has infinite order;
     2. Finite when a power bound meets the abelianized lower bound
@@ -570,6 +670,11 @@ class OrderOracle:
         """The presentation with its trivial generators deleted and the
         relators left empty dropped; it presents the same group."""
         return _delete(self.pres, self._index[1])
+
+    @cached_property
+    def invariants(self) -> AbelianInvariants:
+        """H1, the Smith invariants of ``reduced``."""
+        return smith_normal_form(relation_matrix(self.reduced))[0]
 
     @cached_property
     def _abelian(self) -> _AbelianImage:

@@ -14,7 +14,6 @@ from .graph import BlackVertex, Edge, StratifoldGraph, WhiteVertex
 from .presentation import GENERATOR_ROLES, Generator, GroupPresentation, Word
 from .spine import SUMMAND_KINDS, ManifoldExpr, Summand
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
 # a word syllable: a name (no whitespace, '^' or '#') with an optional exponent
 _SYLLABLE_RE = re.compile(r"^(?P<name>[^\s^#]+)(?:\^(?P<exp>[+-]?\d+))?$")
 _LENS_RE = re.compile(r"^L\(\s*(?P<q>[+-]?\d+)\s*\)$")
@@ -24,16 +23,11 @@ _UNWRITABLE_RE = re.compile(r"[\s#]")
 _EXPR_NAMES = {str(Summand(k)): k for k in SUMMAND_KINDS if k != "lens"}
 
 
-def _lines(text: str):
-    """Yield (line number, significant content) with comments stripped."""
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield num, line
-
-
 def _parse_int(token: str, num: int, what: str) -> int:
-    if not _INT_RE.match(token):
+    # an optional sign, then decimal digits: int() alone would also take
+    # "1_0" and surrounding whitespace
+    digits = token[1:] if token[0] in "+-" else token
+    if not digits.isdecimal():
         raise ParseError(f"line {num}: {what} must be an integer, got {token!r}")
     return int(token)
 
@@ -57,33 +51,39 @@ def parse_graph(text: str) -> StratifoldGraph:
     whites: list[WhiteVertex] = []
     blacks: list[BlackVertex] = []
     edges: list[tuple[int, Edge]] = []
-    seen: dict[tuple[str, str], int] = {}
+    # id -> the line that declared it, one namespace per kind
+    white_ids: dict[str, int] = {}
+    black_ids: dict[str, int] = {}
+    edge_ids: dict[str, int] = {}
 
-    def declare(kind: str, ident: str, num: int):
-        key = (kind, ident)
-        if key in seen:
-            raise ParseError(f"line {num}: duplicate {kind} id {ident!r}"
-                             f" (first declared on line {seen[key]})")
-        seen[key] = num
-
-    for num, line in _lines(text):
+    for num, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
+        if not tokens:
+            continue
         head = tokens[0]
         if head == "white":
             if len(tokens) != 4 or tokens[2] != "genus":
                 raise ParseError(f"line {num}: expected 'white <id> genus <int>'")
-            declare("white", tokens[1], num)
+            first = white_ids.setdefault(tokens[1], num)
+            if first != num:
+                raise _duplicate("white", tokens[1], num, first)
             whites.append(WhiteVertex(tokens[1], _parse_int(tokens[3], num, "genus")))
         elif head == "black":
             if len(tokens) != 2:
                 raise ParseError(f"line {num}: expected 'black <id>'")
-            declare("black", tokens[1], num)
+            first = black_ids.setdefault(tokens[1], num)
+            if first != num:
+                raise _duplicate("black", tokens[1], num, first)
             blacks.append(BlackVertex(tokens[1]))
         elif head == "edge":
             if len(tokens) != 5:
                 raise ParseError(
                     f"line {num}: expected 'edge <id> <white-id> <black-id> <label>'")
-            declare("edge", tokens[1], num)
+            first = edge_ids.setdefault(tokens[1], num)
+            if first != num:
+                raise _duplicate("edge", tokens[1], num, first)
             label = _parse_int(tokens[4], num, "label")
             edges.append((num, Edge(tokens[1], tokens[2], tokens[3], label)))
         else:
@@ -91,13 +91,18 @@ def parse_graph(text: str) -> StratifoldGraph:
 
     # endpoint resolution is a second pass so declaration order is free
     for num, e in edges:
-        if ("white", e.white) not in seen:
+        if e.white not in white_ids:
             raise ParseError(f"line {num}: edge {e.id!r} has a dangling"
                              f" white endpoint {e.white!r}")
-        if ("black", e.black) not in seen:
+        if e.black not in black_ids:
             raise ParseError(f"line {num}: edge {e.id!r} has a dangling"
                              f" black endpoint {e.black!r}")
     return StratifoldGraph(whites, blacks, [e for _, e in edges])
+
+
+def _duplicate(kind: str, ident: str, num: int, first: int) -> ParseError:
+    return ParseError(f"line {num}: duplicate {kind} id {ident!r}"
+                      f" (first declared on line {first})")
 
 
 def serialize_graph(graph: StratifoldGraph) -> str:
@@ -155,8 +160,10 @@ def parse_presentation(text: str) -> GroupPresentation:
     gens: list[Generator] = []
     declared: dict[str, int] = {}
     rel_lines: list[tuple[int, str]] = []
-    for num, line in _lines(text):
-        tokens = line.split(None, 1)
+    for num, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split("#", 1)[0].split(None, 1)
+        if not tokens:
+            continue
         head = tokens[0]
         rest = tokens[1] if len(tokens) > 1 else ""
         if head == "gen":

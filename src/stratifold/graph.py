@@ -197,23 +197,24 @@ def validate(graph: StratifoldGraph) -> list[Violation]:
     * ``Disconnected`` - the graph is empty or not connected.
     """
     out: list[Violation] = []
+    star, edge_by_id = graph._star, graph._edge_by_id
     for e in graph.edges:
         if e.label == 0:
             out.append(Violation("ZeroLabel", e.id, f"edge {e.id} has label 0"))
     for b in graph.blacks:
-        eids = graph.edges_at_black(b.id)
+        eids = star[(_BLACK, b.id)]
         if not eids:
             out.append(Violation("IsolatedBlack", b.id,
                                  f"black vertex {b.id} has no incident edge"))
             continue
-        d = sum(abs(graph.edge(eid).label) for eid in eids)
+        d = sum([abs(edge_by_id[eid].label) for eid in eids])
         if d < 3:
             out.append(Violation("BranchTooSmall", b.id,
                                  f"black vertex {b.id} has d={d} < 3"))
     nverts = len(graph.whites) + len(graph.blacks)
     if nverts > 1:
         for w in graph.whites:
-            if not graph.edges_at_white(w.id):
+            if not star[(_WHITE, w.id)]:
                 out.append(Violation("IsolatedWhite", w.id,
                                      f"white vertex {w.id} has no incident edge"))
     if nverts == 0:

@@ -1,15 +1,17 @@
 """Shared randomized generators for the test suite.
 
 Everything takes an explicit random.Random so individual tests stay
-reproducible; no module-level state.  Also two references: the dense
-Smith normal form that the sparse diagonalization replaced, and the graph
+reproducible; no module-level state.  Also three references: the dense
+Smith normal form that the sparse diagonalization replaced, the graph
 presentation with one generator per boundary circle that the substituted
-natural presentation replaced.  And a search for homomorphisms to small
-symmetric groups, which bound element orders from below.
+natural presentation replaced, and the stack-driven reduction that the
+order oracle's worklist replaced.  And a search for homomorphisms to
+small symmetric groups, which bound element orders from below.
 """
 
 import functools
 import itertools
+from math import gcd
 
 from stratifold import (DEFAULT_COSET_BUDGET, AbelianInvariants, BlackVertex,
                         Edge, Generator, GroupPresentation, IntMatrix,
@@ -350,6 +352,28 @@ def reference_invariants(m):
     nonzero = [a[i][i] for i in range(min(m.rows, m.cols)) if a[i][i]]
     return AbelianInvariants(m.cols - len(nonzero),
                              tuple(d for d in nonzero if d >= 2))
+
+
+def lifo_power_index(relators):
+    """``(powers, trivial)`` by the stack-driven reduction the worklist
+    replaced: a relator is pushed again for every one of its generators
+    that turns trivial, however many pushes of it are still unread."""
+    holding = {}
+    for i, r in enumerate(relators):
+        for name in r.names():
+            holding.setdefault(name, []).append(i)
+    powers, trivial = {}, set()
+    work = list(range(len(relators)))
+    while work:
+        r = relators[work.pop()]
+        rc = Word([s for s in r.syllables if s[0] not in trivial]).cyclically_reduced()
+        if len(rc.syllables) == 1:
+            name, exp = rc.syllables[0]
+            powers[name] = gcd(powers.get(name, 0), exp)
+            if powers[name] == 1:
+                trivial.add(name)
+                work += holding[name]
+    return powers, frozenset(trivial)
 
 
 def prime_power_chain(orders):

@@ -10,15 +10,17 @@ import pytest
 
 import stratifold
 
-from helpers import (diagonal, random_int_matrix, random_unimodular_ops,
-                     random_valid_graph, transformed, word_order)
+from helpers import (diagonal, random_int_matrix, random_sparse_matrix,
+                     random_unimodular_ops, random_valid_graph,
+                     reference_invariants, transformed, word_order)
 from stratifold import (AbelianInvariants, CosetTable, Exhausted, FiniteOrder,
                         FSignature, Generator, GroupPresentation, IntMatrix,
                         InfiniteOrder, OrderOracle, UnknownOrder, Word,
                         abelianization, apply_transforms, fgroup_presentation, lens_spine, natural_presentation,
                         normalize, relation_matrix, s2xs1_spine,
                         simplify, smith_normal_form, todd_coxeter)
-from stratifold.algebra import _chain, _power_index, _power_relator_bound
+from stratifold.algebra import (_chain, _place_lone, _power_index,
+                                _power_relator_bound, _sparse_rows)
 
 
 def pres(gens, rels):
@@ -111,6 +113,79 @@ class TestSmithNormalForm:
             inv, _ = smith_normal_form(m)
             inv2, _ = smith_normal_form(transformed(m, rng))
             assert inv2 == inv
+
+
+def checked_snf(m):
+    """``smith_normal_form(m)``, checked: replaying the recorded ops on m
+    reaches a diagonal with no negative entry, and the invariants are the
+    dense reference's."""
+    inv, ops = smith_normal_form(m)
+    d = apply_transforms(m, ops)
+    for i in range(d.rows):
+        for j in range(d.cols):
+            assert d[i, j] >= 0 if i == j else d[i, j] == 0, (m, ops)
+    assert inv == reference_invariants(m), m
+    return inv, ops
+
+
+class TestLoneEntries:
+    """Entries alone in their row and column go onto the diagonal before
+    the pivot loop."""
+
+    def test_singleton_rows_of_the_spine_shape(self):
+        # one entry per row, as in the reduced matrix of a canonical spine:
+        # lens rows, a pair of rows on one column (a P2xS1 summand), and
+        # a free column
+        m = IntMatrix.from_rows([[0, 0, -7, 0, 0],
+                                 [0, 2, 0, 0, 0],
+                                 [0, -2, 0, 0, 0],
+                                 [0, 0, 0, 0, 5],
+                                 [-1, 0, 0, 0, 0]])
+        inv, ops = checked_snf(m)
+        assert inv == AbelianInvariants(1, (70,))
+        # no pivot step, so no column is added to another
+        assert {op[0] for op in ops} <= {"swap_rows", "swap_cols", "negate_row", "add_row"}
+        assert [op for op in ops if op[0] == "add_row"] == [("add_row", 2, 1, 1)]
+
+    def test_a_large_spine_shape_takes_a_few_moves_per_row(self):
+        rng = random.Random(2024)
+        n = 80
+        cols = list(range(n + 20))
+        rng.shuffle(cols)
+        rows = [[0] * (n + 20) for _ in range(n)]
+        for i in range(n):
+            rows[i][cols[i]] = rng.choice((-1, 1)) * rng.randint(1, 60)
+        m = IntMatrix.from_rows(rows)
+        _, ops = checked_snf(m)
+        assert len(ops) <= 3 * n
+        assert {op[0] for op in ops} <= {"swap_rows", "swap_cols", "negate_row"}
+
+    def test_empty_rows_and_columns(self):
+        for m in (IntMatrix(0, 3, ()), IntMatrix(2, 0, ()), diagonal([0, 0], cols=3)):
+            checked_snf(m)
+        inv, _ = checked_snf(IntMatrix.from_rows([[0, 0, 0, 0], [0, -3, 0, 0],
+                                                  [0, 0, 0, 0], [4, 0, 0, 0]]))
+        assert inv == AbelianInvariants(2, (12,))
+
+    def test_lone_entry_next_to_a_dense_block(self):
+        m = IntMatrix.from_rows([[2, 3, 0, 0],
+                                 [4, 5, 0, 0],
+                                 [0, 7, 0, 0],    # a single entry in a shared column
+                                 [0, 0, 0, -6],
+                                 [0, 0, 0, 0]])
+        inv, _ = checked_snf(m)
+        # the block's 2x2 minors have gcd 2
+        assert inv == AbelianInvariants(1, (2, 6))
+        checked_snf(IntMatrix.from_rows([[0, -6, 0], [2, 0, 3], [4, 0, 5]]))
+
+    def test_random_sparse_matrices(self):
+        rng = random.Random(2026)
+        placed = 0
+        for _ in range(3000):
+            m = random_sparse_matrix(rng)
+            checked_snf(m)
+            placed += _place_lone(_sparse_rows(m), m.cols, []) > 0
+        assert placed > 500
 
 
 class TestAbelianInvariants:

@@ -125,6 +125,77 @@ class TestGraphFormat:
             serialize_graph(g)
 
 
+
+def parse_error(text):
+    """The full message of the ParseError that reading ``text`` raises."""
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    return str(info.value)
+
+
+class TestGraphReaderMessages:
+    """The graph reader's messages, pinned in full."""
+
+    def test_duplicate_id_of_each_kind_cites_its_first_line(self):
+        assert parse_error("white w genus 0\nblack b\nwhite w genus 1\n") == \
+            "line 3: duplicate white id 'w' (first declared on line 1)"
+        assert parse_error("black b\n\n# again\nblack b\n") == \
+            "line 4: duplicate black id 'b' (first declared on line 1)"
+        assert parse_error("white w genus 0\nblack b\nedge e w b 2\n"
+                           "edge e w b 3\n") == \
+            "line 4: duplicate edge id 'e' (first declared on line 3)"
+        # the id is checked before the genus is read
+        assert parse_error("white w genus 0\nwhite w genus x\n") == \
+            "line 2: duplicate white id 'w' (first declared on line 1)"
+
+    def test_ids_of_different_kinds_may_coincide(self):
+        g = parse_graph("white x genus 0\nblack x\nedge x x x 3\n")
+        assert [v.id for v in g.whites] == [v.id for v in g.blacks] == ["x"]
+        assert g.edge("x").white == g.edge("x").black == "x"
+
+    def test_dangling_endpoints_cite_the_edge_line(self):
+        assert parse_error("black b\nedge e w b 5\n") == \
+            "line 2: edge 'e' has a dangling white endpoint 'w'"
+        assert parse_error("edge e w b 5\nwhite w genus 0\n") == \
+            "line 1: edge 'e' has a dangling black endpoint 'b'"
+        # the edges are resolved in line order, white endpoint first
+        assert parse_error("edge f w c 2\nedge e v b 5\n") == \
+            "line 1: edge 'f' has a dangling white endpoint 'w'"
+
+    @pytest.mark.parametrize("token", ["1_0", "x", "", "+", "-", "--3", "+-1", "2.0", "\u00b2"])
+    def test_integers_are_signed_decimals(self, token):
+        if token:
+            assert parse_error(f"white w genus {token}\n") == \
+                f"line 1: genus must be an integer, got {token!r}"
+            assert parse_error(f"white w genus 0\nblack b\nedge e w b {token}\n") == \
+                f"line 3: label must be an integer, got {token!r}"
+        else:
+            assert parse_error("white w genus\n") == \
+                "line 1: expected 'white <id> genus <int>'"
+            assert parse_error("white w genus 0\nblack b\nedge e w b\n") == \
+                "line 3: expected 'edge <id> <white-id> <black-id> <label>'"
+
+    def test_signs_are_accepted(self):
+        g = parse_graph("white w genus +3\nblack b\nedge e w b +3\n")
+        assert g.white("w").genus == 3 and g.edge("e").label == 3
+        g = parse_graph("white w genus -2\nblack b\nedge e w b -5\n")
+        assert g.white("w").genus == -2 and g.edge("e").label == -5
+
+    def test_line_ends_tabs_and_comments(self):
+        assert parse_graph("white w genus 0\r\nblack b\r\nedge e w b 5\r\n") == \
+            lens_spine(5)
+        assert parse_graph("\twhite\tw genus\t0\nblack  b \nedge e\tw b 5") == \
+            lens_spine(5)
+        assert parse_graph("# a lens space\n   # indented\n#\nwhite w genus 0#disk\n"
+                           "black b#\nedge e w b 5# label\n") == lens_spine(5)
+        assert parse_error("white w genus 0\r\nblack b c\r\n") == \
+            "line 2: expected 'black <id>'"
+        assert parse_error("# head\nwhite w#genus 0\n") == \
+            "line 2: expected 'white <id> genus <int>'"
+        assert parse_error("white w genus 0\n\tfoo # bar\n") == \
+            "line 2: unknown directive 'foo'"
+
+
 class TestWordFormat:
     def test_parse_and_format(self):
         w = parse_word("a^2 b^-1 c")

@@ -10,16 +10,20 @@ import json
 import pickle
 import random
 import weakref
+from itertools import combinations_with_replacement
 
 import pytest
 
 import stratifold.algebra
 import stratifold.analysis
 import stratifold.cli
-from stratifold import (FSignature, OrderOracle, UnknownOrder, Word,
+from helpers import SPINE_KINDS, random_valid_graph, reference_invariants
+from stratifold import (AbelianInvariants, FSignature, InfiniteOrder,
+                        ManifoldExpr, OrderOracle, UnknownOrder, Word,
                         abelianization, black_orders, fgroup_graph,
                         lens_spine, natural_presentation, normalize,
-                        obstructions, parse_expr, parse_graph, q_graph,
+                        obstructions, parse_expr, parse_graph,
+                        parse_presentation, q_graph, relation_matrix,
                         serialize_graph, serialize_presentation, simplify,
                         synth)
 from stratifold.analysis import _fold, analyze
@@ -188,6 +192,40 @@ class TestSharing:
         # one SNF for H1, one for H1 of the torsion quotient; the census
         # needs none
         assert calls == {"_power_index": 1, "smith_normal_form": 2}
+
+    def test_h1_builds_no_column_matrix(self, monkeypatch):
+        # h1 reads the Smith invariants alone: the column matrix V and the
+        # diagonal coordinates serve OrderOracle.order on bare presentations
+        spines = [synth(ManifoldExpr(kinds)) for k in (1, 2, 3)
+                  for kinds in combinations_with_replacement(SPINE_KINDS, k)]
+        rng = random.Random(31)
+        graphs = spines + [random_valid_graph(rng) for _ in range(500)]
+        texts = [serialize_graph(g) for g in graphs]
+        argvs = (["h1", "--json"], ["pi1", "--simplify", "--json"], ["obstruct", "--json"])
+        want = [cold(argv, text) for text in texts for argv in argvs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the diagonal coordinates were built")
+
+        monkeypatch.setattr(stratifold.algebra, "_column_matrix", refuse)
+        monkeypatch.setattr(stratifold.algebra, "_AbelianImage", refuse)
+        got = [cold(argv, text) for text in texts for argv in argvs]
+        assert got == want
+        assert {code for code, _ in got} == {0, 3}
+        for g, (code, out) in zip(graphs, got[::len(argvs)]):
+            ref = reference_invariants(relation_matrix(natural_presentation(g)))
+            assert code == 0 and json.loads(out)["payload"] == \
+                {"free_rank": ref.free_rank, "torsion": list(ref.torsion)}
+
+    def test_order_on_a_bare_presentation_builds_the_coordinates(self):
+        oracle = OrderOracle(parse_presentation("gen a black\ngen b black\nrel a^2\n"))
+        assert abelianization(oracle) == AbelianInvariants(1, (2,))
+        assert "_abelian" not in vars(oracle)
+        b3 = Word((("b", 3),))
+        assert oracle.order(b3) == \
+            InfiniteOrder("free coordinate 1 of the abelianized image is 3")
+        assert oracle.order(Word((("a", 1),)), 50).order == 2
+        assert "_abelian" in vars(oracle)
 
     def test_obstruct_reuses_the_verdicts_of_order(self):
         text = serialize_graph(synth(parse_expr("L(5) # P2xS1 # S2~xS1 # L(3)")))

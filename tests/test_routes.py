@@ -12,6 +12,8 @@ natural presentation with random generators killed; the order census,
 folded from the graph, is checked against the presentation oracle and
 against coset tables, and each finite order it gives is reached from
 below by the image in H1 and by homomorphisms to small symmetric groups.
+The reduction's worklist is checked against the stack-driven reduction
+it replaced, and its reads are counted.
 The order oracle skips coset enumeration when H1 is infinite; the
 premise of that skip is checked directly.  The occurrence-aware
 simplifier is checked against a reference copy of the rescanning loop it
@@ -27,6 +29,7 @@ The key that recognize looks pieces up by is checked against move-class
 isomorphism on graphs with one black vertex.
 """
 
+import json
 import random
 import sys
 from dataclasses import replace
@@ -40,21 +43,21 @@ import stratifold.algebra
 import stratifold.analysis
 from helpers import (SPINE_KINDS, SearchSpent, apply_dense,
                      boundary_presentation, cycle_type_permutations,
-                     disguised, fold_synth, perm_order, prime_power_chain,
-                     random_sparse_matrix, random_unimodular_ops,
-                     random_valid_graph, reference_invariants,
-                     symmetric_image)
+                     disguised, fold_synth, lifo_power_index, perm_order,
+                     prime_power_chain, random_sparse_matrix,
+                     random_unimodular_ops, random_valid_graph,
+                     reference_invariants, symmetric_image)
 from stratifold import (GENERATOR_ROLES, BlackVertex,
                         CosetTable, Edge, Exhausted, FiniteOrder, FSignature,
                         Generator, GroupPresentation, InfiniteOrder, IntMatrix,
-                        ManifoldExpr, Obstruction, OrderOracle,
+                        ManifoldExpr, Obstruction, OrderOracle, ParseError,
                         SimplifyResult, StratifoldGraph, UnknownOrder,
                         WhiteVertex, Word, abelianization, apply_transforms,
                         are_isomorphic, black_orders, fgroup_graph,
                         fgroup_presentation, natural_presentation, normalize,
-                        obstructions, parse_expr, q_graph, relation_matrix,
-                        rewrite_through, simplify, smith_normal_form, synth,
-                        todd_coxeter)
+                        obstructions, parse_expr, parse_graph, q_graph,
+                        relation_matrix, rewrite_through, simplify,
+                        smith_normal_form, synth, todd_coxeter, validate)
 from stratifold.algebra import (_AbelianImage, _chain, _column_matrix,
                                 _power_index, _power_relator_bound)
 from stratifold.analysis import _quotient_h1
@@ -462,6 +465,55 @@ def test_indexed_power_bound_matches_full_scan():
         trivial_found += bool(trivial)
         cascades += scans > 2
     assert found > 400 and trivial_found > 140 and cascades > 20
+
+
+def golden_graphs():
+    """The valid graphs among the golden corpus's inputs."""
+    path = Path(__file__).resolve().parent / "golden" / "cli_reports.json"
+    graphs = []
+    for text in json.loads(path.read_text(encoding="utf-8"))["inputs"].values():
+        try:
+            g = parse_graph(text)
+        except ParseError:
+            continue  # a presentation, an expression or a bad graph text
+        if not validate(g):
+            graphs.append(g)
+    return graphs
+
+
+def test_worklist_reduction_matches_the_lifo_reference():
+    golden = golden_graphs()
+    assert len(golden) >= 15
+    spines = [synth(ManifoldExpr(kinds)) for k in range(1, 5)
+              for kinds in combinations_with_replacement(SPINE_KINDS, k)]
+    rng = random.Random(29)
+    randoms = [random_valid_graph(rng) for _ in range(2000)]
+    trivial = 0
+    for g in golden + spines + randoms:
+        relators = natural_presentation(g).relators
+        want = lifo_power_index(relators)
+        assert _power_index(relators) == want, g
+        trivial += bool(want[1])
+    assert trivial > 300
+
+
+@pytest.mark.parametrize("expr", ["L(3) # " + " # ".join(["S2xS1"] * 40), "L(3)"])
+def test_worklist_reads_each_relator_at_most_twice(monkeypatch, expr):
+    # every read reduces one relator through _cyclic_core
+    reads = []
+    real = stratifold.algebra._cyclic_core
+
+    def counting(syllables, names):
+        reads.append(syllables)
+        return real(syllables, names)
+
+    monkeypatch.setattr(stratifold.algebra, "_cyclic_core", counting)
+    relators = natural_presentation(synth(parse_expr(expr))).relators
+    powers, trivial = _power_index(relators)
+    assert len(relators) <= len(reads) <= 2 * len(relators)
+    assert (powers, trivial) == lifo_power_index(relators)
+    # the hub white's relator holds a junction black of every summand
+    assert len(trivial) > len(relators) // 2 or len(relators) == 1
 
 
 def test_simplify_matches_rescanning_loop():
