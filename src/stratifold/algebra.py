@@ -14,9 +14,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .presentation import GroupPresentation, Word, _reduce, simplify
+from .presentation import GroupPresentation, Word, _cyclic, _reduce
+# bound here for bench/test_bench.py::test_wrappers_rebind_every_name_and_restore_originals
+from .presentation import simplify  # noqa: F401
 from .verdicts import (FiniteOrder, InfiniteOrder, OrderVerdict, UnknownOrder)
 
 DEFAULT_COSET_BUDGET = 100_000
@@ -286,7 +288,11 @@ def smith_normal_form(m: IntMatrix):
 def _column_matrix(transforms, n: int) -> list[dict[int, int]]:
     """Accumulate the column operations into the unimodular matrix V with
     (input) @ V = (diagonal form), as sparse rows: one ``{column: value}``
-    dict per row."""
+    dict per row.
+
+    No runtime path calls it: it is the tests' reference route for the
+    image of a word in H1, and the benchmark's replay layer traces it.
+    """
     v = [{i: 1} for i in range(n)]
     for op in transforms:
         if op[0] in ("swap_cols", "negate_col", "add_col"):
@@ -310,61 +316,13 @@ def relation_matrix(pres: GroupPresentation) -> IntMatrix:
 
 
 def abelianization(group: GroupPresentation | OrderOracle) -> AbelianInvariants:
-    """First homology of the presented group, in invariant-factor form,
-    from the SNF of the Tietze-simplified (isomorphic) presentation.
-
-    An :class:`OrderOracle` keeps the Smith invariants of its reduced
-    presentation (the trivial generators deleted), so its H1 is read off
-    those alone: no simplifying, and no column matrix V.
-    """
-    if isinstance(group, OrderOracle):
-        return group.invariants
-    inv, _ = smith_normal_form(relation_matrix(simplify(group).presentation))
-    return inv
-
-
-class _AbelianImage:
-    """Diagonal coordinates for images in the abelianization of a
-    presentation.
-
-    The column operations recorded by the SNF form a unimodular matrix V,
-    kept as sparse rows, with (relation matrix) @ V = D diagonal, though
-    not always a divisibility chain.  Transporting an exponent vector x to
-    x @ V puts coordinate j in Z/d_j (Z when d_j = 0), where the order of
-    the image is read off directly.  Column j of M @ V is d_j times a
-    column of a unimodular matrix, which is primitive, so d_j is the gcd
-    of coordinate j over the relators.
-    """
-
-    def __init__(self, pres: GroupPresentation):
-        m = relation_matrix(pres)
-        _, ops = smith_normal_form(m)
-        # generator name -> its row of V
-        self.rows = dict(zip(pres.generator_names(), _column_matrix(ops, m.cols)))
-        self.diag = [0] * m.cols
-        for r in pres.relators:
-            for j, c in self._coordinates(r).items():
-                self.diag[j] = gcd(self.diag[j], c)
-
-    def _coordinates(self, word: Word) -> dict[int, int]:
-        """x @ V for the word's exponent sums x; absent coordinates are 0."""
-        y: dict[int, int] = {}
-        for name, e in word.syllables:
-            for j, v in self.rows[name].items():
-                y[j] = y.get(j, 0) + e * v
-        return y
-
-    def order(self, image: Word):
-        """(order, witness), order None when infinite."""
-        order = 1
-        for j, c in sorted(self._coordinates(image).items()):
-            d = self.diag[j]
-            if d == 0:
-                if c:
-                    return None, f"free coordinate {j} of the abelianized image is {c}"
-            elif d >= 2 and c % d:
-                order = lcm(order, d // gcd(d, c % d))
-        return order, f"abelianized image has order {order}"
+    """First homology of the presented group, in invariant-factor form:
+    the Smith invariants of the order oracle's reduced presentation (the
+    generators the relators prove trivial deleted), which an oracle keeps.
+    A bare presentation gets an oracle of its own."""
+    if not isinstance(group, OrderOracle):
+        group = OrderOracle(group)
+    return group.invariants
 
 
 # -- Todd-Coxeter coset enumeration ----------------------------------------
@@ -558,12 +516,7 @@ def _cyclic_core(syllables, names) -> tuple:
     """Reduced syllables with those of the generators in ``names`` deleted,
     then freely and cyclically reduced."""
     kept = [s for s in syllables if s[0] not in names]
-    s = syllables if len(kept) == len(syllables) else _reduce(kept)
-    while len(s) > 1 and s[0][0] == s[-1][0]:
-        # the merged syllable lands next to one of another name
-        exp = s[0][1] + s[-1][1]
-        s = s[1:-1] + ((s[0][0], exp),) if exp else s[1:-1]
-    return s
+    return _cyclic(syllables if len(kept) == len(syllables) else _reduce(kept))
 
 
 def _power_index(relators: tuple[Word, ...]):
@@ -636,12 +589,13 @@ class OrderOracle:
     and a word's image is the word with them deleted.  The reduction,
     ``reduced`` and ``invariants`` (the Smith invariants of ``reduced``,
     the H1 that :func:`abelianization` reads) are built on first need and
-    shared by every question.  The diagonal coordinates of the images
-    (:class:`_AbelianImage`, with the column matrix V) are built only when
-    :meth:`order` first asks, so H1 alone builds neither; an oracle asked
-    both diagonalizes ``reduced`` twice.  Each question that needs a coset
-    table enumerates its own, under its own budget, and nothing else is
-    kept.  Every verdict is certified:
+    shared by every question.  The order of an image in H1 is read off
+    the Smith invariants Q of ``reduced`` with the image added as one more
+    relator, which present H1 / <image>: the image is infinite when Q has
+    a smaller free rank than H1, and otherwise its order is the quotient
+    of the torsion products.  Each question that needs a coset table
+    enumerates its own, under its own budget, and nothing else is kept.
+    Every verdict is certified:
 
     1. Infinite when the abelianized image has infinite order;
     2. Finite when a power bound meets the abelianized lower bound
@@ -676,10 +630,6 @@ class OrderOracle:
         """H1, the Smith invariants of ``reduced``."""
         return smith_normal_form(relation_matrix(self.reduced))[0]
 
-    @cached_property
-    def _abelian(self) -> _AbelianImage:
-        return _AbelianImage(self.reduced)
-
     def order(self, word: Word, budget: int = DEFAULT_COSET_BUDGET) -> OrderVerdict:
         bad = word.names() - self._names
         if bad:
@@ -687,15 +637,20 @@ class OrderOracle:
         if word.is_empty:
             return FiniteOrder(1, "empty word")
         image = _without(word, self._index[1])
-        lower, witness = self._abelian.order(image)
-        if lower is None:
-            return InfiniteOrder(witness)
+        h1 = self.invariants
+        quotient, _ = smith_normal_form(relation_matrix(GroupPresentation(
+            self.reduced.generators, self.reduced.relators + (image,))))
+        if quotient.free_rank < h1.free_rank:
+            return InfiniteOrder(f"abelianized image is infinite: killing it drops the "
+                                 f"free rank of H1 from {h1.free_rank} to {quotient.free_rank}")
+        lower = prod(h1.torsion) // prod(quotient.torsion)
+        witness = f"abelianized image has order {lower}"
         upper = _power_relator_bound(self._index, image)
         if upper == 0 or upper == 1:
             return FiniteOrder(1, "word reduces to the identity under Tietze moves")
         if upper is not None and upper == lower:
             return FiniteOrder(upper, f"power relator bound {upper} meets {witness}")
-        if 0 in self._abelian.diag:
+        if h1.free_rank:
             # H1 has a free summand: the group is infinite, so no coset
             # table over the trivial subgroup can close
             return UnknownOrder(budget)

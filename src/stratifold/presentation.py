@@ -8,9 +8,10 @@ written as a power of its branch circle.  This module builds that
 presentation, the one-relator-per-period presentations of F-groups
 (groups of orientation preserving isometries of surfaces with cone
 points, in the Lyndon-Schupp sense), and a bounded Tietze simplifier
-for any presentation.  On a graph presentation the order oracle in the
-algebra module only deletes the generators its relators prove trivial;
-the simplifier is the independent reference that it is checked against.
+for any presentation.  The order oracle in the algebra module only
+deletes the generators its relators prove trivial, and H1 is read off
+what it leaves; the simplifier is the independent reference that both
+are checked against.
 """
 
 from __future__ import annotations
@@ -44,6 +45,18 @@ def _reduce(syllables):
         if exp:
             out.append((name, exp))
     return tuple(out)
+
+
+def _cyclic(syllables):
+    """The cyclic reduction of a reduced syllable tuple: the first and the
+    last syllable merge while they hold one name.  An unchanged tuple is
+    returned itself."""
+    s = syllables
+    while len(s) > 1 and s[0][0] == s[-1][0]:
+        # the merged syllable lands next to one of another name
+        exp = s[0][1] + s[-1][1]
+        s = s[1:-1] + ((s[0][0], exp),) if exp else s[1:-1]
+    return s
 
 
 def _inverse(syllables):
@@ -99,18 +112,8 @@ class Word:
         return Word(_substitute(self.syllables, name, replacement.syllables))
 
     def cyclically_reduced(self) -> "Word":
-        s = self.syllables
-        if len(s) < 2 or s[0][0] != s[-1][0]:
-            return self  # already cyclically reduced
-        s = list(s)
-        while len(s) > 1 and s[0][0] == s[-1][0]:
-            name = s[0][0]
-            exp = s[0][1] + s[-1][1]
-            s = s[1:-1]
-            if exp:
-                s.append((name, exp))
-                s = list(_reduce(s))
-        return Word(tuple(s))
+        s = _cyclic(self.syllables)
+        return self if s is self.syllables else Word(s)
 
 
 @dataclass(frozen=True)
@@ -282,7 +285,7 @@ def simplify(pres: GroupPresentation,
     Only boundary and stable-letter generators are eliminated freely; the
     structural generators (black, surface, period) are removed only when
     a relator proves them trivial, so power relators like b^m stay
-    visible.  ``abelianization`` of a presentation reads the result.
+    visible.
     """
     keep = frozenset(g.name for g in pres.generators
                      if g.role not in ELIMINABLE_ROLES)

@@ -18,8 +18,9 @@ import stratifold.algebra
 import stratifold.analysis
 import stratifold.cli
 from helpers import SPINE_KINDS, random_valid_graph, reference_invariants
-from stratifold import (AbelianInvariants, FSignature, InfiniteOrder,
-                        ManifoldExpr, OrderOracle, UnknownOrder, Word,
+from stratifold import (AbelianInvariants, FiniteOrder, FSignature,
+                        InfiniteOrder, ManifoldExpr, OrderOracle,
+                        UnknownOrder, Word,
                         abelianization, black_orders, fgroup_graph,
                         lens_spine, natural_presentation, normalize,
                         obstructions, parse_expr, parse_graph,
@@ -194,8 +195,9 @@ class TestSharing:
         assert calls == {"_power_index": 1, "smith_normal_form": 2}
 
     def test_h1_builds_no_column_matrix(self, monkeypatch):
-        # h1 reads the Smith invariants alone: the column matrix V and the
-        # diagonal coordinates serve OrderOracle.order on bare presentations
+        # h1 reads the Smith invariants alone, and OrderOracle.order reads
+        # an image's order off the Smith invariants of a quotient: the
+        # column matrix V is the tests' reference route only
         spines = [synth(ManifoldExpr(kinds)) for k in (1, 2, 3)
                   for kinds in combinations_with_replacement(SPINE_KINDS, k)]
         rng = random.Random(31)
@@ -205,10 +207,9 @@ class TestSharing:
         want = [cold(argv, text) for text in texts for argv in argvs]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the diagonal coordinates were built")
+            raise AssertionError("the column matrix V was built")
 
         monkeypatch.setattr(stratifold.algebra, "_column_matrix", refuse)
-        monkeypatch.setattr(stratifold.algebra, "_AbelianImage", refuse)
         got = [cold(argv, text) for text in texts for argv in argvs]
         assert got == want
         assert {code for code, _ in got} == {0, 3}
@@ -216,16 +217,38 @@ class TestSharing:
             ref = reference_invariants(relation_matrix(natural_presentation(g)))
             assert code == 0 and json.loads(out)["payload"] == \
                 {"free_rank": ref.free_rank, "torsion": list(ref.torsion)}
+        kinds = set()
+        for g in graphs:
+            oracle = OrderOracle(natural_presentation(g))
+            for b in g.blacks:
+                kinds.add(type(oracle.order(Word(((f"b.{b.id}", 1),)), 100)))
+        assert kinds == {FiniteOrder, InfiniteOrder, UnknownOrder}
 
-    def test_order_on_a_bare_presentation_builds_the_coordinates(self):
+    def test_order_on_a_bare_presentation_reads_quotient_invariants(self):
         oracle = OrderOracle(parse_presentation("gen a black\ngen b black\nrel a^2\n"))
-        assert abelianization(oracle) == AbelianInvariants(1, (2,))
-        assert "_abelian" not in vars(oracle)
-        b3 = Word((("b", 3),))
-        assert oracle.order(b3) == \
-            InfiniteOrder("free coordinate 1 of the abelianized image is 3")
+        assert oracle.order(Word((("b", 3),))) == InfiniteOrder(
+            "abelianized image is infinite: killing it drops the free rank of H1 from 1 to 0")
         assert oracle.order(Word((("a", 1),)), 50).order == 2
-        assert "_abelian" in vars(oracle)
+        assert abelianization(oracle) == AbelianInvariants(1, (2,))
+
+    def test_order_on_edge_presentations(self):
+        free = OrderOracle(parse_presentation("gen a black\ngen b black\n"))
+        assert free.order(Word((("a", 1), ("b", -2))), 50) == InfiniteOrder(
+            "abelianized image is infinite: killing it drops the free rank of H1 from 2 to 1")
+        assert abelianization(free) == AbelianInvariants(2, ())
+        # every generator is trivial, so the image is the empty word
+        trivial = OrderOracle(parse_presentation(
+            "gen a black\ngen b black\nrel a\nrel a b^2 a^-1 b^-1\n"))
+        assert trivial.order(Word((("a", 3), ("b", 1))), 50) == \
+            FiniteOrder(1, "word reduces to the identity under Tietze moves")
+        assert abelianization(trivial) == AbelianInvariants(0, ())
+        # a commutator has order 1 in a free abelian H1 and no power bound,
+        # and an infinite group has no coset table to close: abstention
+        commutator = Word((("a", 1), ("b", 1), ("a", -1), ("b", -1)))
+        for text in ("gen a black\ngen b black\n",
+                     "gen a black\ngen b black\nrel a b a^-1 b^-1\n"):
+            assert OrderOracle(parse_presentation(text)).order(commutator, 50) == \
+                UnknownOrder(50)
 
     def test_obstruct_reuses_the_verdicts_of_order(self):
         text = serialize_graph(synth(parse_expr("L(5) # P2xS1 # S2~xS1 # L(3)")))
