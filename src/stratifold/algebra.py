@@ -1,12 +1,12 @@
 """Exact integer linear algebra and coset enumeration.
 
 Everything here runs over Python's arbitrary-precision integers; no
-floating point and no modular shortcuts.  The Smith normal form works on
-sparse rows and records its row and column operations, which reach a
-diagonal form (not always the divisibility chain, which is read off that
-diagonal) so any result can be replayed and checked against the input
-matrix.  The coset enumerator is a deterministic HLT-style procedure
-with a hard coset budget.
+floating point and no modular shortcuts.  A matrix is held as sparse
+rows, and the Smith normal form works on them: it records its row and
+column operations, which reach a diagonal form (not always the
+divisibility chain, which is read off that diagonal) so any result can
+be replayed and checked against the input matrix.  The coset enumerator
+is a deterministic HLT-style procedure with a hard coset budget.
 """
 
 from __future__ import annotations
@@ -26,15 +26,23 @@ DEFAULT_COSET_BUDGET = 100_000
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, row-major."""
+    """Integer matrix as sparse rows (read-only): ``nonzero[i]`` is row i,
+    a ``{column: value}`` dict with no zeros; a missing entry reads 0.
+
+    >>> m = IntMatrix.from_rows([[2, 0, 0], [0, 0, -3]])
+    >>> m.nonzero, m[1, 2], m[1, 0]
+    (({0: 2}, {2: -3}), -3, 0)
+    """
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    nonzero: tuple[dict[int, int], ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
+        if len(self.nonzero) != self.rows:
+            raise ValueError("row count does not match shape")
+        if not all(v and 0 <= j < self.cols for row in self.nonzero for j, v in row.items()):
+            raise ValueError("a stored zero or a column out of range")
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -42,11 +50,10 @@ class IntMatrix:
         n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise ValueError("ragged rows")
-        return cls(len(rows), n, tuple([x for r in rows for x in r]))
+        return cls(len(rows), n, tuple([{j: v for j, v in enumerate(r) if v} for r in rows]))
 
     def __getitem__(self, idx):
-        i, j = idx
-        return self.entries[i * self.cols + j]
+        return self.nonzero[idx[0]].get(idx[1], 0)
 
 
 @dataclass(frozen=True)
@@ -113,19 +120,12 @@ def _apply(a: list[dict[int, int]], op):
         raise ValueError(f"unknown transform {kind!r}")
 
 
-def _sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
-    c = m.cols
-    return [{j: v for j, v in enumerate(m.entries[i * c:(i + 1) * c]) if v}
-            for i in range(m.rows)]
-
-
 def apply_transforms(m: IntMatrix, transforms) -> IntMatrix:
     """Replay recorded row/column operations on a matrix."""
-    a = _sparse_rows(m)
+    a = [dict(r) for r in m.nonzero]
     for op in transforms:
         _apply(a, op)
-    rows = [[row.get(j, 0) for j in range(m.cols)] for row in a]
-    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, m.cols, ())
+    return IntMatrix(m.rows, m.cols, tuple(a))
 
 
 def _place_lone(a: list[dict[int, int]], cols: int, ops: list) -> int:
@@ -195,13 +195,13 @@ def _diagonalize(a: list[dict[int, int]], cols: int) -> list[tuple]:
     The entries alone in their row and column are placed first
     (:func:`_place_lone`), so a matrix that is diagonal up to the order of
     its rows and columns, like the reduced relation matrix of a canonical
-    spine, takes no pivot step.  Then, pivot choice: the nonzero
-    entry of smallest absolute value in the remaining submatrix, ties
-    broken by (row, col).  The pivot clears its column, then its row, and
-    a remainder re-picks the pivot.  The pivot search and the moves read
-    only nonzero entries, plus one membership test per row for a column.
-    The diagonal reached is nonnegative but need not be a divisibility
-    chain.
+    spine, takes no pivot step.  Then, pivot choice: the nonzero entry of
+    smallest absolute value in the remaining submatrix, ties broken by
+    (row, col), so the order of the row dicts does not matter.  The pivot
+    clears its column, then its row, and a remainder re-picks the pivot.
+    The pivot search and the moves read only nonzero entries, plus one
+    membership test per row for a column.  The diagonal reached is
+    nonnegative but need not be a divisibility chain.
     """
     ops: list[tuple] = []
     t = _place_lone(a, cols, ops)
@@ -279,20 +279,17 @@ def smith_normal_form(m: IntMatrix):
     computation independently checkable.  It need not be the Smith form:
     :func:`_chain` of its nonzero entries gives the invariant factors.
     """
-    a = _sparse_rows(m)
+    a = [dict(r) for r in m.nonzero]
     ops = _diagonalize(a, m.cols)
     nonzero = [d for row in a for d in row.values()]
     return AbelianInvariants(m.cols - len(nonzero), _chain(nonzero)), tuple(ops)
 
 
 def _column_matrix(transforms, n: int) -> list[dict[int, int]]:
-    """Accumulate the column operations into the unimodular matrix V with
-    (input) @ V = (diagonal form), as sparse rows: one ``{column: value}``
-    dict per row.
-
-    No runtime path calls it: it is the tests' reference route for the
-    image of a word in H1, and the benchmark's replay layer traces it.
-    """
+    """The column operations accumulated into the unimodular matrix V
+    with (input) @ V = (diagonal form), as sparse rows.  No runtime path
+    calls it: it is the tests' reference route for the image of a word in
+    H1, and the benchmark's replay layer traces it."""
     v = [{i: 1} for i in range(n)]
     for op in transforms:
         if op[0] in ("swap_cols", "negate_col", "add_col"):
@@ -300,26 +297,24 @@ def _column_matrix(transforms, n: int) -> list[dict[int, int]]:
     return v
 
 
+def _exponents(word: Word, index: dict[str, int]) -> dict[int, int]:
+    """Exponent sums of ``word``, cancelled ones dropped, as a sparse row."""
+    row: dict[int, int] = {}
+    for n, e in word.syllables:
+        row[index[n]] = row.get(index[n], 0) + e
+    return {j: e for j, e in row.items() if e}
+
+
 def relation_matrix(pres: GroupPresentation) -> IntMatrix:
     """Exponent-sum matrix: one row per relator, one column per generator."""
-    names = pres.generator_names()
-    index = {n: j for j, n in enumerate(names)}
-    rows = []
-    for r in pres.relators:
-        row = [0] * len(names)
-        for n, e in r.syllables:
-            row[index[n]] += e
-        rows.append(row)
-    if not rows:
-        return IntMatrix(0, len(names), ())
-    return IntMatrix.from_rows(rows)
+    index = {n: j for j, n in enumerate(pres.generator_names())}
+    return IntMatrix(len(pres.relators), len(index),
+                     tuple([_exponents(r, index) for r in pres.relators]))
 
 
 def abelianization(group: GroupPresentation | OrderOracle) -> AbelianInvariants:
-    """First homology of the presented group, in invariant-factor form:
-    the Smith invariants of the order oracle's reduced presentation (the
-    generators the relators prove trivial deleted), which an oracle keeps.
-    A bare presentation gets an oracle of its own."""
+    """First homology of the presented group, in invariant-factor form: the
+    order oracle's ``invariants``.  A bare presentation gets an oracle."""
     if not isinstance(group, OrderOracle):
         group = OrderOracle(group)
     return group.invariants
@@ -583,19 +578,19 @@ def _power_relator_bound(index, image: Word) -> int | None:
 class OrderOracle:
     """Certificate state for element orders in one presentation.
 
-    One reduction (:func:`_power_index`) finds the generators the
-    relators prove trivial and the power bound of every other generator;
+    One reduction (:func:`_power_index`) finds the generators the relators
+    prove trivial and the power bound of every other generator;
     ``reduced`` is the presentation with the trivial generators deleted,
     and a word's image is the word with them deleted.  The reduction,
-    ``reduced`` and ``invariants`` (the Smith invariants of ``reduced``,
-    the H1 that :func:`abelianization` reads) are built on first need and
-    shared by every question.  The order of an image in H1 is read off
-    the Smith invariants Q of ``reduced`` with the image added as one more
-    relator, which present H1 / <image>: the image is infinite when Q has
-    a smaller free rank than H1, and otherwise its order is the quotient
-    of the torsion products.  Each question that needs a coset table
-    enumerates its own, under its own budget, and nothing else is kept.
-    Every verdict is certified:
+    ``reduced``, its relation matrix and ``invariants`` (the matrix's
+    Smith invariants, the H1 that :func:`abelianization` reads) are built
+    on first need and shared by every question.  The order of an image in
+    H1 is read off the Smith invariants Q of that matrix with the image
+    added as one more row, which present H1 / <image>: the image is
+    infinite when Q has a smaller free rank than H1, and otherwise its
+    order is the quotient of the torsion products.  Each question that
+    needs a coset table enumerates its own, under its own budget, and
+    nothing else is kept.  Every verdict is certified:
 
     1. Infinite when the abelianized image has infinite order;
     2. Finite when a power bound meets the abelianized lower bound
@@ -626,9 +621,13 @@ class OrderOracle:
         return _delete(self.pres, self._index[1])
 
     @cached_property
+    def _matrix(self) -> IntMatrix:
+        return relation_matrix(self.reduced)
+
+    @cached_property
     def invariants(self) -> AbelianInvariants:
         """H1, the Smith invariants of ``reduced``."""
-        return smith_normal_form(relation_matrix(self.reduced))[0]
+        return smith_normal_form(self._matrix)[0]
 
     def order(self, word: Word, budget: int = DEFAULT_COSET_BUDGET) -> OrderVerdict:
         bad = word.names() - self._names
@@ -638,8 +637,9 @@ class OrderOracle:
             return FiniteOrder(1, "empty word")
         image = _without(word, self._index[1])
         h1 = self.invariants
-        quotient, _ = smith_normal_form(relation_matrix(GroupPresentation(
-            self.reduced.generators, self.reduced.relators + (image,))))
+        m = self._matrix
+        row = _exponents(image, {n: j for j, n in enumerate(self.reduced.generator_names())})
+        quotient, _ = smith_normal_form(IntMatrix(m.rows + 1, m.cols, m.nonzero + (row,)))
         if quotient.free_rank < h1.free_rank:
             return InfiniteOrder(f"abelianized image is infinite: killing it drops the "
                                  f"free rank of H1 from {h1.free_rank} to {quotient.free_rank}")

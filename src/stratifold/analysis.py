@@ -279,18 +279,18 @@ def _quotient_h1(graph: StratifoldGraph, dead_blacks,
     col = {b.id: j for j, b in enumerate(b for b in graph.blacks
                                          if b.id not in dead_blacks)}
     twos = [w for w in graph.whites if w.genus < 0 and w.id not in holes]
-    ncols = len(col) + len(twos)
-    row = {w.id: i for i, w in enumerate(graph.whites)}
-    entries = [0] * (len(row) * ncols)
+    rows: dict[str, dict[int, int]] = {w.id: {} for w in graph.whites}
     for e in graph.edges:
         if e.black in col:
-            entries[row[e.white] * ncols + col[e.black]] += labels[e.id]
+            row, j = rows[e.white], col[e.black]
+            row[j] = row.get(j, 0) + labels[e.id]
     for j, w in enumerate(twos, len(col)):
-        entries[row[w.id] * ncols + j] = 2
+        rows[w.id][j] = 2
     free = (len(graph.edges) - len(tree)
             + sum(2 * w.genus for w in graph.whites if w.genus > 0)
             + sum(-w.genus - 1 for w in twos))
-    inv, _ = smith_normal_form(IntMatrix(len(row), ncols, tuple(entries)))
+    inv, _ = smith_normal_form(IntMatrix(len(rows), len(col) + len(twos), tuple(
+        [{j: v for j, v in r.items() if v} for r in rows.values()])))
     return AbelianInvariants(free + inv.free_rank, inv.torsion)
 
 

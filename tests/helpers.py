@@ -244,9 +244,10 @@ def random_sparse_matrix(rng, max_dim=6, max_entry=9):
     rows and columns, negative entries and a random share of zeros."""
     rows, cols = rng.randint(0, max_dim), rng.randint(0, max_dim)
     fill = rng.random()
-    return IntMatrix(rows, cols, tuple(
-        [rng.randint(-max_entry, max_entry) if rng.random() < fill else 0
-         for _ in range(rows * cols)]))
+    dense = [[rng.randint(-max_entry, max_entry) if rng.random() < fill else 0
+              for _ in range(cols)] for _ in range(rows)]
+    return IntMatrix(rows, cols, tuple({j: v for j, v in enumerate(r) if v}
+                                       for r in dense))
 
 
 def apply_dense(a, op):

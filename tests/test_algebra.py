@@ -20,7 +20,7 @@ from stratifold import (AbelianInvariants, CosetTable, Exhausted, FiniteOrder,
                         normalize, relation_matrix, s2xs1_spine,
                         simplify, smith_normal_form, todd_coxeter)
 from stratifold.algebra import (_chain, _place_lone, _power_index,
-                                _power_relator_bound, _sparse_rows)
+                                _power_relator_bound)
 
 
 def pres(gens, rels):
@@ -36,19 +36,36 @@ KLEIN = pres([("a", "black"), ("b", "black")],
 
 class TestIntMatrix:
     def test_from_rows_and_indexing(self):
-        m = IntMatrix.from_rows([[1, 2], [3, 4]])
+        m = IntMatrix.from_rows([[1, 2], [3, 0]])
         assert (m.rows, m.cols) == (2, 2)
         assert m[0, 1] == 2
         assert m[1, 0] == 3
-        assert m.entries == (1, 2, 3, 4)
+        assert m[1, 1] == 0
+        assert m.nonzero == ({0: 1, 1: 2}, {0: 3})
+
+    def test_from_rows_equals_the_sparse_rows(self):
+        assert IntMatrix.from_rows([[0, -5, 0], [0, 0, 0]]) == IntMatrix(2, 3, ({1: -5}, {}))
+        assert IntMatrix.from_rows([]) == IntMatrix(0, 0, ())
+        assert IntMatrix(1, 2, ({1: 4, 0: 3},)) == IntMatrix(1, 2, ({0: 3, 1: 4},))
+        assert IntMatrix(1, 2, ({1: 4},)) != IntMatrix(1, 3, ({1: 4},))
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
 
     def test_entry_count_checked(self):
+        # the row count must match the shape
+        for nonzero in (({0: 1},), ({0: 1}, {}, {})):
+            with pytest.raises(ValueError, match="row count"):
+                IntMatrix(2, 2, nonzero)
+
+    def test_stored_zeros_and_columns_out_of_range_rejected(self):
+        for nonzero in (({0: 1}, {1: 0}), ({2: 1}, {}), ({-1: 1}, {})):
+            with pytest.raises(ValueError):
+                IntMatrix(2, 2, nonzero)
         with pytest.raises(ValueError):
-            IntMatrix(2, 2, (1, 2, 3))
+            IntMatrix(1, 0, ({0: 1},))
+        assert IntMatrix(2, 0, ({}, {})).nonzero == ({}, {})
 
 
 class TestSmithNormalForm:
@@ -161,7 +178,7 @@ class TestLoneEntries:
         assert {op[0] for op in ops} <= {"swap_rows", "swap_cols", "negate_row"}
 
     def test_empty_rows_and_columns(self):
-        for m in (IntMatrix(0, 3, ()), IntMatrix(2, 0, ()), diagonal([0, 0], cols=3)):
+        for m in (IntMatrix(0, 3, ()), IntMatrix(2, 0, ({}, {})), diagonal([0, 0], cols=3)):
             checked_snf(m)
         inv, _ = checked_snf(IntMatrix.from_rows([[0, 0, 0, 0], [0, -3, 0, 0],
                                                   [0, 0, 0, 0], [4, 0, 0, 0]]))
@@ -184,7 +201,7 @@ class TestLoneEntries:
         for _ in range(3000):
             m = random_sparse_matrix(rng)
             checked_snf(m)
-            placed += _place_lone(_sparse_rows(m), m.cols, []) > 0
+            placed += _place_lone([dict(r) for r in m.nonzero], m.cols, []) > 0
         assert placed > 500
 
 
@@ -219,6 +236,15 @@ class TestAbelianization:
         p = pres([("a", "black"), ("b", "black")],
                  [[("a", 1), ("b", 1), ("a", -1), ("b", -1)], [("a", 2), ("b", 3)]])
         assert relation_matrix(p) == IntMatrix.from_rows([[0, 0], [2, 3]])
+        # the commutator's exponents cancel, so its row stores nothing
+        assert relation_matrix(p).nonzero == ({}, {0: 2, 1: 3})
+
+    def test_relation_matrix_drops_cancelled_exponents(self):
+        p = pres([("a", "black"), ("b", "black"), ("c", "black")],
+                 [[("a", 2), ("b", 1), ("a", -2), ("c", -1)], [("b", 1), ("b", -1)]])
+        m = relation_matrix(p)
+        assert (m.rows, m.cols, m.nonzero) == (2, 3, ({1: 1, 2: -1}, {}))
+        assert abelianization(p) == AbelianInvariants(2, ())
 
     def test_torus_graph(self):
         from stratifold import StratifoldGraph, WhiteVertex

@@ -194,6 +194,23 @@ class TestSharing:
         # needs none
         assert calls == {"_power_index": 1, "smith_normal_form": 2}
 
+    def test_one_oracle_reads_the_reduced_relators_once(self, monkeypatch):
+        # a question adds its image to the kept relation matrix of
+        # ``reduced`` as one more row, so the relators are read once
+        read = []
+        real = stratifold.algebra.relation_matrix
+        monkeypatch.setattr(stratifold.algebra, "relation_matrix",
+                            lambda pres: read.append(pres) or real(pres))
+        g = synth(parse_expr("L(3) # S2xS1 # P2xS1 # S2~xS1 # L(3) # S2xS1"))
+        oracle = OrderOracle(natural_presentation(g))
+        verdicts = {b.id: oracle.order(Word(((f"b.{b.id}", 1),)), 100) for b in g.blacks}
+        assert read == [oracle.reduced]
+        census = black_orders(g)
+        decided = {b: v for b, v in verdicts.items() if not isinstance(v, UnknownOrder)}
+        assert decided and len(verdicts) == len(g.blacks)
+        assert {b: getattr(v, "order", 0) for b, v in decided.items()} == \
+            {b: getattr(census[b], "order", 0) for b in decided}
+
     def test_h1_builds_no_column_matrix(self, monkeypatch):
         # h1 reads the Smith invariants alone, and OrderOracle.order reads
         # an image's order off the Smith invariants of a quotient: the

@@ -47,7 +47,7 @@ from helpers import (SPINE_KINDS, SearchSpent, apply_dense,
                      prime_power_chain, random_sparse_matrix,
                      random_unimodular_ops, random_valid_graph,
                      reference_invariants, symmetric_image)
-from stratifold import (GENERATOR_ROLES, BlackVertex,
+from stratifold import (GENERATOR_ROLES, AbelianInvariants, BlackVertex,
                         CosetTable, Edge, Exhausted, FiniteOrder, FSignature,
                         Generator, GroupPresentation, InfiniteOrder, IntMatrix,
                         ManifoldExpr, Obstruction, OrderOracle, ParseError,
@@ -641,13 +641,30 @@ def test_graph_quotient_h1_matches_the_presentation():
         killed = {f"b.{b}" for b in dead} | {f"y.{w}.1" for w in holes}
         pres = natural_presentation(g)
         m = relation_matrix(pres)
-        keep = [j for j, n in enumerate(pres.generator_names()) if n not in killed]
-        rest = IntMatrix(m.rows, len(keep),
-                         tuple(m[i, j] for i in range(m.rows) for j in keep))
+        keep = {j: k for k, j in enumerate(
+            j for j, n in enumerate(pres.generator_names()) if n not in killed)}
+        rest = IntMatrix(m.rows, len(keep), tuple(
+            {keep[j]: v for j, v in row.items() if j in keep} for row in m.nonzero))
         assert _quotient_h1(g, dead, holes) == reference_invariants(rest)
         killed_some += bool(killed)
         holes_some += bool(holes)
     assert killed_some > 300 and holes_some > 100
+
+
+def test_graph_quotient_h1_drops_labels_that_cancel(monkeypatch):
+    # w meets b by labels 2 and -2, which cancel, so w's row of M stores
+    # nothing (IntMatrix rejects a stored 0)
+    g = StratifoldGraph(
+        [WhiteVertex("w", 0), WhiteVertex("v", -1)], [BlackVertex("b")],
+        [Edge("e1", "w", "b", 2), Edge("e2", "w", "b", -2), Edge("e3", "v", "b", 3)])
+    seen = []
+    real = stratifold.analysis.smith_normal_form
+    monkeypatch.setattr(stratifold.analysis, "smith_normal_form",
+                        lambda m: seen.append(m) or real(m))
+    h1 = _quotient_h1(g, frozenset(), frozenset())
+    assert [m.nonzero for m in seen] == [({0: 3, 1: 2}, {})]  # rows v, w
+    assert h1 == reference_invariants(relation_matrix(natural_presentation(g)))
+    assert h1 == AbelianInvariants(2, ())
 
 
 def test_census_from_the_graph_matches_the_presentation_oracle():
