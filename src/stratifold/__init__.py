@@ -26,11 +26,10 @@ from .presentation import (GENERATOR_ROLES, FSignature, Generator,
                            GroupPresentation, SimplifyResult, Word,
                            fgroup_graph, fgroup_presentation,
                            natural_presentation, rewrite_through, simplify)
-from .spine import (NOT_CANONICAL, SUMMAND_KINDS, ManifoldExpr, Summand,
-                    attachment_white, delta_sum, lens_spine, p2xs1_spine,
-                    recognize, s2xs1_spine, s2xs1_twisted_spine, synth)
-from .verdicts import (FiniteOrder, InfiniteOrder, OrderVerdict, Sentinel,
-                       UnknownOrder)
+from .spine import (SUMMAND_KINDS, ManifoldExpr, Summand, attachment_white,
+                    delta_sum, lens_spine, p2xs1_spine, recognize, s2xs1_spine,
+                    s2xs1_twisted_spine, synth)
+from .verdicts import FiniteOrder, InfiniteOrder, OrderVerdict, UnknownOrder
 
 __version__ = "0.1.0"
 
@@ -39,9 +38,9 @@ __all__ = [
     "DomainError", "Edge", "Exhausted", "FCLASS_KINDS", "FClass",
     "FSignature", "FiniteOrder", "GENERATOR_ROLES", "Generator", "GraphError",
     "GroupPresentation", "InfiniteOrder", "IntMatrix",
-    "ManifoldExpr", "NOT_CANONICAL", "NoSpineError", "Obstruction",
+    "ManifoldExpr", "NoSpineError", "Obstruction",
     "OrderOracle", "OrderVerdict", "ParseError", "QComponent",
-    "QResult", "SUMMAND_KINDS", "Sentinel", "SimplifyResult",
+    "QResult", "SUMMAND_KINDS", "SimplifyResult",
     "StratifoldError", "StratifoldGraph", "Summand", "UnknownOrder",
     "Violation", "WhiteVertex", "Word", "abelianization", "apply_transforms",
     "are_isomorphic", "attachment_white", "black_orders", "classify_fgroup",

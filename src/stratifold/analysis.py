@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .algebra import AbelianInvariants, IntMatrix, OrderOracle, smith_normal_form
 from .graph import StratifoldGraph, _tree_labels, are_isomorphic, components
@@ -103,10 +104,20 @@ _EMBEDDED = InfiniteOrder("the folded graph of groups has injective edge maps,"
                           " so every vertex group embeds")
 
 
+class _Folded(NamedTuple):
+    """The fold of one graph: each black's verdict, as :func:`black_orders`
+    gives it, and what the Q-surgery deletes, the blacks of finite order
+    and the white holes, as frozensets of ids."""
+
+    orders: dict[str, OrderVerdict]
+    dead_blacks: frozenset[str]
+    holes: frozenset[str]
+
+
 @lru_cache(maxsize=1)
-def _fold(graph: StratifoldGraph) -> dict[str, OrderVerdict]:
-    """The census of :func:`black_orders`, kept for the latest graph; the
-    caller must not change the returned dict."""
+def _fold(graph: StratifoldGraph) -> _Folded:
+    """The census of :func:`black_orders` with the surgery's deletions,
+    kept for the latest graph; the caller must not change ``orders``."""
     _, labels = _tree_labels(graph)
     n = dict.fromkeys([b.id for b in graph.blacks], 0)
     steps: dict[str, list[str]] = {}
@@ -145,8 +156,17 @@ def _fold(graph: StratifoldGraph) -> dict[str, OrderVerdict]:
                 if w not in queued and graph.white(w).genus == 0:
                     queued.add(w)
                     work.append(w)
-    return {b: FiniteOrder(k, ", then ".join(steps[b])) if k else _EMBEDDED
-            for b, k in n.items()}
+    # a hole: a genus -1 white whose blacks are all finite, at most one of
+    # order > 1
+    holes = []
+    for w in graph.whites:
+        if w.genus == -1:
+            ks = [n[b] for b in {graph.edge(eid).black for eid in graph.edges_at_white(w.id)}]
+            if all(ks) and sum(k > 1 for k in ks) <= 1:
+                holes.append(w.id)
+    # the blacks with steps are those whose n_b left 0: the finite ones
+    return _Folded({b: FiniteOrder(k, ", then ".join(steps[b])) if k else _EMBEDDED
+                    for b, k in n.items()}, frozenset(steps), frozenset(holes))
 
 
 def black_orders(graph: StratifoldGraph) -> dict[str, OrderVerdict]:
@@ -193,35 +213,19 @@ def black_orders(graph: StratifoldGraph) -> dict[str, OrderVerdict]:
     The worklist starts from the whites with one boundary circle while
     every n_b is 0, and takes a genus-0 white again only when an n_b next
     to it drops.  A finite verdict's witness lists the steps that lowered
-    its n_b.  The census of the latest graph is kept, so ``obstructions``
-    after ``black_orders`` on an equal graph folds it once; each call
-    returns a census of its own.
+    its n_b.  The fold of the latest graph is kept, with the blacks and
+    white holes the Q-surgery deletes, so ``obstructions`` after
+    ``black_orders`` on an equal graph folds it once; each call returns a
+    census of its own.
     """
-    return dict(_fold(graph))
+    return dict(_fold(graph).orders)
 
 
-def white_holes(graph: StratifoldGraph,
-                orders: dict[str, OrderVerdict]) -> frozenset[str]:
+def white_holes(graph: StratifoldGraph) -> frozenset[str]:
     """White vertices of genus -1 all of whose black neighbors have finite
-    order, at most one of order > 1 (order 1 counts as finite).
-
-    ``orders`` holds a decided verdict for every black next to a white of
-    genus -1, as :func:`black_orders` gives; a missing or undecided one
-    raises ValueError rather than guess.
-    """
-    holes = set()
-    for w in graph.whites:
-        if w.genus != -1:
-            continue
-        verdicts = []
-        for b in {graph.edge(eid).black for eid in graph.edges_at_white(w.id)}:
-            if not isinstance(orders.get(b), (FiniteOrder, InfiniteOrder)):
-                raise ValueError(f"no decided order verdict for black vertex {b}")
-            verdicts.append(orders[b])
-        if (all(isinstance(v, FiniteOrder) for v in verdicts)
-                and sum(v.order > 1 for v in verdicts) <= 1):
-            holes.add(w.id)
-    return frozenset(holes)
+    order, at most one of order > 1 (order 1 counts as finite), by the
+    census of :func:`black_orders`; found in the same fold."""
+    return _fold(graph).holes
 
 
 @dataclass(frozen=True)
@@ -294,41 +298,32 @@ def _quotient_h1(graph: StratifoldGraph, dead_blacks,
     return AbelianInvariants(free + inv.free_rank, inv.torsion)
 
 
-def _surgery(graph: StratifoldGraph):
-    """What the Q-surgery deletes and the quotient's H1: ``(dead_blacks,
-    holes, abelianization)``, the blacks of finite order and the white
-    holes as frozensets of ids, on the census of :func:`black_orders`."""
-    orders = _fold(graph)
-    dead_blacks = frozenset(b for b, v in orders.items() if isinstance(v, FiniteOrder))
-    holes = white_holes(graph, orders)
-    return dead_blacks, holes, _quotient_h1(graph, dead_blacks, holes)
-
-
 def q_graph(graph: StratifoldGraph) -> QResult:
     """Delete the open stars of finite-order black vertices and the white
     holes; split what survives into components.
 
-    The orders are the census :func:`black_orders` returns for this graph.
-    Surviving singleton white vertices are closed surfaces (all their
-    boundaries are capped).  A surgery that deletes nothing hands on the
-    graph itself as its one piece: the graph is connected, or
-    :func:`_tree_labels` raised.  The result's presentation is the graph
-    presentation plus one relator per killed generator (see
+    The deleted blacks and the holes are those the kept fold of the
+    graph found with its census (see :func:`black_orders` and
+    :func:`white_holes`).  Surviving singleton white vertices are closed
+    surfaces (all their boundaries are capped).  A surgery that deletes
+    nothing hands on the graph itself as its one piece: the graph is
+    connected, or :func:`_tree_labels` raised.  The result's presentation
+    is the graph presentation plus one relator per killed generator (see
     :func:`killed_words`): it presents the quotient of the fundamental
     group by the subgroup generated by all torsion.  Its H1 is read from
     the graph, not from that presentation (see :func:`_quotient_h1`);
-    :func:`obstructions` reads the same H1 and closed surfaces without
-    building the pieces.
+    :func:`obstructions` reads the same fold, H1 and closed surfaces
+    without building the pieces.
     """
-    dead_blacks, hole_set, ab = _surgery(graph)
-    deleted, holes = tuple(sorted(dead_blacks)), tuple(sorted(hole_set))
+    fold = _fold(graph)
+    deleted, holes = tuple(sorted(fold.dead_blacks)), tuple(sorted(fold.holes))
     # the capped edges of each white, found in one pass over the edges
     capped_at: dict[str, list[str]] = {}
     for e in graph.edges:
-        if e.black in dead_blacks:
+        if e.black in fold.dead_blacks:
             capped_at.setdefault(e.white, []).append(e.id)
     pieces = []
-    for sub in (components(graph, holes, dead_blacks) if deleted or holes
+    for sub in (components(graph, holes, fold.dead_blacks) if deleted or holes
                 else [graph]):
         capped = tuple(sorted(eid for w in sub.whites
                               for eid in capped_at.get(w.id, ())))
@@ -339,7 +334,7 @@ def q_graph(graph: StratifoldGraph) -> QResult:
     return QResult(deleted, holes, tuple(pieces),
                    GroupPresentation(base.generators,
                                      base.relators + killed_words(graph, deleted, holes)),
-                   ab)
+                   _quotient_h1(graph, fold.dead_blacks, fold.holes))
 
 
 def fgroup_signature_of(graph: StratifoldGraph) -> FSignature | None:
@@ -387,12 +382,13 @@ def obstructions(graph: StratifoldGraph) -> tuple[Obstruction, ...]:
     F-group family whose group is infinite with cone points violates
     "cyclic or a surface group".
 
-    The suite reads the surgery of :func:`q_graph` off the census of
-    :func:`black_orders`, and builds no presentation, no order oracle and
-    no piece graph: the quotient's H1 comes from the graph's matrix (see
-    :func:`_quotient_h1`), so a genus enters only as a number.  The
-    closed surfaces that survive are the whites that are not holes and
-    whose every edge ends at a deleted black.  For whites meet only
+    The suite reads the surgery of :func:`q_graph` off the kept fold of
+    the graph, which holds the census of :func:`black_orders`, the
+    deleted blacks and the holes, and builds no presentation, no order
+    oracle and no piece graph: the quotient's H1 comes from the graph's
+    matrix (see :func:`_quotient_h1`), so a genus enters only as a
+    number.  The closed surfaces that survive are the whites that are not
+    holes and whose every edge ends at a deleted black.  For whites meet only
     through blacks, so a piece of the surgered graph with no black is one
     white, and its boundary circles are all capped exactly when every
     edge at it ends at a deleted black; a white with an edge to a
@@ -412,14 +408,15 @@ def obstructions(graph: StratifoldGraph) -> tuple[Obstruction, ...]:
                 " is infinite and not a surface group"))
 
     found = []
-    dead_blacks, holes, ab = _surgery(graph)
+    fold = _fold(graph)
+    ab = _quotient_h1(graph, fold.dead_blacks, fold.holes)
     if ab.torsion:
         found.append(Obstruction(
             "QTorsion",
             f"abelianization of the torsion quotient has torsion {ab.torsion}"))
     # the whites that keep an edge share a piece with a surviving black
-    kept = {e.white for e in graph.edges if e.black not in dead_blacks}
-    closed = [w for w in graph.whites if w.id not in kept and w.id not in holes]
+    kept = {e.white for e in graph.edges if e.black not in fold.dead_blacks}
+    closed = [w for w in graph.whites if w.id not in kept and w.id not in fold.holes]
     for w in closed:
         if w.genus == -1:
             found.append(Obstruction(

@@ -32,7 +32,7 @@ from .formats import format_word, parse_expr, parse_graph, parse_presentation
 from .formats import serialize_graph
 from .graph import StratifoldGraph, Violation, euler_characteristic, validate
 from .presentation import simplify  # noqa: F401  (bench/test_bench.py checks it is traced here)
-from .spine import NOT_CANONICAL, delta_sum, recognize, synth
+from .spine import delta_sum, recognize, synth
 from .verdicts import FiniteOrder
 
 SCHEMA_VERSION = "1"
@@ -184,12 +184,11 @@ def _cmd_euler(args, graph, report):
 
 
 def _cmd_order(args, graph, report):
-    """Run the order census and report it as the payload; returns the orders."""
+    """Run the order census and report it as the payload."""
     orders = black_orders(graph)
     report["payload"] = {
         "orders": {bid: _verdict_json(v) for bid, v in sorted(orders.items())},
     }
-    return orders
 
 
 def _cmd_fclass(args, graph, report):
@@ -211,8 +210,8 @@ def _cmd_fclass(args, graph, report):
 
 
 def _cmd_holes(args, graph, report):
-    holes = white_holes(graph, _cmd_order(args, graph, report))
-    report["payload"]["white_holes"] = sorted(holes)
+    _cmd_order(args, graph, report)
+    report["payload"]["white_holes"] = sorted(white_holes(graph))
 
 
 def _cmd_q(args, graph, report):
@@ -249,7 +248,7 @@ def _cmd_synth(args, inputs, report):
 
 def _cmd_recognize(args, graph, report):
     result = recognize(graph)
-    if result is NOT_CANONICAL:
+    if result is None:
         report["payload"] = {"canonical": False, "expr": None}
     else:
         report["payload"] = {"canonical": True, "expr": str(result)}

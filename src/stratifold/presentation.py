@@ -19,12 +19,18 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import GraphError
+from .errors import DomainError, GraphError
 from .graph import StratifoldGraph, WhiteVertex, BlackVertex, Edge, _tree_labels
 
 GENERATOR_ROLES = ("black", "boundary", "surface", "stable", "period")
 
 DEFAULT_SIMPLIFY_BUDGET = 10_000
+
+# the most surface loops natural_presentation writes, 2g for each
+# orientable white of genus g and |g| for each nonorientable one; each loop
+# is a generator and a syllable or two of its white's relator, so a genus
+# past this cap ends in DomainError instead of in exhausted memory
+MAX_SURFACE_LOOPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -182,8 +188,14 @@ def natural_presentation(graph: StratifoldGraph) -> GroupPresentation:
 
     The graph is presented as given: the labels m are those that
     :func:`stratifold.graph.normalize` gives, read off the tree's own walk.
-    Requires a connected graph with no label 0 on a tree edge.
+    Requires a connected graph with no label 0 on a tree edge, and at most
+    :data:`MAX_SURFACE_LOOPS` surface loops in all, checked before any
+    word is built; more raise DomainError.
     """
+    loops = sum(2 * w.genus if w.genus >= 0 else -w.genus for w in graph.whites)
+    if loops > MAX_SURFACE_LOOPS:
+        raise DomainError(f"the surfaces have {loops} loops, more than the"
+                          f" {MAX_SURFACE_LOOPS} a presentation may write")
     tree, labels = _tree_labels(graph)
     for eid in sorted(tree):
         if not labels[eid]:

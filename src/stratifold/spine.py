@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .errors import DomainError, NoSpineError
 from .graph import (_BLACK, _WHITE, BlackVertex, Edge, StratifoldGraph,
                     WhiteVertex, _bfs, is_disk)
-from .verdicts import Sentinel
 
 SUMMAND_KINDS = ("lens", "p2xs1", "s2xs1", "s2~xs1", "s3")
 
@@ -61,10 +60,6 @@ class ManifoldExpr:
 
     def __str__(self):
         return " # ".join(str(s) for s in self.summands)
-
-
-# the graph is not in the synth image as far as the recognizer can tell
-NOT_CANONICAL = Sentinel("NOT_CANONICAL")
 
 
 def lens_spine(q: int) -> StratifoldGraph:
@@ -268,7 +263,7 @@ def _summand(key: tuple) -> Summand | None:
     return _PIECE_SUMMANDS.get(key)
 
 
-def recognize(graph: StratifoldGraph) -> ManifoldExpr | Sentinel:
+def recognize(graph: StratifoldGraph) -> ManifoldExpr | None:
     """Invert synth on its image, in one linear pass.
 
     Removes every delta-sum junction (black vertex, its three edges, and
@@ -279,8 +274,9 @@ def recognize(graph: StratifoldGraph) -> ManifoldExpr | Sentinel:
     orientable white's labels counted up to negating them all and a
     nonorientable white's up to sign.  L(q >= 3) is read off its one
     label; the other primitives and L(2) are in a table.  Any unmatched
-    piece, or a graph with no pieces, yields NOT_CANONICAL; the verdict
-    is about this recognizer's image, not a homeomorphism claim.
+    piece, or a graph with no pieces, yields None: the graph is not in the
+    synth image as far as this recognizer can tell, which is no
+    homeomorphism claim.
 
     On a piece with at most one black, equal keys mean exactly
     move-class isomorphism (:func:`are_isomorphic`).  With no black the
@@ -306,9 +302,9 @@ def recognize(graph: StratifoldGraph) -> ManifoldExpr | Sentinel:
         whites = [vid for kind, vid in piece if kind == _WHITE]
         blacks = len(piece) - len(whites)
         if blacks > 1 or len(whites) > 2:
-            return NOT_CANONICAL
+            return None
         summand = _summand(_piece_key(graph, whites, blacks, dead))
         if summand is None:
-            return NOT_CANONICAL
+            return None
         summands.append(summand)
-    return ManifoldExpr(summands) if summands else NOT_CANONICAL
+    return ManifoldExpr(summands) if summands else None

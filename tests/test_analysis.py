@@ -267,38 +267,34 @@ class TestWhiteHoles:
     def test_single_large_neighbor(self):
         for m in (2, 3, 4, 5):
             g = fgroup_graph(FSignature(-1, (m,)))
-            assert white_holes(g, black_orders(g)) == frozenset({"w0"})
+            assert white_holes(g) == frozenset({"w0"})
 
     def test_two_large_neighbors_block(self):
         g = fgroup_graph(FSignature(-1, (2, 2)))
-        assert white_holes(g, black_orders(g)) == frozenset()
+        assert white_holes(g) == frozenset()
 
     def test_lone_projective_plane(self):
         g = closed_surface(-1)
-        assert white_holes(g, {}) == frozenset({"w"})
+        assert white_holes(g) == frozenset({"w"})
 
     def test_orientable_whites_never_holes(self):
         g = lens_spine(5)
-        assert white_holes(g, black_orders(g)) == frozenset()
+        assert white_holes(g) == frozenset()
 
     def test_infinite_neighbor_blocks(self):
         g = StratifoldGraph([WhiteVertex("w", -1)], [BlackVertex("b")],
                             [Edge("e", "w", "b", 3)])
-        assert white_holes(g, black_orders(g)) == frozenset()
+        assert white_holes(g) == frozenset()
 
     def test_unknown_neighbor_abstains(self):
         # b^2 = 1 from the disk d, but H1 is infinite and b is trivial in
-        # it, so the oracle abstains on the presentation; white_holes does
-        # not guess from that verdict, and the fold decides order 2, so
-        # the projective plane m is a hole
+        # it, so the oracle abstains on the presentation; the fold decides
+        # order 2, so the projective plane m is a hole
         a = abstaining_graph()
         g = StratifoldGraph(a.whites + (WhiteVertex("m", -1),), a.blacks,
                             a.edges + (Edge("e5", "m", "b", 1),))
-        with pytest.raises(ValueError):
-            white_holes(g, {"b": UnknownOrder(100)})
-        orders = black_orders(g)
-        assert orders["b"].order == 2
-        assert white_holes(g, orders) == frozenset({"m"})
+        assert black_orders(g)["b"].order == 2
+        assert white_holes(g) == frozenset({"m"})
 
     def test_no_disk_neighbor_is_infinite(self):
         # without a disk white every vertex group embeds, so b has
@@ -311,18 +307,7 @@ class TestWhiteHoles:
         assert orders["b"] == InfiniteOrder(
             "the folded graph of groups has injective edge maps,"
             " so every vertex group embeds")
-        assert white_holes(g, orders) == frozenset()
-
-    def test_unknown_elsewhere_still_definite(self):
-        # the genus-1 white is not a hole candidate, so an unknown verdict
-        # there must not poison a definite answer
-        g = theta_graph()
-        assert white_holes(g, {"b": UnknownOrder(100)}) == frozenset()
-
-    def test_missing_verdict_is_an_error(self):
-        g = fgroup_graph(FSignature(-1, (2,)))
-        with pytest.raises(ValueError):
-            white_holes(g, {})
+        assert white_holes(g) == frozenset()
 
 
 class TestQGraph:
@@ -581,3 +566,29 @@ def test_order_and_obstruct_on_a_huge_genus_build_no_presentation():
     assert [(code, kinds) for _, _, code, _, kinds in runs] == [
         (0, []), (3, ["NonFreeSurfaceComponent"]),
         (0, []), (3, ["NonFreeSurfaceComponent", "QTorsion"])]
+
+
+def test_pi1_h1_and_q_refuse_a_genus_over_the_cap():
+    # a child process per command, its address space capped at 1 GB:
+    # genus 10^6 needs 2 * 10^6 surface loops, over MAX_SURFACE_LOOPS, so
+    # each command refuses before it builds a word
+    code = """if True:
+        import resource, sys, time
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from stratifold.cli import main
+        start = time.perf_counter()
+        code = main([sys.argv[1]])
+        print(time.perf_counter() - start, file=sys.stderr)
+        sys.exit(code)
+        """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stratifold.__file__)))
+    for command in ("pi1", "h1", "q"):
+        done = subprocess.run([sys.executable, "-c", code, command],
+                              input="white w genus 1000000\n", capture_output=True,
+                              text=True, timeout=20, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 1, (command, done.stderr)
+        assert "Traceback" not in done.stdout + done.stderr
+        assert done.stdout == ("violation DomainError: the surfaces have 2000000"
+                               " loops, more than the 1000000 a presentation may"
+                               " write\n")
+        assert float(done.stderr) < 1, command

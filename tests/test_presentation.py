@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+import stratifold.presentation
 from helpers import boundary_presentation, random_valid_graph, word_order
-from stratifold import (BlackVertex, Edge, FiniteOrder,
+from stratifold import (BlackVertex, DomainError, Edge, FiniteOrder,
                         FSignature, Generator, GraphError, GroupPresentation,
                         InfiniteOrder, StratifoldGraph, UnknownOrder,
                         WhiteVertex, Word,
@@ -140,6 +141,22 @@ class TestNaturalPresentation:
                             [Edge("e", "w", "b", 0)])
         with pytest.raises(GraphError, match="tree edge e has label 0"):
             natural_presentation(g)
+
+    def test_surface_loops_over_the_cap_raise(self, monkeypatch):
+        # the cap counts 2g loops per orientable white and |g| per
+        # nonorientable one, over all whites, and a total equal to it passes
+        monkeypatch.setattr(stratifold.presentation, "MAX_SURFACE_LOOPS", 5)
+        for genera, loops in (((2, -1), 5), ((0, -5), 5), ((2,), 4),
+                              ((3,), 6), ((-2, -4), 6), ((1, 1, -1), 5)):
+            g = StratifoldGraph(
+                [WhiteVertex(f"w{i}", genus) for i, genus in enumerate(genera)],
+                [BlackVertex("b")],
+                [Edge(f"e{i}", f"w{i}", "b", 1) for i in range(len(genera))])
+            if loops <= 5:
+                assert len(natural_presentation(g).generators) == 1 + loops
+            else:
+                with pytest.raises(DomainError, match=f"have {loops} loops"):
+                    natural_presentation(g)
 
     def test_any_orientation_presents_as_normalized(self):
         # signed labels and nonorientable whites: the presentation reads

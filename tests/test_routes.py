@@ -57,7 +57,8 @@ from stratifold import (GENERATOR_ROLES, AbelianInvariants, BlackVertex,
                         fgroup_presentation, natural_presentation, normalize,
                         obstructions, parse_expr, parse_graph, q_graph,
                         relation_matrix, rewrite_through, simplify,
-                        smith_normal_form, synth, todd_coxeter, validate)
+                        smith_normal_form, synth, todd_coxeter, validate,
+                        white_holes)
 from stratifold.algebra import (_chain, _column_matrix, _power_index,
                                 _power_relator_bound)
 from stratifold.analysis import _quotient_h1
@@ -893,6 +894,20 @@ def test_obstructions_match_the_q_route():
         got, q = obstructions(g), q_graph(g)
         structural = [o for o in got if o.kind == "InfiniteNonSurfaceFGroup"]
         assert list(got) == q_route_obstructions(q) + structural, g
+        # the deletions the fold finds are those the verdicts give: the
+        # finite blacks, and the genus -1 whites whose blacks are all
+        # finite, at most one of order > 1
+        orders = black_orders(g)
+        finite = {b: v.order for b, v in orders.items() if isinstance(v, FiniteOrder)}
+        holes = []
+        for w in g.whites:
+            near = {g.edge(eid).black for eid in g.edges_at_white(w.id)}
+            if (w.genus == -1 and near <= finite.keys()
+                    and sum(finite[b] > 1 for b in near) <= 1):
+                holes.append(w.id)
+        assert white_holes(g) == frozenset(holes), g
+        assert q.white_holes == tuple(sorted(holes)), g
+        assert q.deleted_blacks == tuple(sorted(finite)), g
         capped_surfaces += sum(c.closed_surface_genus is not None and bool(c.capped)
                                for c in q.components)
         rejected += any(o.kind != "InfiniteNonSurfaceFGroup" for o in got)

@@ -6,9 +6,9 @@ import pytest
 
 from helpers import (PRIMITIVE_SUMMANDS, SPINE_KINDS, disguised,
                      random_expr_summands, relabeled, word_order)
-from stratifold import (NOT_CANONICAL, BlackVertex, DomainError,
-                        Edge, FiniteOrder, GraphError, ManifoldExpr,
-                        NoSpineError, Sentinel, StratifoldGraph, Summand,
+from stratifold import (BlackVertex, DomainError, Edge, FiniteOrder,
+                        GraphError, ManifoldExpr, NoSpineError,
+                        StratifoldGraph, Summand,
                         WhiteVertex, Word, abelianization, attachment_white,
                         black_orders, cw_euler, delta_sum,
                         euler_characteristic, lens_spine,
@@ -235,8 +235,7 @@ class TestRecognize:
 
     def test_annulus_flip_on_p2xs1_is_not_canonical(self):
         for text, annulus in (("P2xS1", "e2"), ("L(5) # P2xS1", "s1.e3")):
-            assert recognize(flipped(synth(parse_expr(text)), annulus)) \
-                is NOT_CANONICAL
+            assert recognize(flipped(synth(parse_expr(text)), annulus)) is None
 
     def test_pieces_of_no_primitive_shape_are_not_canonical(self):
         two_blacks = StratifoldGraph(
@@ -247,10 +246,10 @@ class TestRecognize:
             s2xs1_spine().blacks,
             list(s2xs1_spine().edges) + [Edge("e4", "wx", "b", 1)])
         for piece in (two_blacks, three_whites):
-            assert recognize(piece) is NOT_CANONICAL
+            assert recognize(piece) is None
             g = delta_sum(lens_spine(3), "w", piece, attachment_white(piece))
             assert validate(g) == []
-            assert recognize(g) is NOT_CANONICAL
+            assert recognize(g) is None
 
     def test_rejects_non_canonical_graphs(self):
         from stratifold import fgroup_graph, FSignature
@@ -260,18 +259,11 @@ class TestRecognize:
              Edge("e3", "w", "b", 1)])
         for g in (theta, fgroup_graph(FSignature(0, (2, 3))),
                   StratifoldGraph([WhiteVertex("w", 2)], [], [])):
-            assert recognize(g) is NOT_CANONICAL
+            assert recognize(g) is None
 
     def test_not_canonical_is_falsy(self):
-        assert not NOT_CANONICAL
+        assert not recognize(StratifoldGraph([WhiteVertex("w", 2)], [], []))
         assert bool(recognize(lens_spine(3)))
-
-    def test_sentinels_share_one_class(self):
-        other = Sentinel("OTHER")
-        assert type(NOT_CANONICAL) is type(other) is Sentinel
-        assert NOT_CANONICAL is not other
-        assert (repr(NOT_CANONICAL), repr(other)) == ("NOT_CANONICAL", "OTHER")
-        assert not other
 
     def test_recognized_sums_pass_obstructions(self):
         rng = random.Random(206)
